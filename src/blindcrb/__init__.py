@@ -20,7 +20,6 @@ from .channel import (
     ReducibleDecomposition,
     DecompositionError,
     block_toeplitz,
-    toeplitz_op,
     commutativity_op,
     realify_channel,
     subchannel_zeros,

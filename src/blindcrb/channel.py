@@ -31,8 +31,8 @@ __all__ = [
     "ReducibleDecomposition",
     "RootPairing",
     "DecompositionError",
+    "DEFAULT_ZERO_TOL",
     "block_toeplitz",
-    "toeplitz_op",
     "taps_from_stacked",
     "symbol_hankel",
     "commutativity_op",
@@ -53,6 +53,9 @@ __all__ = [
 
 REAL = "real"
 COMPLEX = "complex"
+
+# absolute distance at which two z-plane roots count as the same zero
+DEFAULT_ZERO_TOL = 1e-6
 
 
 class DecompositionError(ValueError):
@@ -175,11 +178,6 @@ def block_toeplitz(taps, M):
     return T
 
 
-def toeplitz_op(ch: Channel, M):
-    """``T_M(h)`` for a :class:`Channel` (see :func:`block_toeplitz`)."""
-    return ch.toeplitz(M)
-
-
 def symbol_hankel(A, N, M=None):
     """Hankel matrix ``A'`` with ``A'[r, c] = A[r + c]`` from a symbol vector.
 
@@ -261,7 +259,7 @@ def subchannel_zeros(ch: Channel):
     return [poly_roots(ch.coeffs[l]) for l in range(ch.m)]
 
 
-def common_zeros(ch: Channel, tol=1e-6):
+def common_zeros(ch: Channel, tol=DEFAULT_ZERO_TOL):
     """Roots shared by every subchannel, clustered at absolute tolerance ``tol``.
 
     Multiplicities are respected: a double common root must appear (within
@@ -321,7 +319,7 @@ class ReducibleDecomposition:
         return self.irreducible_part.m
 
 
-def reducible_decompose(ch: Channel, tol=1e-6, residual_tol=1e-8):
+def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL, residual_tol=1e-8):
     """Factor a channel into an irreducible part and a monic common factor.
 
     The common factor is built from the clustered common zeros; the
@@ -408,7 +406,7 @@ class RootPairing:
         }
 
 
-def conjugate_reciprocal_pairs(poly, field=COMPLEX, tol=1e-6):
+def conjugate_reciprocal_pairs(poly, field=COMPLEX, tol=DEFAULT_ZERO_TOL):
     """Detect conjugate-reciprocal root pairs ``(z0, 1/z0^*)`` of a polynomial.
 
     Roots within ``tol`` of +1 or -1 are reported separately (self-paired);

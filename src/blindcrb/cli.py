@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 from .channel import (
     COMPLEX,
+    DEFAULT_ZERO_TOL,
     REAL,
     Channel,
     load_channel,
@@ -62,12 +63,12 @@ from .fim import (
     schur_reduce,
 )
 from .identifiability import deterministic_verdict, gaussian_verdict, verdict_vs_fim
+from .linalg import DEFAULT_RANK_TOL, realify_vector
 from .simulate import (
     ExperimentConfig,
     experiment_symbols,
     mse_vs_crb_experiment,
     score_covariance_fim,
-    stream_rng,
 )
 
 _SCHEMAS = {
@@ -144,39 +145,23 @@ def _fmt(x, nd=6):
 # ---------------------------------------------------------------------------
 
 
-def _channel_fim_and_directions(ch, args):
-    """Reduced channel FIM in the representation used for reporting, plus
-    predicted null directions."""
+def _model_fim(ch, args):
+    """FIM of ``args.model`` in the channel's own field, and its burst: the
+    symbol-reduced FIM for the stream-0 burst of ``args.seed``, or the
+    Gaussian ``[h; sigma_v^2]`` FIM with no burst."""
     if args.model == DETERMINISTIC:
-        rng = stream_rng(args.seed, 0)
-        n = args.M + ch.N - 1
-        if ch.field == COMPLEX:
-            A = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        else:
-            A = rng.standard_normal(n)
-        full = deterministic_fim(ch, A, args.sigma_v2, args.M)
-        reduced = deterministic_reduced_fim(ch, A, args.sigma_v2, args.M)
-        if ch.field == COMPLEX:
-            full = full.realified()
-            Jred = reduced.realified().J
-            h = ch.h
-            predicted = [
-                ("scale", np.concatenate([h.real, h.imag])),
-                ("phase", phase_direction(h)),
-            ]
-        else:
-            Jred = reduced.J
-            predicted = [("scale", ch.h)]
-        return full, Jred, predicted, A
+        A = experiment_symbols(ExperimentConfig(channel=ch, M=args.M, seed=args.seed))
+        return deterministic_reduced_fim(ch, A, args.sigma_v2, args.M), A
     cfg = GaussianModelConfig(args.sigma_a2, args.sigma_v2, args.M)
-    if ch.field == COMPLEX:
-        fim = gaussian_fim_complex(ch, cfg).realified()
-        predicted = [("phase", phase_direction(ch.h))]
-    else:
-        fim = gaussian_fim_real(ch, cfg)
-        predicted = []
-    Jred = schur_reduce(fim, "h")
-    return fim, Jred, predicted, None
+    fim = gaussian_fim_complex(ch, cfg) if ch.field == COMPLEX else gaussian_fim_real(ch, cfg)
+    return fim, None
+
+
+def _channel_block(fim):
+    """Channel block of a model FIM in stacked-real coordinates, with the
+    noise variance (when it is a parameter) Schur-reduced out."""
+    real = fim.realified()
+    return schur_reduce(real, "h") if len(real.layout.blocks) > 1 else real.J
 
 
 def cmd_analyze(args):
@@ -193,9 +178,20 @@ def cmd_analyze(args):
     print(f"  reducible: {'yes' if dec.N_c > 1 else 'no'} "
           f"(N_c={dec.N_c}, N_I={dec.N_I}, residual={dec.residual:.2e})")
 
-    full, Jred, predicted, _ = _channel_fim_and_directions(ch, args)
+    fim, A = _model_fim(ch, args)
+    if args.model == DETERMINISTIC:
+        full = deterministic_fim(ch, A, args.sigma_v2, args.M).realified()
+        predicted = [("scale", realify_vector(ch.h))]
+        verdict = deterministic_verdict(ch, args.M, tol=args.zero_tol)
+    else:
+        full = fim.realified()
+        predicted = []
+        verdict = gaussian_verdict(ch, GaussianModelConfig(args.sigma_a2, args.sigma_v2, args.M),
+                                   tol=args.zero_tol)
+    if ch.field == COMPLEX:
+        predicted.append(("phase", phase_direction(ch.h)))
     rep_full = analyze_singularities(full, tol=args.rank_tol)
-    rep_red = analyze_singularities(Jred, predicted, tol=args.rank_tol)
+    rep_red = analyze_singularities(_channel_block(fim), predicted, tol=args.rank_tol)
     print(f"model {args.model}: full FIM dim={full.dim} rank={rep_full.rank} "
           f"nullity={rep_full.nullity}")
     print(f"  channel-reduced FIM rank={rep_red.rank} nullity={rep_red.nullity}")
@@ -203,15 +199,8 @@ def cmd_analyze(args):
         print(f"  predicted null direction '{name}': angle={ang:.2e} "
               f"{'MATCH' if ok else 'NO MATCH'}")
 
-    if args.model == DETERMINISTIC:
-        verdict = deterministic_verdict(ch, args.M, tol=args.zero_tol)
-        realified = ch.field == COMPLEX
-        rec = verdict_vs_fim(verdict, rep_full, realified=realified)
-    else:
-        verdict = gaussian_verdict(ch, GaussianModelConfig(args.sigma_a2,
-                                                           args.sigma_v2, args.M),
-                                   tol=args.zero_tol)
-        rec = verdict_vs_fim(verdict, rep_full)
+    rec = verdict_vs_fim(verdict, rep_full,
+                         realified=args.model == DETERMINISTIC and ch.field == COMPLEX)
     print(f"verdict: identifiable up to {verdict.identifiable_up_to}; "
           f"predicted nullity {rec.predicted}")
     for reason in verdict.reasons:
@@ -235,47 +224,34 @@ def _per_coefficient_diag(crb, n_coeffs, field):
 
 def cmd_crb(args):
     ch = _resolve_field(load_channel(args.channel), args.field)
-    fargs = argparse.Namespace(model=args.model, M=args.M, sigma_a2=args.sigma_a2,
-                               sigma_v2=args.sigma_v2, seed=args.seed)
-    _, Jred, _, _ = _channel_fim_and_directions(ch, fargs)
+    fim, _ = _model_fim(ch, args)
+    Jred = _channel_block(fim)
     n = ch.m * ch.N
-    # constraints on complex deterministic channels act on the realified FIM,
-    # except the reducible ones, which act in the complex domain
     dec = None
-    try:
+    if any(spec.startswith("reducible") for spec in args.constraint):
         dec = reducible_decompose(ch, tol=args.zero_tol)
-    except Exception:
-        dec = None
-    field_for_constraints = ch.field
 
     def load_linear(path):
         with open(path, "r", encoding="utf-8") as fh:
             return np.asarray(json.load(fh), dtype=float)
 
-    h0 = ch.h
-    h0_for_constraints = h0
     rows = []
     for spec in args.constraint:
         try:
-            cs = parse_constraint(spec, h0_for_constraints, field_for_constraints,
-                                  dec=dec, linear_loader=load_linear)
+            cs = parse_constraint(spec, ch.h, ch.field, dec=dec, linear_loader=load_linear)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if cs is None:
             res = minimal_crb(Jred)
         elif cs.kind.startswith("reducible") and ch.field == COMPLEX:
-            # reducible constraints act in the complex channel coordinates;
-            # they are deterministic-model constructs here
+            # reducible constraints act on the native complex FIM; the others
+            # on a complex channel act on its realified form
             if args.model != DETERMINISTIC:
                 print("error: reducible constraints on a complex channel are "
                       "supported for the deterministic model only", file=sys.stderr)
                 return 2
-            rng = stream_rng(args.seed, 0)
-            nA = args.M + ch.N - 1
-            A = (rng.standard_normal(nA) + 1j * rng.standard_normal(nA)) / np.sqrt(2)
-            Jc = deterministic_reduced_fim(ch, A, args.sigma_v2, args.M).J
-            res = constrained_crb(Jc, cs)
+            res = constrained_crb(fim.J, cs)
         else:
             res = constrained_crb(Jred, cs)
         diag = _per_coefficient_diag(res.crb, n, ch.field)
@@ -296,9 +272,7 @@ def cmd_crb(args):
 
 def cmd_sweep_known(args):
     ch = _resolve_field(load_channel(args.channel), args.field)
-    fargs = argparse.Namespace(model=args.model, M=args.M, sigma_a2=args.sigma_a2,
-                               sigma_v2=args.sigma_v2, seed=args.seed)
-    _, Jred, _, _ = _channel_fim_and_directions(ch, fargs)
+    Jred = _channel_block(_model_fim(ch, args)[0])
     baseline = minimal_crb(Jred).trace
     n = ch.m * ch.N
     rows = []
@@ -427,9 +401,9 @@ def _add_common(p, gaussian_defaults=False):
     p.add_argument("--sigma-a2", dest="sigma_a2", type=float, default=1.0)
     p.add_argument("--sigma-v2", dest="sigma_v2", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--zero-tol", dest="zero_tol", type=float, default=1e-6,
+    p.add_argument("--zero-tol", dest="zero_tol", type=float, default=DEFAULT_ZERO_TOL,
                    help="root clustering tolerance")
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-8,
+    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=DEFAULT_RANK_TOL,
                    help="relative eigenvalue threshold for FIM rank")
     p.add_argument("--output", "-o", default=None, help="CSV output path (default stdout)")
 

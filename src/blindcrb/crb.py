@@ -29,7 +29,6 @@ import numpy as np
 
 from .channel import Channel, ReducibleDecomposition, ti_matrix, tc_matrix, COMPLEX, REAL
 from .fim import (
-    DEFAULT_RANK_TOL,
     FimResult,
     GaussianModelConfig,
     gaussian_fim_complex,
@@ -37,6 +36,7 @@ from .fim import (
     schur_reduce,
 )
 from .linalg import (
+    DEFAULT_RANK_TOL,
     hermitian_nullity,
     null_space_basis,
     complement_projector,

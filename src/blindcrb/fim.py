@@ -40,6 +40,7 @@ from .channel import (
     taps_from_stacked,
 )
 from .linalg import (
+    DEFAULT_RANK_TOL,
     complement_projector,
     hermitian_nullity,
     principal_angle,
@@ -83,8 +84,6 @@ GENERIC = "generic"
 SYMBOLS = "symbols"
 CHANNEL = "channel"
 NOISE = "noise"
-
-DEFAULT_RANK_TOL = 1e-8
 
 _MODELS = (DETERMINISTIC, GAUSSIAN, GENERIC)
 
@@ -427,30 +426,24 @@ def gaussian_moment_stack(ch: Channel, cfg: GaussianModelConfig) -> MomentStack:
     """Moment stack of the Gaussian-symbol model over ``theta = [h; sigma_v^2]``.
 
     Zero mean; the covariance derivatives are built analytically from the
-    block-Toeplitz structure. Complex field: conjugate-derivative slabs
-    ``sigma_a^2 T(h) T^H(e_i)`` for the channel and ``I/2`` for the noise
-    variance (a real parameter seen through complex derivatives). Real
-    field: the symmetrized slabs and ``I`` for the noise variance.
+    block-Toeplitz structure, with ``G_i = T(h) T^H(e_i)``. Complex field:
+    conjugate-derivative slabs ``sigma_a^2 G_i`` for the channel and ``I/2``
+    for the noise variance (a real parameter seen through complex
+    derivatives). Real field: the symmetrized slabs ``sigma_a^2 (G_i + G_i^T)``
+    and ``I`` for the noise variance.
     """
     n = ch.m * ch.N
     T = ch.toeplitz(cfg.M)
     ny = T.shape[0]
     C = gaussian_covariance(ch, cfg)
+    cplx = ch.field == COMPLEX
     slabs = np.empty((n + 1, ny, ny), dtype=C.dtype)
-    if ch.field == COMPLEX:
-        for i in range(n):
-            Ti = _unit_toeplitz(i, ch.m, ch.N, cfg.M, C.dtype)
-            slabs[i] = cfg.sigma_a2 * (T @ Ti.conj().T)
-        slabs[n] = 0.5 * np.eye(ny, dtype=C.dtype)
-        mean = np.zeros(ny, dtype=complex)
-    else:
-        for i in range(n):
-            Ti = _unit_toeplitz(i, ch.m, ch.N, cfg.M, C.dtype)
-            slabs[i] = cfg.sigma_a2 * (T @ Ti.T + Ti @ T.T)
-        slabs[n] = np.eye(ny)
-        mean = np.zeros(ny)
-    mean_jac = np.zeros((ny, n + 1), dtype=C.dtype)
-    return MomentStack(mean, C, mean_jac, slabs, ch.field)
+    for i in range(n):
+        G = T @ _unit_toeplitz(i, ch.m, ch.N, cfg.M, C.dtype).conj().T
+        slabs[i] = cfg.sigma_a2 * (G if cplx else G + G.T)
+    slabs[n] = (0.5 if cplx else 1.0) * np.eye(ny, dtype=C.dtype)
+    return MomentStack(np.zeros(ny, dtype=C.dtype), C, np.zeros((ny, n + 1), dtype=C.dtype),
+                       slabs, ch.field)
 
 
 def _gaussian_layout(ch: Channel):
@@ -470,8 +463,7 @@ def gaussian_fim_complex(ch: Channel, cfg: GaussianModelConfig) -> FimResult:
     if ch.field != COMPLEX:
         raise ValueError("gaussian_fim_complex expects a complex-field channel")
     stack = gaussian_moment_stack(ch, cfg)
-    fim = gaussian_fim_generic(stack, layout=_gaussian_layout(ch), model=GAUSSIAN)
-    return fim
+    return gaussian_fim_generic(stack, layout=_gaussian_layout(ch), model=GAUSSIAN)
 
 
 def gaussian_fim_real(ch: Channel, cfg: GaussianModelConfig) -> FimResult:
@@ -489,23 +481,17 @@ def gaussian_real_param_derivs(ch: Channel, cfg: GaussianModelConfig):
 
     Real parameters follow the realified layout: ``[Re h; Im h; sigma_v^2]``
     for a complex channel, ``[h; sigma_v^2]`` for a real one. Used by the
-    score-covariance estimator.
+    score-covariance estimator. The complex slabs come from the
+    conjugate-derivative slabs ``G`` of :func:`gaussian_moment_stack`:
+    ``G + G^H`` for ``Re h_i``, ``j (G^H - G)`` for ``Im h_i`` and twice the
+    noise slab ``I/2``.
     """
-    n = ch.m * ch.N
-    T = ch.toeplitz(cfg.M)
-    ny = T.shape[0]
-    C = gaussian_covariance(ch, cfg)
+    stack = gaussian_moment_stack(ch, cfg)
     if ch.field == REAL:
-        stack = gaussian_moment_stack(ch, cfg)
-        return C, stack.cov_jac
-    slabs = np.empty((2 * n + 1, ny, ny), dtype=complex)
-    for i in range(n):
-        Ti = _unit_toeplitz(i, ch.m, ch.N, cfg.M, np.complex128)
-        G = cfg.sigma_a2 * (T @ Ti.conj().T)
-        slabs[i] = G + G.conj().T                      # d/d Re(h_i)
-        slabs[n + i] = 1j * (G.conj().T - G)           # d/d Im(h_i)
-    slabs[2 * n] = np.eye(ny, dtype=complex)
-    return C, slabs
+        return stack.cov, stack.cov_jac
+    G = stack.cov_jac[:-1]
+    GH = G.conj().transpose(0, 2, 1)
+    return stack.cov, np.concatenate([G + GH, 1j * (GH - G), 2.0 * stack.cov_jac[-1:]])
 
 
 def schur_reduce(fim: FimResult, keep):

@@ -28,6 +28,7 @@ import numpy as np
 
 from .channel import (
     COMPLEX,
+    DEFAULT_ZERO_TOL,
     REAL,
     Channel,
     SymbolBurst,
@@ -94,7 +95,7 @@ def _burst_rank_ok(ch: Channel, A, M):
     return True, ()
 
 
-def deterministic_verdict(ch: Channel, M, A=None, tol=1e-6) -> IdentifiabilityVerdict:
+def deterministic_verdict(ch: Channel, M, A=None, tol=DEFAULT_ZERO_TOL) -> IdentifiabilityVerdict:
     """Identifiability of (A, h) under the deterministic symbol model.
 
     Requires an irreducible channel and burst length ``M >= 2(N-1)``
@@ -150,7 +151,7 @@ def deterministic_verdict(ch: Channel, M, A=None, tol=1e-6) -> IdentifiabilityVe
 def gaussian_verdict(
     ch: Channel,
     cfg: GaussianModelConfig,
-    tol=1e-6,
+    tol=DEFAULT_ZERO_TOL,
     min_irreducible_burst=None,
 ) -> IdentifiabilityVerdict:
     """Identifiability of (h, sigma_v^2) under the Gaussian symbol model.

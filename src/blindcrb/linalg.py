@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "DEFAULT_RANK_TOL",
     "SingularFimError",
     "pseudo_inverse",
     "projector",
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps
+
+# relative eigenvalue threshold for Fisher-information rank decisions
+DEFAULT_RANK_TOL = 1e-8
 
 
 class SingularFimError(np.linalg.LinAlgError):
@@ -142,7 +146,7 @@ def null_space_basis(A, tol=None):
     return Vh[r:].conj().T
 
 
-def hermitian_nullity(J, tol=1e-8):
+def hermitian_nullity(J, tol=DEFAULT_RANK_TOL):
     """(rank, nullity, eigvals, eigvecs) of a Hermitian PSD matrix.
 
     Eigenvalues at or below ``tol * lambda_max`` count as zero. Used for

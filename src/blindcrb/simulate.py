@@ -8,6 +8,8 @@ bit-for-bit regardless of execution order or parallel scheduling.
 Stream map (documented contract):
 
 * stream 0 - the deterministic-model symbol burst, drawn once per experiment;
+  it is also the burst of the CLI's deterministic ``analyze``, ``crb`` and
+  ``sweep-known``;
 * stream ``1 + 4 t + 0`` - observation noise of trial ``t``;
 * stream ``1 + 4 t + 1`` - Gaussian-model symbols of trial ``t``;
 * stream ``1 + 4 t + 2`` - estimator initialization of trial ``t``.
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .channel import COMPLEX, REAL, Channel, commutativity_op
+from .channel import COMPLEX, REAL, Channel, block_toeplitz, commutativity_op, taps_from_stacked
 from .fim import (
     DETERMINISTIC,
     GAUSSIAN,
@@ -83,11 +85,11 @@ def _trial_stream(trial, purpose):
 class ExperimentConfig:
     """Everything that determines a Monte Carlo run.
 
-    ``trials`` and ``seed`` fully determine all randomness. ``estimator`` is
-    ``"alternating-ls"`` or ``"none"``; ``init_scale`` sets the relative size
-    of the perturbation around the true channel used to initialize it (the
-    experiments here measure local estimation error against the bound, not
-    global convergence of blind algorithms).
+    ``trials`` and ``seed`` fully determine all randomness. ``init_scale``
+    sets the relative size of the perturbation around the true channel used
+    to initialize the alternating least-squares estimator (the experiments
+    here measure local estimation error against the bound, not global
+    convergence of blind algorithms).
     """
 
     channel: Channel
@@ -98,7 +100,6 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     adjustment: str = ADJUST_NO
-    estimator: str = "alternating-ls"
     ls_sweeps: int = 400
     init_scale: float = 1e-2
 
@@ -192,11 +193,10 @@ def _gaussian_score_matrix(cfg, trials):
     Ci = np.linalg.inv(C)
     P = np.einsum("ij,ajk,kl->ail", Ci, slabs, Ci)
     offset = np.einsum("ij,aji->a", Ci, slabs).real
-    ny = C.shape[0]
-    Y = np.empty((trials, ny), dtype=complex if cfg.field == COMPLEX else float)
+    T = ch.toeplitz(cfg.M)
+    Y = np.empty((trials, T.shape[0]), dtype=complex if cfg.field == COMPLEX else float)
     for t in range(trials):
-        A = experiment_symbols(cfg, t)
-        Y[t] = ch.toeplitz(cfg.M) @ A + draw_noise(cfg, t)
+        Y[t] = T @ experiment_symbols(cfg, t) + draw_noise(cfg, t)
     quad = np.einsum("ti,aij,tj->ta", Y.conj(), P, Y).real
     if cfg.field == COMPLEX:
         return quad - offset
@@ -297,7 +297,7 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
     history = []
     A = None
     for sweep in range(sweeps):
-        T = _toeplitz_from_stacked(h, m, N, M)
+        T = block_toeplitz(taps_from_stacked(h, m), M)
         A = _ls_solve(T, Y)
         Aop = commutativity_op(A, m, N, M)
         h = _ls_solve(Aop, Y)
@@ -317,12 +317,6 @@ def _ls_solve(D, Y):
         return sla.solve(G, D.conj().T @ Y, assume_a="pos", check_finite=False)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(D, Y, rcond=None)[0]
-
-
-def _toeplitz_from_stacked(h, m, N, M):
-    from .channel import block_toeplitz, taps_from_stacked
-
-    return block_toeplitz(taps_from_stacked(h, m), M)
 
 
 def snr_to_sigma_v2(ch: Channel, sigma_a2, snr_db):

@@ -25,7 +25,6 @@ from blindcrb.channel import (
     taps_from_stacked,
     tc_matrix,
     ti_matrix,
-    toeplitz_op,
 )
 from blindcrb.linalg import projector
 
@@ -57,7 +56,7 @@ class TestChannelType:
 class TestToeplitzOperator:
     def test_single_tap_block_structure(self):
         ch = Channel(np.array([[1.0], [2.0]]), field=REAL)
-        T = toeplitz_op(ch, 3)
+        T = ch.toeplitz(3)
         assert T.shape == (6, 3)
         A = np.array([3.0, -1.0, 5.0])
         np.testing.assert_allclose(T @ A, np.kron(A, [1.0, 2.0]))
@@ -65,7 +64,7 @@ class TestToeplitzOperator:
     def test_decaying_channel_against_convolution_loop(self):
         ch = example_channel("decaying")
         M = 8
-        T = toeplitz_op(ch, M)
+        T = ch.toeplitz(M)
         assert T.shape == (16, 11)
         A = np.random.default_rng(3).standard_normal(11)
         np.testing.assert_allclose(T @ A, convolve_oracle(ch.coeffs, A, M), atol=1e-13)
@@ -75,11 +74,11 @@ class TestToeplitzOperator:
         M = 7
         A = random_burst(rng, M + ch.N - 1, COMPLEX)
         np.testing.assert_allclose(
-            toeplitz_op(ch, M) @ A, convolve_oracle(ch.coeffs, A, M), atol=1e-13
+            ch.toeplitz(M) @ A, convolve_oracle(ch.coeffs, A, M), atol=1e-13
         )
 
     def test_first_block_row(self, chan_random):
-        T = toeplitz_op(chan_random, 5)
+        T = chan_random.toeplitz(5)
         np.testing.assert_array_equal(T[:2, :4], chan_random.coeffs)
         assert np.all(T[:2, 4:] == 0)
 
@@ -95,7 +94,7 @@ class TestCommutativity:
             field = COMPLEX if trial % 2 else REAL
             ch = random_channel(rng, m, N, field)
             A = random_burst(rng, M + N - 1, field)
-            lhs = toeplitz_op(ch, M) @ A
+            lhs = ch.toeplitz(M) @ A
             rhs = commutativity_op(A, m, N, M) @ ch.h
             assert np.linalg.norm(lhs - rhs) < 1e-10 * max(1.0, np.linalg.norm(lhs))
 
@@ -153,8 +152,8 @@ class TestRealify:
         ch = random_channel(rng, 2, 3, COMPLEX)
         M = 5
         A = rng.standard_normal(M + ch.N - 1)   # real symbols
-        y_cplx = toeplitz_op(ch, M) @ A
-        y_real = toeplitz_op(realify_channel(ch), M) @ A
+        y_cplx = ch.toeplitz(M) @ A
+        y_real = realify_channel(ch).toeplitz(M) @ A
         want = np.empty(2 * y_cplx.size)
         want[0::2] = y_cplx.real
         want[1::2] = y_cplx.imag
@@ -252,8 +251,8 @@ class TestFactorMatrices:
         ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5, -0.3], COMPLEX)
         dec = reducible_decompose(ch)
         M = 8
-        T = toeplitz_op(ch, M)
-        TI_op = toeplitz_op(dec.irreducible_part, M)
+        T = ch.toeplitz(M)
+        TI_op = dec.irreducible_part.toeplitz(M)
         Tc_op = block_toeplitz(dec.monic[None, :], M + dec.N_I - 1)
         np.testing.assert_allclose(T, TI_op @ Tc_op, atol=1e-10)
         assert np.linalg.norm(projector(T) - projector(TI_op)) < 1e-10

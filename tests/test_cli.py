@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from blindcrb.cli import main
-from blindcrb.channel import channel_to_json, example_channel
+from blindcrb.channel import (
+    Channel,
+    channel_to_json,
+    example_channel,
+    load_channel,
+    reducible_decompose,
+)
+from blindcrb.crb import constrained_crb, reducible_constraints
+from blindcrb.fim import deterministic_reduced_fim
+from blindcrb.simulate import ExperimentConfig, experiment_symbols
 
 
 @pytest.fixture
@@ -145,6 +154,46 @@ class TestCrb:
         traces = {r[0]: float(r[1]) for r in rows}
         # pinning the common-factor directions is the minimal constraint set
         assert traces["reducible-ti"] == pytest.approx(traces["minimal"], rel=1e-8)
+
+    def test_reducible_constraints_on_complex_channel(self, tmp_path):
+        # reducible rows use the native complex reduced FIM of the stream-0 burst
+        rng = np.random.default_rng(11)
+        HI = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        coeffs = np.array([np.convolve(r, np.poly([0.5 - 0.3j])) for r in HI])
+        p = tmp_path / "red.json"
+        p.write_text(json.dumps(channel_to_json(Channel(coeffs, name="red"))))
+        out = tmp_path / "crb.csv"
+        rc = main(["crb", str(p), "--M", "20", "--seed", "3", "--sigma-v2", "0.5",
+                   "-o", str(out), "--constraint", "reducible-ti",
+                   "--constraint", "reducible-proj"])
+        assert rc == 0
+        _, _, rows = _read_csv(out)
+        ch = load_channel(str(p))
+        dec = reducible_decompose(ch)
+        assert dec.N_c == 2
+        A = experiment_symbols(ExperimentConfig(channel=ch, M=20, seed=3))
+        J = deterministic_reduced_fim(ch, A, 0.5, 20).J
+        assert [r[0] for r in rows] == ["reducible-ti", "reducible-proj"]
+        for row, kind in zip(rows, ("ti", "projector")):
+            res = constrained_crb(J, reducible_constraints(dec, kind))
+            assert int(row[2]) == int(res.bounded) == 1
+            assert float(row[1]) == pytest.approx(res.trace, rel=1e-10)
+            # the CSV keeps 9 significant digits per coefficient
+            np.testing.assert_allclose([float(x) for x in row[3:]],
+                                       np.real(np.diag(res.crb)), rtol=1e-8)
+
+    def test_reducible_decomposition_failure_reported(self, tmp_path, capsys):
+        # the subchannels share a zero only up to a 3e-7 offset: it clusters as
+        # common at the default zero tolerance, but deconvolution fails
+        z = 0.5 + 0.2j
+        coeffs = np.array([np.poly([z, -0.4 + 0.6j, 0.3 - 0.7j]),
+                           1.5 * np.poly([z + 3e-7, 0.8j, -0.6 - 0.1j])])
+        p = tmp_path / "near.json"
+        p.write_text(json.dumps(channel_to_json(Channel(coeffs, name="near"))))
+        assert main(["crb", str(p), "--constraint", "reducible-ti"]) == 2
+        assert "deconvolution residual" in capsys.readouterr().err
+        assert main(["crb", str(p), "--constraint", "minimal",
+                     "-o", str(tmp_path / "crb.csv")]) == 0
 
     def test_reducible_complex_gaussian_rejected(self, chan_file):
         rc = main(["crb", chan_file, "--model", "gaussian", "--field", "complex",
