@@ -56,11 +56,11 @@ from .fim import (
     ParamLayout,
     SingularityReport,
     analyze_singularities,
+    channel_block,
     deterministic_fim,
     deterministic_reduced_fim,
-    gaussian_fim_complex,
+    gaussian_fim,
     gaussian_fim_generic,
-    gaussian_fim_real,
     schur_reduce,
 )
 from .identifiability import (

@@ -55,12 +55,11 @@ from .fim import (
     GAUSSIAN,
     GaussianModelConfig,
     analyze_singularities,
+    channel_block,
     deterministic_fim,
     deterministic_reduced_fim,
-    gaussian_fim_complex,
-    gaussian_fim_real,
+    gaussian_fim,
     phase_direction,
-    schur_reduce,
 )
 from .identifiability import deterministic_verdict, gaussian_verdict, verdict_vs_fim
 from .linalg import DEFAULT_RANK_TOL, realify_vector
@@ -152,16 +151,7 @@ def _model_fim(ch, args):
     if args.model == DETERMINISTIC:
         A = experiment_symbols(ExperimentConfig(channel=ch, M=args.M, seed=args.seed))
         return deterministic_reduced_fim(ch, A, args.sigma_v2, args.M), A
-    cfg = GaussianModelConfig(args.sigma_a2, args.sigma_v2, args.M)
-    fim = gaussian_fim_complex(ch, cfg) if ch.field == COMPLEX else gaussian_fim_real(ch, cfg)
-    return fim, None
-
-
-def _channel_block(fim):
-    """Channel block of a model FIM in stacked-real coordinates, with the
-    noise variance (when it is a parameter) Schur-reduced out."""
-    real = fim.realified()
-    return schur_reduce(real, "h") if len(real.layout.blocks) > 1 else real.J
+    return gaussian_fim(ch, GaussianModelConfig(args.sigma_a2, args.sigma_v2, args.M)), None
 
 
 def cmd_analyze(args):
@@ -184,14 +174,14 @@ def cmd_analyze(args):
         predicted = [("scale", realify_vector(ch.h))]
         verdict = deterministic_verdict(ch, args.M, tol=args.zero_tol)
     else:
-        full = fim.realified()
+        fim = full = fim.realified()
         predicted = []
         verdict = gaussian_verdict(ch, GaussianModelConfig(args.sigma_a2, args.sigma_v2, args.M),
                                    tol=args.zero_tol)
     if ch.field == COMPLEX:
         predicted.append(("phase", phase_direction(ch.h)))
     rep_full = analyze_singularities(full, tol=args.rank_tol)
-    rep_red = analyze_singularities(_channel_block(fim), predicted, tol=args.rank_tol)
+    rep_red = analyze_singularities(channel_block(fim), predicted, tol=args.rank_tol)
     print(f"model {args.model}: full FIM dim={full.dim} rank={rep_full.rank} "
           f"nullity={rep_full.nullity}")
     print(f"  channel-reduced FIM rank={rep_red.rank} nullity={rep_red.nullity}")
@@ -225,7 +215,7 @@ def _per_coefficient_diag(crb, n_coeffs, field):
 def cmd_crb(args):
     ch = _resolve_field(load_channel(args.channel), args.field)
     fim, _ = _model_fim(ch, args)
-    Jred = _channel_block(fim)
+    Jred = channel_block(fim)
     n = ch.m * ch.N
     dec = None
     if any(spec.startswith("reducible") for spec in args.constraint):
@@ -272,7 +262,7 @@ def cmd_crb(args):
 
 def cmd_sweep_known(args):
     ch = _resolve_field(load_channel(args.channel), args.field)
-    Jred = _channel_block(_model_fim(ch, args)[0])
+    Jred = channel_block(_model_fim(ch, args)[0])
     baseline = minimal_crb(Jred).trace
     n = ch.m * ch.N
     rows = []
@@ -306,10 +296,8 @@ def cmd_fim_check(args):
         A = experiment_symbols(cfg)
         fim = deterministic_fim(ch, A, sv2, args.M)
     else:
-        gcfg = GaussianModelConfig(args.sigma_a2, sv2, args.M)
-        fim = gaussian_fim_complex(ch, gcfg) if ch.field == COMPLEX \
-            else gaussian_fim_real(ch, gcfg)
-    J = fim.realified().J if ch.field == COMPLEX else fim.J
+        fim = gaussian_fim(ch, GaussianModelConfig(args.sigma_a2, sv2, args.M))
+    J = fim.realified().J
     diff = est.J_hat - J
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(est.std_err > 0, diff / est.std_err,
@@ -345,6 +333,17 @@ def cmd_mse(args):
             print(f"{args.experiment}:{exc.lineno}: invalid JSON ({exc.msg})",
                   file=sys.stderr)
             return 2
+    if not isinstance(spec, dict) or not isinstance(spec.get("channel"), str):
+        raise ValueError(f"{args.experiment}: expected a JSON object with a "
+                         "\"channel\" file path")
+
+    def number(key, value, kind):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{args.experiment}: field {key!r} must be a number, "
+                             f"got {value!r}") from None
+
     chan_path = spec["channel"]
     if not os.path.isabs(chan_path):
         chan_path = os.path.join(os.path.dirname(os.path.abspath(args.experiment)),
@@ -353,14 +352,18 @@ def cmd_mse(args):
     cfg = ExperimentConfig(
         channel=ch,
         model=spec.get("model", DETERMINISTIC),
-        M=int(spec.get("M", 100)),
-        sigma_a2=float(spec.get("sigma_a2", 1.0)),
-        trials=int(spec.get("trials", 200)),
-        seed=int(spec.get("seed", args.seed)),
-        ls_sweeps=int(spec.get("ls_sweeps", 30)),
-        init_scale=float(spec.get("init_scale", 1e-2)),
+        M=number("M", spec.get("M", 100), int),
+        sigma_a2=number("sigma_a2", spec.get("sigma_a2", 1.0), float),
+        trials=number("trials", spec.get("trials", 200), int),
+        seed=number("seed", spec.get("seed", args.seed), int),
+        ls_sweeps=number("ls_sweeps", spec.get("ls_sweeps", 30), int),
+        init_scale=number("init_scale", spec.get("init_scale", 1e-2), float),
     )
     snrs = spec.get("snr_db", [10.0, 20.0, 30.0])
+    if not isinstance(snrs, list):
+        raise ValueError(f"{args.experiment}: field 'snr_db' must be a list of numbers, "
+                         f"got {snrs!r}")
+    snrs = [number("snr_db", v, float) for v in snrs]
     rows_data = mse_vs_crb_experiment(cfg, snrs)
     warn = []
     total_nonconv = sum(r.nonconverged for r in rows_data)
@@ -390,7 +393,7 @@ def cmd_mse(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, gaussian_defaults=False):
+def _add_common(p):
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("--model", choices=[DETERMINISTIC, GAUSSIAN],
                    default=DETERMINISTIC)

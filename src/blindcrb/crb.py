@@ -28,18 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, ReducibleDecomposition, ti_matrix, tc_matrix, COMPLEX, REAL
-from .fim import (
-    FimResult,
-    GaussianModelConfig,
-    gaussian_fim_complex,
-    gaussian_fim_real,
-    schur_reduce,
-)
+from .fim import FimResult, GaussianModelConfig, channel_block, gaussian_fim
 from .linalg import (
     DEFAULT_RANK_TOL,
     hermitian_nullity,
     null_space_basis,
     complement_projector,
+    numerical_rank,
     pseudo_inverse,
     range_basis,
     realify_vector,
@@ -181,7 +176,7 @@ def linear_constraint(C, kind="linear") -> ConstraintSet:
     if C.ndim != 2:
         raise ValueError("constraint matrix must be 2-D")
     notes = ()
-    if np.linalg.matrix_rank(C) < C.shape[1]:
+    if numerical_rank(C) < C.shape[1]:
         notes = ("dependent-constraints",)
     return ConstraintSet(C, kind=kind, notes=notes)
 
@@ -272,35 +267,30 @@ def minimal_crb(J) -> CrbResult:
 def gaussian_blind_crb(ch: Channel, cfg: GaussianModelConfig, tol=DEFAULT_RANK_TOL) -> CrbResult:
     """Blind channel CRB under the Gaussian symbol model.
 
-    Complex channel: Schur-reduce the realified FIM over the noise variance,
-    then take the pseudo-inverse; this equals the bound under the single
-    phase constraint on ``h_R`` whenever the channel is identifiable (its
-    reduced FIM is exactly 1-singular). Channels with extra singularities
-    (conjugate reciprocal zeros) come back ``bounded=False`` with a note.
+    Both fields reduce the noise variance out of the (realified) FIM with
+    :func:`~blindcrb.fim.channel_block` and take the pseudo-inverse.
+
+    Complex channel: this equals the bound under the single phase constraint
+    on ``h_R`` whenever the channel is identifiable (its reduced FIM is
+    exactly 1-singular). Channels with extra singularities (conjugate
+    reciprocal zeros) come back ``bounded=False`` with the phase-constrained
+    bound and a note.
 
     Real channel: no regularization is needed; the bound is the inverse of
     the noise-reduced FIM (flagged unbounded if it is singular).
     """
-    if ch.field == COMPLEX:
-        fim = gaussian_fim_complex(ch, cfg).realified()
-        Jred = schur_reduce(fim, "h")
-        _, nullity, _, _ = hermitian_nullity(Jred, tol=tol)
-        cs = phase_constraint(ch.h)
-        res = constrained_crb(Jred, cs, tol=tol)
-        if nullity == 1 and res.bounded:
-            crb = pseudo_inverse(Jred)
-            crb = 0.5 * (crb + crb.T)
-            return CrbResult(crb, float(np.trace(crb)), True, "phase")
-        notes = res.notes + ((f"extra-singular:nullity={nullity}",) if nullity != 1 else ())
-        return CrbResult(res.crb, res.trace, False, "phase", notes)
-    fim = gaussian_fim_real(ch, cfg)
-    Jred = schur_reduce(fim, "h")
+    cplx = ch.field == COMPLEX
+    Jred = channel_block(gaussian_fim(ch, cfg))
     _, nullity, _, _ = hermitian_nullity(Jred, tol=tol)
+    # the phase direction is the one expected singularity of complex data
+    notes = () if nullity == int(cplx) else (f"extra-singular:nullity={nullity}",)
+    if cplx:
+        res = constrained_crb(Jred, phase_constraint(ch.h), tol=tol)
+        if notes or not res.bounded:
+            return CrbResult(res.crb, res.trace, False, "phase", res.notes + notes)
     crb = pseudo_inverse(Jred)
     crb = 0.5 * (crb + crb.T)
-    bounded = nullity == 0
-    notes = () if bounded else (f"extra-singular:nullity={nullity}",)
-    return CrbResult(crb, float(np.trace(crb)), bounded, "none", notes)
+    return CrbResult(crb, float(np.trace(crb)), not notes, "phase" if cplx else "none", notes)
 
 
 CONSTRAINT_GRAMMAR = (

@@ -9,13 +9,15 @@ Three constructions live here:
   ``[T(h) A_op]`` over the joint parameter ``theta = [A; h]``
   (:func:`deterministic_fim`) and its reduction onto the channel block
   (:func:`deterministic_reduced_fim`);
-* the Gaussian-symbol model over ``theta = [h; sigma_v^2]``, complex
-  (:func:`gaussian_fim_complex`, which also carries the cross matrix
-  ``J_cross``) and real (:func:`gaussian_fim_real`).
+* the Gaussian-symbol model over ``theta = [h; sigma_v^2]``
+  (:func:`gaussian_fim`), in the channel's own field; a complex channel's FIM
+  also carries the cross matrix ``J_cross``.
 
 Complex-model results convert to the stacked real representation with
 :meth:`FimResult.realified`; blocks keep their names so Schur reductions can
 be phrased representation-independently (``schur_reduce(fim, keep="h")``).
+:func:`channel_block` is the one path from a model FIM to its stacked-real
+channel block with the other blocks reduced out.
 
 Every FIM here is Hermitian (or real symmetric) positive semidefinite;
 builders validate this and refuse gross violations. Rank and null-space
@@ -35,15 +37,13 @@ from .channel import (
     REAL,
     Channel,
     SymbolBurst,
-    block_toeplitz,
     commutativity_op,
-    taps_from_stacked,
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
-    complement_projector,
     hermitian_nullity,
     principal_angle,
+    range_basis,
     realify_fim,
 )
 
@@ -66,11 +66,10 @@ __all__ = [
     "gaussian_moment_stack",
     "deterministic_fim",
     "deterministic_reduced_fim",
-    "gaussian_fim_complex",
-    "gaussian_fim_real",
-    "gaussian_covariance",
+    "gaussian_fim",
     "gaussian_real_param_derivs",
     "schur_reduce",
+    "channel_block",
     "SingularityReport",
     "analyze_singularities",
     "deterministic_null_directions",
@@ -401,79 +400,58 @@ def deterministic_reduced_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
     if field == COMPLEX:
         T = T.astype(np.complex128)
     Aop = commutativity_op(A, ch.m, ch.N, M).astype(T.dtype)
-    Pperp = complement_projector(T)
+    Q = range_basis(T)
+    Pperp = np.eye(T.shape[0], dtype=Q.dtype) - Q @ Q.conj().T
     J = Aop.conj().T @ Pperp @ Aop / sigma_v2
     warnings = ()
-    if np.linalg.matrix_rank(T) < T.shape[1]:
+    if Q.shape[1] < T.shape[1]:
         warnings = ("toeplitz-rank-deficient",)
     layout = _layout(("h", CHANNEL, ch.m * ch.N, field))
     return FimResult(J, layout, field, DETERMINISTIC, warnings=warnings)
 
 
-def gaussian_covariance(ch: Channel, cfg: GaussianModelConfig):
-    """Observation covariance ``sigma_a^2 T(h) T(h)^H + sigma_v^2 I``."""
-    T = ch.toeplitz(cfg.M)
-    return cfg.sigma_a2 * (T @ T.conj().T) + cfg.sigma_v2 * np.eye(T.shape[0], dtype=T.dtype)
-
-
-def _unit_toeplitz(i, m, N, M, dtype):
-    e = np.zeros(m * N, dtype=dtype)
-    e[i] = 1.0
-    return block_toeplitz(taps_from_stacked(e, m), M)
-
-
 def gaussian_moment_stack(ch: Channel, cfg: GaussianModelConfig) -> MomentStack:
     """Moment stack of the Gaussian-symbol model over ``theta = [h; sigma_v^2]``.
 
-    Zero mean; the covariance derivatives are built analytically from the
-    block-Toeplitz structure, with ``G_i = T(h) T^H(e_i)``. Complex field:
-    conjugate-derivative slabs ``sigma_a^2 G_i`` for the channel and ``I/2``
-    for the noise variance (a real parameter seen through complex
-    derivatives). Real field: the symmetrized slabs ``sigma_a^2 (G_i + G_i^T)``
-    and ``I`` for the noise variance.
+    Zero mean and covariance ``sigma_a^2 T(h) T(h)^H + sigma_v^2 I``; the
+    covariance derivatives are built analytically from the block-Toeplitz
+    structure, with ``G_i = T(h) T^H(e_i)``. Stacked coefficient
+    ``i = k m + l`` is tap ``k`` of subchannel ``l``, so ``G_i`` is zero except
+    for its columns ``l, l + m, ...``, which are the columns ``k .. k + M - 1``
+    of ``T(h)``. Complex field: conjugate-derivative slabs ``sigma_a^2 G_i``
+    for the channel and ``I/2`` for the noise variance (a real parameter seen
+    through complex derivatives). Real field: the symmetrized slabs
+    ``sigma_a^2 (G_i + G_i^T)`` and ``I`` for the noise variance.
     """
-    n = ch.m * ch.N
-    T = ch.toeplitz(cfg.M)
+    m, n, M = ch.m, ch.m * ch.N, cfg.M
+    T = ch.toeplitz(M)
     ny = T.shape[0]
-    C = gaussian_covariance(ch, cfg)
+    C = cfg.sigma_a2 * (T @ T.conj().T) + cfg.sigma_v2 * np.eye(ny, dtype=T.dtype)
     cplx = ch.field == COMPLEX
-    slabs = np.empty((n + 1, ny, ny), dtype=C.dtype)
+    slabs = np.empty((n + 1, ny, ny), dtype=T.dtype)
     for i in range(n):
-        G = T @ _unit_toeplitz(i, ch.m, ch.N, cfg.M, C.dtype).conj().T
+        k, l = divmod(i, m)
+        G = np.zeros((ny, ny), dtype=T.dtype)
+        G[:, l::m] = T[:, k:k + M]
         slabs[i] = cfg.sigma_a2 * (G if cplx else G + G.T)
-    slabs[n] = (0.5 if cplx else 1.0) * np.eye(ny, dtype=C.dtype)
-    return MomentStack(np.zeros(ny, dtype=C.dtype), C, np.zeros((ny, n + 1), dtype=C.dtype),
+    slabs[n] = (0.5 if cplx else 1.0) * np.eye(ny, dtype=T.dtype)
+    return MomentStack(np.zeros(ny, dtype=T.dtype), C, np.zeros((ny, n + 1), dtype=T.dtype),
                        slabs, ch.field)
 
 
-def _gaussian_layout(ch: Channel):
-    return _layout(
+def gaussian_fim(ch: Channel, cfg: GaussianModelConfig) -> FimResult:
+    """Gaussian-model FIM over ``[h; sigma_v^2]`` in the channel's own field.
+
+    A complex channel gives the pair ``(J, J_cross)``; use
+    :meth:`FimResult.realified` for the stacked real representation
+    ``[Re h; Im h; sigma_v^2]`` (the noise variance keeps a single real
+    coordinate). A real channel assumes a real symbol constellation.
+    """
+    layout = _layout(
         ("h", CHANNEL, ch.m * ch.N, ch.field),
         ("sigma_v2", NOISE, 1, REAL),
     )
-
-
-def gaussian_fim_complex(ch: Channel, cfg: GaussianModelConfig) -> FimResult:
-    """Gaussian-model FIM pair ``(J, J_cross)`` for a complex channel.
-
-    The parameter vector is ``[h; sigma_v^2]``. Use :meth:`FimResult.realified`
-    for the stacked real representation ``[Re h; Im h; sigma_v^2]`` (the noise
-    variance keeps a single real coordinate).
-    """
-    if ch.field != COMPLEX:
-        raise ValueError("gaussian_fim_complex expects a complex-field channel")
-    stack = gaussian_moment_stack(ch, cfg)
-    return gaussian_fim_generic(stack, layout=_gaussian_layout(ch), model=GAUSSIAN)
-
-
-def gaussian_fim_real(ch: Channel, cfg: GaussianModelConfig) -> FimResult:
-    """Gaussian-model FIM for a real channel and real symbol constellation."""
-    if ch.field != REAL:
-        raise ValueError(
-            "gaussian_fim_real expects a real-field channel (realify it first)"
-        )
-    stack = gaussian_moment_stack(ch, cfg)
-    return gaussian_fim_generic(stack, layout=_gaussian_layout(ch), model=GAUSSIAN)
+    return gaussian_fim_generic(gaussian_moment_stack(ch, cfg), layout=layout, model=GAUSSIAN)
 
 
 def gaussian_real_param_derivs(ch: Channel, cfg: GaussianModelConfig):
@@ -526,6 +504,17 @@ def schur_reduce(fim: FimResult, keep):
         )
     out = J11 - J12 @ np.linalg.solve(J22, J12.conj().T)
     return 0.5 * (out + out.conj().T)
+
+
+def channel_block(fim: FimResult) -> np.ndarray:
+    """Channel block ``h`` of a model FIM in stacked-real coordinates.
+
+    The FIM is realified, and every other block (the Gaussian model's noise
+    variance) is Schur-reduced out; a FIM over ``h`` alone comes back as its
+    realified matrix.
+    """
+    real = fim.realified()
+    return schur_reduce(real, "h") if len(real.layout.blocks) > 1 else real.J
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,12 @@ from .channel import (
     reducible_decompose,
 )
 from .fim import DETERMINISTIC, GAUSSIAN, GaussianModelConfig, SingularityReport
+from .linalg import numerical_rank
 
 __all__ = [
     "SCALE",
     "PHASE",
     "SIGN",
-    "FULL",
     "NOT_IDENTIFIABLE",
     "INDETERMINATE",
     "IdentifiabilityVerdict",
@@ -55,7 +55,6 @@ __all__ = [
 SCALE = "scale"
 PHASE = "phase"
 SIGN = "sign"
-FULL = "full"
 NOT_IDENTIFIABLE = "no"
 INDETERMINATE = "indeterminate"
 
@@ -90,7 +89,7 @@ def _burst_rank_ok(ch: Channel, A, M):
         return True, ()
     vals = A.values if isinstance(A, SymbolBurst) else np.asarray(A).ravel()
     Aop = commutativity_op(vals, ch.m, ch.N, M)
-    if np.linalg.matrix_rank(Aop) < Aop.shape[1]:
+    if numerical_rank(Aop) < Aop.shape[1]:
         return False, ("symbol operator rank deficient: too few excitation modes",)
     return True, ()
 

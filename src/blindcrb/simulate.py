@@ -26,6 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .channel import COMPLEX, REAL, Channel, block_toeplitz, commutativity_op, taps_from_stacked
+from .crb import minimal_crb
 from .fim import (
     DETERMINISTIC,
     GAUSSIAN,
@@ -33,7 +34,6 @@ from .fim import (
     deterministic_reduced_fim,
     gaussian_real_param_derivs,
 )
-from .linalg import pseudo_inverse
 
 __all__ = [
     "ADJUST_NO",
@@ -361,7 +361,7 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list, rules=_ADJUSTMENTS
         sv2 = snr_to_sigma_v2(ch, cfg.sigma_a2, snr_db)
         cfg_snr = replace(cfg, sigma_v2=sv2)
         reduced = deterministic_reduced_fim(ch, A, sv2, cfg.M)
-        crb_trace = float(np.trace(pseudo_inverse(reduced.J)).real)
+        crb_trace = minimal_crb(reduced).trace
         sq = {r: np.empty(cfg.trials) for r in rules}
         nonconv = 0
         for t in range(cfg.trials):

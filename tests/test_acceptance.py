@@ -32,9 +32,8 @@ from blindcrb.fim import (
     deterministic_fim,
     deterministic_null_directions,
     deterministic_reduced_fim,
-    gaussian_covariance,
-    gaussian_fim_complex,
-    gaussian_fim_real,
+    gaussian_fim,
+    gaussian_moment_stack,
     schur_reduce,
 )
 from blindcrb.channel import block_toeplitz, taps_from_stacked
@@ -78,9 +77,9 @@ def test_criterion_1_singularity_census():
         got["det/complex"].append(
             analyze_singularities(deterministic_fim(ch_c, A_c, 1.0, M).realified()).nullity)
         got["gauss/real"].append(
-            analyze_singularities(gaussian_fim_real(ch_r, cfg)).nullity)
+            analyze_singularities(gaussian_fim(ch_r, cfg)).nullity)
         got["gauss/complex"].append(
-            analyze_singularities(gaussian_fim_complex(ch_c, cfg).realified()).nullity)
+            analyze_singularities(gaussian_fim(ch_c, cfg).realified()).nullity)
     ok = all(all(v == want[cell] for v in vals) for cell, vals in got.items())
     detail = ", ".join(f"{cell}: {sorted(set(vals))} want {want[cell]}"
                        for cell, vals in got.items())
@@ -124,26 +123,26 @@ def test_criterion_3_gaussian_zero_census():
     checks = []
 
     ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5, 2.0], REAL)
-    n = analyze_singularities(gaussian_fim_real(ch, GaussianModelConfig(M=20))).nullity
+    n = analyze_singularities(gaussian_fim(ch, GaussianModelConfig(M=20))).nullity
     checks.append(("real pair-zero -> 1", n == 1, n))
 
     z0 = 0.5 + 0.5j
     ch, _, _ = channel_with_common_roots(rng, 2, 3, [z0, 1 / np.conj(z0)], COMPLEX)
     n = analyze_singularities(
-        gaussian_fim_complex(ch, GaussianModelConfig(M=20)).realified()).nullity
+        gaussian_fim(ch, GaussianModelConfig(M=20)).realified()).nullity
     checks.append(("complex pair-zero -> 3", n == 3, n))
 
     ch, _, _ = channel_with_common_roots(rng, 2, 3, [1.0], REAL)
-    n = analyze_singularities(gaussian_fim_real(ch, GaussianModelConfig(M=20))).nullity
+    n = analyze_singularities(gaussian_fim(ch, GaussianModelConfig(M=20))).nullity
     checks.append(("real zero at +1 -> 0+1", n == 1, n))
 
     ch, _, _ = channel_with_common_roots(rng, 2, 3, [1.0], COMPLEX)
     n = analyze_singularities(
-        gaussian_fim_complex(ch, GaussianModelConfig(M=20)).realified()).nullity
+        gaussian_fim(ch, GaussianModelConfig(M=20)).realified()).nullity
     checks.append(("complex zero at +1 -> 1+1", n == 2, n))
 
     mono = Channel(np.poly([0.5, -0.3])[None, :], field=REAL, name="mono")
-    rep = analyze_singularities(gaussian_fim_real(mono, GaussianModelConfig(M=10)))
+    rep = analyze_singularities(gaussian_fim(mono, GaussianModelConfig(M=10)))
     sigma_comp = abs(rep.null_basis[-1, 0]) if rep.nullity else 0.0
     checks.append(("monochannel clean -> noise-variance singularity",
                    rep.nullity == 1 and sigma_comp > 1e-3,
@@ -226,7 +225,7 @@ def test_criterion_5_formula_equivalences():
     chg = random_channel(rng, 2, 3, COMPLEX)
     cfg = GaussianModelConfig(M=8)
     res_blind = gaussian_blind_crb(chg, cfg)
-    Jred = schur_reduce(gaussian_fim_complex(chg, cfg).realified(), "h")
+    Jred = schur_reduce(gaussian_fim(chg, cfg).realified(), "h")
     via_phase = constrained_crb(Jred, phase_constraint(chg.h))
     gap2 = np.linalg.norm(res_blind.crb - via_phase.crb) / np.linalg.norm(res_blind.crb)
     ok &= gap2 < 1e-9 and res_blind.bounded
@@ -261,7 +260,7 @@ def test_criterion_6_score_covariance_oracle():
     ch_g = random_channel(np.random.default_rng(62), 2, 2, COMPLEX)
     cfg_g = ExperimentConfig(channel=ch_g, model=GAUSSIAN, M=4,
                              sigma_v2=0.8, trials=trials, seed=607)
-    J_g = gaussian_fim_complex(ch_g, GaussianModelConfig(1.0, 0.8, 4)).realified().J
+    J_g = gaussian_fim(ch_g, GaussianModelConfig(1.0, 0.8, 4)).realified().J
     tr_g, z_g = _fim_check(cfg_g, J_g)
 
     ok = tr_det < 0.05 and z_det < 3.0 and tr_g < 0.05 and z_g < 3.0
@@ -338,10 +337,10 @@ def test_criterion_9_null_direction_curvature():
 
     cfg = GaussianModelConfig(M=6)
     chg = random_channel(rng, 2, 3, COMPLEX)
-    fim = gaussian_fim_complex(chg, cfg).realified()
+    fim = gaussian_fim(chg, cfg).realified()
     rep = analyze_singularities(fim)
     n = chg.m * chg.N
-    C0 = gaussian_covariance(chg, cfg)
+    C0 = gaussian_moment_stack(chg, cfg).cov
     for k in range(rep.nullity):
         v = rep.null_basis[:, k]
         hp, sp = v[:n] + 1j * v[n:2 * n], v[2 * n]

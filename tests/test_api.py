@@ -43,3 +43,24 @@ def test_package_imports_are_public(module, names):
     exported = importlib.import_module(f"blindcrb.{module}").__all__
     private = [name for name in names if name not in exported]
     assert not private, f"blindcrb imports {private} from {module}, outside its __all__"
+
+
+_RANK_CALLS = {"matrix_rank", "pinv"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in pathlib.Path(blindcrb.__file__).parent.glob("*.py")
+           if p.name != "linalg.py"),
+    ids=lambda p: p.stem,
+)
+def test_rank_decisions_go_through_linalg(path):
+    # one SVD rank rule: pseudo-inverses and rank counts outside
+    # blindcrb.linalg call its pseudo_inverse/numerical_rank
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = sorted({node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in _RANK_CALLS}
+                  | {alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     for alias in node.names if alias.name in _RANK_CALLS})
+    assert not used, f"{path.name} calls {used} instead of blindcrb.linalg"

@@ -303,6 +303,28 @@ class TestMse:
         main(["mse", exp, "-o", str(b)])
         assert _data_lines(a) == _data_lines(b)
 
+    @pytest.mark.parametrize("spec", [
+        [1, 2],
+        {"M": 10},
+        {"channel": 5},
+    ], ids=["not-an-object", "no-channel", "channel-not-a-path"])
+    def test_malformed_experiment_is_bad_input(self, tmp_path, capsys, spec):
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps(spec))
+        assert main(["mse", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: ")
+
+    @pytest.mark.parametrize("field, value", [
+        ("M", None), ("trials", "many"), ("sigma_a2", [1.0]), ("snr_db", 20.0),
+        ("snr_db", [20.0, None]),
+    ])
+    def test_non_numeric_field_is_bad_input(self, tmp_path, chan_file, capsys,
+                                            field, value):
+        exp = self._experiment(tmp_path, chan_file, **{field: value})
+        assert main(["mse", exp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {exp}: ") and repr(field) in err
+
 
 class TestManifest:
     def test_input_digest_present(self, chan_file, tmp_path):

@@ -20,8 +20,7 @@ from blindcrb.crb import (
 from blindcrb.fim import (
     GaussianModelConfig,
     deterministic_reduced_fim,
-    gaussian_fim_complex,
-    gaussian_fim_real,
+    gaussian_fim,
     schur_reduce,
 )
 from blindcrb.linalg import null_space_basis, projector, pseudo_inverse, realify_vector
@@ -304,7 +303,7 @@ class TestGaussianBlindCrb:
         cfg = GaussianModelConfig(M=6)
         res = gaussian_blind_crb(ch, cfg)
         assert res.bounded and res.kind == "phase"
-        fim = gaussian_fim_complex(ch, cfg).realified()
+        fim = gaussian_fim(ch, cfg).realified()
         Jred = schur_reduce(fim, "h")
         via_constraint = constrained_crb(Jred, phase_constraint(ch.h))
         np.testing.assert_allclose(res.crb, via_constraint.crb,
@@ -313,7 +312,7 @@ class TestGaussianBlindCrb:
     def test_real_channel_unconstrained_inverse(self, rng, chan_random):
         cfg = GaussianModelConfig(M=8)
         res = gaussian_blind_crb(chan_random, cfg)
-        fim = gaussian_fim_real(chan_random, cfg)
+        fim = gaussian_fim(chan_random, cfg)
         Jred = schur_reduce(fim, "h")
         assert res.bounded and res.kind == "none"
         np.testing.assert_allclose(res.crb, np.linalg.inv(Jred),

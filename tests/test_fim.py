@@ -17,10 +17,9 @@ from blindcrb.fim import (
     deterministic_moment_stack,
     deterministic_null_directions,
     deterministic_reduced_fim,
-    gaussian_covariance,
-    gaussian_fim_complex,
+    channel_block,
+    gaussian_fim,
     gaussian_fim_generic,
-    gaussian_fim_real,
     gaussian_moment_stack,
     phase_direction,
     schur_reduce,
@@ -229,20 +228,20 @@ class TestGaussianFim:
     def test_complex_realified_matches_finite_differences(self, rng):
         ch = random_channel(rng, 2, 2, COMPLEX)
         cfg = GaussianModelConfig(1.3, 0.7, 4)
-        fim = gaussian_fim_complex(ch, cfg).realified()
+        fim = gaussian_fim(ch, cfg).realified()
         oracle = _fd_real_param_fim(ch, cfg)
         np.testing.assert_allclose(fim.J, oracle, rtol=0, atol=1e-5 * np.linalg.norm(oracle))
 
     def test_real_matches_finite_differences(self, rng):
         ch = random_channel(rng, 2, 2, REAL)
         cfg = GaussianModelConfig(0.9, 1.1, 4)
-        fim = gaussian_fim_real(ch, cfg)
+        fim = gaussian_fim(ch, cfg)
         oracle = _fd_real_param_fim(ch, cfg)
         np.testing.assert_allclose(fim.J, oracle, rtol=0, atol=1e-5 * np.linalg.norm(oracle))
 
     def test_realified_layout_keeps_noise_scalar(self, rng):
         ch = random_channel(rng, 2, 4, COMPLEX)
-        fim = gaussian_fim_complex(ch, GaussianModelConfig(M=6)).realified()
+        fim = gaussian_fim(ch, GaussianModelConfig(M=6)).realified()
         assert fim.dim == 2 * 8 + 1
         assert fim.layout.block("h").length == 16
         assert fim.layout.block("sigma_v2").length == 1
@@ -250,7 +249,7 @@ class TestGaussianFim:
     def test_phase_direction_annihilated_after_noise_reduction(self, rng):
         ch = random_channel(rng, 2, 4, COMPLEX)
         cfg = GaussianModelConfig(M=8)
-        fim = gaussian_fim_complex(ch, cfg).realified()
+        fim = gaussian_fim(ch, cfg).realified()
         Jred = schur_reduce(fim, "h")
         hs2 = phase_direction(ch.h)
         assert np.linalg.norm(Jred @ hs2) < 1e-8 * np.linalg.norm(Jred)
@@ -259,22 +258,22 @@ class TestGaussianFim:
 
     def test_full_fim_nullity_one_for_clean_complex_channel(self, rng):
         ch = random_channel(rng, 2, 4, COMPLEX)
-        fim = gaussian_fim_complex(ch, GaussianModelConfig(M=8)).realified()
+        fim = gaussian_fim(ch, GaussianModelConfig(M=8)).realified()
         rep = analyze_singularities(fim, [("phase", phase_direction(ch.h, pad_noise=True))])
         assert rep.nullity == 1 and rep.matches[0][2]
 
     def test_real_channel_regular(self, rng, chan_random):
-        fim = gaussian_fim_real(chan_random, GaussianModelConfig(M=8))
+        fim = gaussian_fim(chan_random, GaussianModelConfig(M=8))
         assert analyze_singularities(fim).nullity == 0
 
     def test_real_pair_zero_gains_one_singularity(self, rng):
         ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5, 2.0], REAL)
-        fim = gaussian_fim_real(ch, GaussianModelConfig(M=12))
+        fim = gaussian_fim(ch, GaussianModelConfig(M=12))
         assert analyze_singularities(fim).nullity == 1
 
     def test_monochannel_noise_variance_singularity(self):
         ch = Channel(np.poly([0.5, -0.3])[None, :], field=REAL)
-        fim = gaussian_fim_real(ch, GaussianModelConfig(M=10))
+        fim = gaussian_fim(ch, GaussianModelConfig(M=10))
         rep = analyze_singularities(fim)
         assert rep.nullity == 1
         # the singular direction genuinely involves the noise-variance axis
@@ -285,7 +284,7 @@ class TestGaussianFim:
         # covariance change vanish: sa2 (T(h) T^H(h') + T(h') T^H(h)) + s' I = 0
         ch = random_channel(rng, 2, 3, COMPLEX)
         cfg = GaussianModelConfig(M=6)
-        fim = gaussian_fim_complex(ch, cfg).realified()
+        fim = gaussian_fim(ch, cfg).realified()
         rep = analyze_singularities(fim)
         n = ch.m * ch.N
         T = ch.toeplitz(cfg.M)
@@ -303,21 +302,49 @@ class TestGaussianFim:
         cfg = GaussianModelConfig(1.0, 0.5, 5)
         stack = gaussian_moment_stack(ch, cfg)
         via_generic = gaussian_fim_generic(stack)
-        model = gaussian_fim_complex(ch, cfg)
+        model = gaussian_fim(ch, cfg)
         np.testing.assert_allclose(via_generic.J, model.J, atol=1e-12)
         np.testing.assert_allclose(via_generic.cross, model.cross, atol=1e-12)
 
-    def test_field_guards(self, rng, chan_random):
-        with pytest.raises(ValueError):
-            gaussian_fim_complex(chan_random, GaussianModelConfig())
-        chc = random_channel(rng, 2, 2, COMPLEX)
-        with pytest.raises(ValueError):
-            gaussian_fim_real(chc, GaussianModelConfig())
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_gathered_slabs_match_toeplitz_products(self, rng, m, field):
+        # oracle: G_i = T(h) T(e_i)^H as a dense product with the unit-channel
+        # convolution operator
+        ch = random_channel(rng, m, 3, field)
+        cfg = GaussianModelConfig(1.4, 0.6, 5)
+        stack = gaussian_moment_stack(ch, cfg)
+        T = ch.toeplitz(cfg.M)
+        n = ch.m * ch.N
+        for i in range(n):
+            e = np.zeros(n, dtype=T.dtype)
+            e[i] = 1.0
+            G = T @ block_toeplitz(taps_from_stacked(e, m), cfg.M).conj().T
+            want = cfg.sigma_a2 * (G if field == COMPLEX else G + G.T)
+            np.testing.assert_array_equal(stack.cov_jac[i], want)
+        noise = (0.5 if field == COMPLEX else 1.0) * np.eye(T.shape[0])
+        np.testing.assert_array_equal(stack.cov_jac[n], noise)
+        np.testing.assert_array_equal(
+            stack.cov, cfg.sigma_a2 * (T @ T.conj().T) + cfg.sigma_v2 * np.eye(T.shape[0]))
 
 
 # ---------------------------------------------------------------------------
 # Schur reduction and singularity analysis
 # ---------------------------------------------------------------------------
+
+
+class TestChannelBlock:
+    def test_single_block_fim_unchanged(self, chan_random):
+        A = np.arange(1.0, 20 + chan_random.N)
+        fim = deterministic_reduced_fim(chan_random, A, 0.5, 20)
+        np.testing.assert_array_equal(channel_block(fim), fim.J)
+
+    def test_complex_gaussian_reduces_noise_from_realified_fim(self, rng):
+        ch = random_channel(rng, 2, 3, COMPLEX)
+        fim = gaussian_fim(ch, GaussianModelConfig(M=6))
+        Jred = channel_block(fim)
+        assert Jred.shape == (2 * ch.m * ch.N, 2 * ch.m * ch.N)
+        np.testing.assert_array_equal(Jred, schur_reduce(fim.realified(), "h"))
 
 
 class TestSchurReduce:
@@ -340,7 +367,7 @@ class TestSchurReduce:
             schur_reduce(fim, "keep")
 
     def test_unknown_block_name(self, rng, chan_random):
-        fim = gaussian_fim_real(chan_random, GaussianModelConfig(M=6))
+        fim = gaussian_fim(chan_random, GaussianModelConfig(M=6))
         with pytest.raises(KeyError):
             schur_reduce(fim, "nope")
 
@@ -424,13 +451,13 @@ class TestMomentPerturbation:
     def test_gaussian_covariance_flat_along_null_direction(self, rng):
         ch = random_channel(rng, 2, 3, COMPLEX)
         cfg = GaussianModelConfig(M=6)
-        fim = gaussian_fim_complex(ch, cfg).realified()
+        fim = gaussian_fim(ch, cfg).realified()
         rep = analyze_singularities(fim)
         assert rep.nullity == 1
         n = ch.m * ch.N
         v = rep.null_basis[:, 0]
         hp, sp = v[:n] + 1j * v[n:2 * n], v[2 * n]
-        C0 = gaussian_covariance(ch, cfg)
+        C0 = gaussian_moment_stack(ch, cfg).cov
         diffs = []
         for e in self.EPS:
             T = block_toeplitz(taps_from_stacked(ch.h + e * hp, ch.m), cfg.M)

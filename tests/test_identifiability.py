@@ -8,8 +8,7 @@ from blindcrb.fim import (
     analyze_singularities,
     deterministic_fim,
     deterministic_reduced_fim,
-    gaussian_fim_complex,
-    gaussian_fim_real,
+    gaussian_fim,
 )
 from blindcrb.identifiability import (
     INDETERMINATE,
@@ -135,14 +134,14 @@ class TestVerdictVsFim:
             ch = random_channel(rng, 2, 4, REAL)
             rec = verdict_vs_fim(
                 gaussian_verdict(ch, cfg),
-                analyze_singularities(gaussian_fim_real(ch, cfg)),
+                analyze_singularities(gaussian_fim(ch, cfg)),
             )
             assert rec.passed, rec.detail
         for k in range(20):
             ch = random_channel(rng, 2, 4, COMPLEX)
             rec = verdict_vs_fim(
                 gaussian_verdict(ch, cfg),
-                analyze_singularities(gaussian_fim_complex(ch, cfg).realified()),
+                analyze_singularities(gaussian_fim(ch, cfg).realified()),
             )
             assert rec.passed, rec.detail
 
@@ -154,8 +153,8 @@ class TestVerdictVsFim:
         clean = Channel(HI, field=REAL)
         paired = Channel(
             np.array([np.convolve(row, np.poly([0.5, 2.0])) for row in HI]), field=REAL)
-        n0 = analyze_singularities(gaussian_fim_real(clean, cfg)).nullity
-        n1 = analyze_singularities(gaussian_fim_real(paired, cfg)).nullity
+        n0 = analyze_singularities(gaussian_fim(clean, cfg)).nullity
+        n1 = analyze_singularities(gaussian_fim(paired, cfg)).nullity
         assert (n0, n1) == (0, 1)
 
         HIc = HI + 1j * rng.standard_normal((2, 3))
@@ -164,8 +163,8 @@ class TestVerdictVsFim:
         pairedc = Channel(
             np.array([np.convolve(row, np.poly([z0, 1 / np.conj(z0)])) for row in HIc]),
             field=COMPLEX)
-        m0 = analyze_singularities(gaussian_fim_complex(cleanc, cfg).realified()).nullity
-        m1 = analyze_singularities(gaussian_fim_complex(pairedc, cfg).realified()).nullity
+        m0 = analyze_singularities(gaussian_fim(cleanc, cfg).realified()).nullity
+        m1 = analyze_singularities(gaussian_fim(pairedc, cfg).realified()).nullity
         assert (m0, m1) == (1, 3)
 
     def test_constructed_pair_channel_agrees(self, rng):
@@ -173,7 +172,7 @@ class TestVerdictVsFim:
         ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5, 2.0], REAL)
         rec = verdict_vs_fim(
             gaussian_verdict(ch, cfg),
-            analyze_singularities(gaussian_fim_real(ch, cfg)),
+            analyze_singularities(gaussian_fim(ch, cfg)),
         )
         assert rec.passed, rec.detail
 
@@ -182,7 +181,7 @@ class TestVerdictVsFim:
         ch = Channel(np.poly([0.5, -0.3])[None, :], field=REAL)
         rec = verdict_vs_fim(
             gaussian_verdict(ch, cfg),
-            analyze_singularities(gaussian_fim_real(ch, cfg)),
+            analyze_singularities(gaussian_fim(ch, cfg)),
         )
         assert rec.passed, rec.detail
 

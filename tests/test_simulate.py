@@ -9,7 +9,7 @@ from blindcrb.fim import (
     GAUSSIAN,
     GaussianModelConfig,
     deterministic_fim,
-    gaussian_fim_real,
+    gaussian_fim,
 )
 from blindcrb.simulate import (
     ADJUST_LIN,
@@ -114,7 +114,7 @@ class TestScoreCovariance:
         ch = random_channel(rng, 2, 2, REAL)
         cfg = _cfg(ch, model=GAUSSIAN, M=3, trials=6000, sigma_v2=0.9)
         est = score_covariance_fim(cfg)
-        J = gaussian_fim_real(ch, GaussianModelConfig(1.0, 0.9, 3)).J
+        J = gaussian_fim(ch, GaussianModelConfig(1.0, 0.9, 3)).J
         tr_rel = abs(np.trace(est.J_hat) - np.trace(J)) / np.trace(J)
         assert tr_rel < 0.1
         z = np.abs(est.J_hat - J) / np.where(est.std_err > 0, est.std_err, np.inf)
