@@ -28,6 +28,7 @@ import scipy.linalg as sla
 from .channel import COMPLEX, REAL, Channel, block_toeplitz, commutativity_op, taps_from_stacked
 from .crb import minimal_crb
 from .fim import (
+    DEFAULT_RANK_TOL,
     DETERMINISTIC,
     GAUSSIAN,
     GaussianModelConfig,
@@ -189,9 +190,8 @@ def _det_score_matrix(cfg, trials):
 def _gaussian_score_matrix(cfg, trials):
     ch = cfg.channel
     C, slabs = gaussian_real_param_derivs(ch, cfg.gaussian_config)
-    L = np.linalg.cholesky(C)
-    Ci = np.linalg.inv(C)
-    P = np.einsum("ij,ajk,kl->ail", Ci, slabs, Ci)
+    Ci = sla.cho_solve(sla.cho_factor(C), np.eye(C.shape[0], dtype=C.dtype))
+    P = Ci @ slabs @ Ci
     offset = np.einsum("ij,aji->a", Ci, slabs).real
     T = ch.toeplitz(cfg.M)
     Y = np.empty((trials, T.shape[0]), dtype=complex if cfg.field == COMPLEX else float)
@@ -310,13 +310,21 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
 
 
 def _ls_solve(D, Y):
-    # normal equations + Cholesky: the operators here are tall and well
-    # conditioned; fall back to lstsq for rank-deficient iterates
-    G = D.conj().T @ D
+    # normal equations through one Cholesky factor of the Gram. A
+    # numerically singular Gram can still factor, and its solution then
+    # carries an arbitrary null-space part; when the factor fails, or its
+    # smallest pivot is at or below DEFAULT_RANK_TOL times its largest (the
+    # relative eigenvalue rule of linalg.hermitian_nullity), lstsq returns
+    # the minimum-norm solution instead
+    Dh = D.conj().T
     try:
-        return sla.solve(G, D.conj().T @ Y, assume_a="pos", check_finite=False)
+        factor = sla.cho_factor(Dh @ D, check_finite=False)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(D, Y, rcond=None)[0]
+    pivots = np.abs(np.diag(factor[0])) ** 2
+    if pivots.min() <= DEFAULT_RANK_TOL * pivots.max():
+        return np.linalg.lstsq(D, Y, rcond=None)[0]
+    return sla.cho_solve(factor, Dh @ Y, check_finite=False)
 
 
 def snr_to_sigma_v2(ch: Channel, sigma_a2, snr_db):

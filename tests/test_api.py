@@ -6,9 +6,14 @@ import pathlib
 import pkgutil
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 import blindcrb
+from blindcrb import fim
+from blindcrb.channel import COMPLEX, REAL
+
+from conftest import random_channel
 
 _MODULES = [importlib.import_module(f"blindcrb.{info.name}")
             for info in pkgutil.iter_modules(blindcrb.__path__)]
@@ -64,3 +69,22 @@ def test_rank_decisions_go_through_linalg(path):
                      if isinstance(node, ast.ImportFrom)
                      for alias in node.names if alias.name in _RANK_CALLS})
     assert not used, f"{path.name} calls {used} instead of blindcrb.linalg"
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_gaussian_fim_does_not_call_its_oracle(monkeypatch, field):
+    # the generic engine on the moment stack is the oracle of the structured
+    # Gaussian-model builder, so the builder must not share that path
+    ch = random_channel(np.random.default_rng(11), 2, 4, field)
+    cfg = fim.GaussianModelConfig(1.2, 0.4, 6)
+    want = fim.gaussian_fim(ch, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gaussian-model builder called its oracle")
+
+    monkeypatch.setattr(fim, "gaussian_moment_stack", refuse)
+    monkeypatch.setattr(fim, "gaussian_fim_generic", refuse)
+    got = fim.gaussian_fim(ch, cfg)
+    np.testing.assert_array_equal(got.J, want.J)
+    if field == COMPLEX:
+        np.testing.assert_array_equal(got.cross, want.cross)

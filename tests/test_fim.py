@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from blindcrb.channel import COMPLEX, REAL, Channel, block_toeplitz, taps_from_stacked
+from blindcrb.channel import (
+    COMPLEX,
+    REAL,
+    Channel,
+    block_toeplitz,
+    common_zeros,
+    taps_from_stacked,
+)
+from blindcrb.crb import gaussian_blind_crb
 from blindcrb.fim import (
     DETERMINISTIC,
+    GAUSSIAN,
     FimResult,
     GaussianModelConfig,
     MomentStack,
@@ -224,6 +233,16 @@ def _fd_real_param_fim(ch, cfg, step=1e-6):
     return J
 
 
+_ORACLE_CASES = [
+    pytest.param(field, m, M, (), id=f"{field}-m{m}-M{M}")
+    for field in (REAL, COMPLEX) for m in (1, 2, 3) for M in (1, 5, 20)
+] + [
+    pytest.param(COMPLEX, 2, 12, (0.5 + 0.5j, 1.0 / (0.5 - 0.5j)),
+                 id="complex-conjugate-reciprocal"),
+    pytest.param(REAL, 2, 12, (-1.0,), id="real-zero-at-minus-one"),
+]
+
+
 class TestGaussianFim:
     def test_complex_realified_matches_finite_differences(self, rng):
         ch = random_channel(rng, 2, 2, COMPLEX)
@@ -297,14 +316,39 @@ class TestGaussianFim:
             R = cfg.sigma_a2 * (T @ Tp.conj().T + Tp @ T.conj().T) + sp * np.eye(T.shape[0])
             assert np.linalg.norm(R) < 1e-8 * scale
 
-    def test_generic_engine_agrees_with_model_builders(self, rng):
-        ch = random_channel(rng, 2, 3, COMPLEX)
-        cfg = GaussianModelConfig(1.0, 0.5, 5)
-        stack = gaussian_moment_stack(ch, cfg)
-        via_generic = gaussian_fim_generic(stack)
+    @pytest.mark.parametrize("field, m, M, roots", _ORACLE_CASES)
+    def test_generic_engine_agrees_with_model_builders(self, rng, field, m, M, roots):
+        # oracle: the slab-by-slab reference engine on the moment stack
+        if roots:
+            ch, _, _ = channel_with_common_roots(rng, m, 3, roots, field)
+        else:
+            ch = random_channel(rng, m, 3, field)
+        cfg = GaussianModelConfig(1.3, 0.6, M)
         model = gaussian_fim(ch, cfg)
-        np.testing.assert_allclose(via_generic.J, model.J, atol=1e-12)
-        np.testing.assert_allclose(via_generic.cross, model.cross, atol=1e-12)
+        oracle = gaussian_fim_generic(gaussian_moment_stack(ch, cfg), layout=model.layout,
+                                      model=GAUSSIAN)
+        scale = np.linalg.norm(oracle.J)
+        assert np.linalg.norm(model.J - oracle.J) <= 1e-12 * scale
+        if field == COMPLEX:
+            assert np.linalg.norm(model.cross - oracle.cross) <= 1e-12 * scale
+        else:
+            assert model.cross is None
+        assert np.linalg.norm(channel_block(model) - channel_block(oracle)) <= 1e-12 * scale
+
+    def test_large_burst(self, rng):
+        # M=200 is out of reach of the slab-by-slab engine; the structural
+        # verdicts must still hold there
+        cfg = GaussianModelConfig(M=200)
+        ch = random_channel(rng, 2, 4, COMPLEX)
+        assert common_zeros(ch).size == 0
+        rep = analyze_singularities(channel_block(gaussian_fim(ch, cfg)),
+                                    [("phase", phase_direction(ch.h))])
+        assert rep.nullity == 1 and rep.matches[0][2]
+        real = random_channel(rng, 2, 4, REAL)
+        assert analyze_singularities(channel_block(gaussian_fim(real, cfg))).nullity == 0
+        for c in (ch, real):
+            res = gaussian_blind_crb(c, cfg)
+            assert res.bounded and np.isfinite(res.trace) and np.all(np.isfinite(res.crb))
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("m", [1, 2, 3])

@@ -1,8 +1,11 @@
 """Monte Carlo harness: reproducibility, moments, scores, adjustments, estimator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from blindcrb import simulate
 from blindcrb.channel import COMPLEX, REAL
 from blindcrb.fim import (
     DETERMINISTIC,
@@ -28,7 +31,7 @@ from blindcrb.simulate import (
     stream_rng,
 )
 
-from conftest import random_burst, random_channel
+from conftest import channel_with_common_roots, random_burst, random_channel
 
 
 def _cfg(ch, **kw):
@@ -218,6 +221,19 @@ class TestAlternatingLs:
         Y = simulate_burst(cfg, 1)
         res = alternating_ls_estimator(Y, 2, 4, chan_random.h, sweeps=10)
         assert np.linalg.norm(res.h) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("M", [4, 20])
+    def test_rank_deficient_solve_is_minimum_norm(self, M):
+        # a common root makes T(h)^H T(h) singular, yet it can still factor;
+        # a solve through that factor adds an arbitrary null-space part
+        rng = np.random.default_rng(3)
+        ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5], REAL)
+        T = ch.toeplitz(M)
+        Y = rng.standard_normal(T.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = simulate._ls_solve(T, Y)
+        np.testing.assert_allclose(got, np.linalg.lstsq(T, Y, rcond=None)[0], rtol=0, atol=1e-10)
 
 
 class TestMseExperiment:
