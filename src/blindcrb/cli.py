@@ -74,7 +74,7 @@ _SCHEMAS = {
     "crb": "crb-v1",
     "sweep-known": "sweep-known-v1",
     "fim-check": "fim-check-v1",
-    "mse": "mse-v1",
+    "mse": "mse-v2",
 }
 
 
@@ -369,12 +369,14 @@ def cmd_mse(args):
     total_nonconv = sum(r.nonconverged for r in rows_data)
     if total_nonconv > 0.5 * cfg.trials * len(snrs):
         warn.append("warning=estimator non-convergence rate above 50%")
+    for w in dict.fromkeys(w for r in rows_data for w in r.warnings):
+        warn.append(f"warning={w}")
     manifest = _manifest_lines("mse", {**vars(args), **spec},
                                [args.experiment, chan_path], _SCHEMAS["mse"],
                                extra=[f"channel={ch.name}",
                                       f"seed={cfg.seed}"] + warn)
     header = ["snr_db", "sigma_v2", "crb_trace", "trials", "nonconverged",
-              "mse_NO", "se_NO", "mse_LS", "se_LS", "mse_LIN", "se_LIN"]
+              "mse_NO", "se_NO", "mse_LS", "se_LS", "mse_LIN", "se_LIN", "sweeps_mean"]
     rows = []
     for r in rows_data:
         rows.append([
@@ -383,6 +385,7 @@ def cmd_mse(args):
             _fmt(r.mse["NO"], 9), _fmt(r.std_err["NO"], 9),
             _fmt(r.mse["LS"], 9), _fmt(r.std_err["LS"], 9),
             _fmt(r.mse["LIN"], 9), _fmt(r.std_err["LIN"], 9),
+            _fmt(r.sweeps_mean),
         ])
     _emit_csv(args.output, manifest, header, rows)
     return 0

@@ -3,7 +3,11 @@ scale/phase adjustment rules, and MSE-vs-CRB experiments.
 
 Randomness is counter-based and fully determined by ``(seed, stream)``:
 every logical draw owns a Philox stream, so trials are reproducible
-bit-for-bit regardless of execution order or parallel scheduling.
+bit-for-bit regardless of execution order or parallel scheduling. The
+trial loops (score covariance, MSE experiments) re-key one private
+generator per loop to each draw's stream instead of building a Philox per
+draw; a re-keyed generator yields bitwise the draws of a fresh
+:func:`stream_rng`, so the stream map below is unchanged.
 
 Stream map (documented contract):
 
@@ -25,7 +29,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .channel import COMPLEX, REAL, Channel, block_toeplitz, commutativity_op, taps_from_stacked
+from .channel import (
+    COMPLEX,
+    REAL,
+    Channel,
+    block_toeplitz,
+    commutativity_op,
+    symbol_hankel,
+    taps_from_stacked,
+)
 from .crb import minimal_crb
 from .fim import (
     DEFAULT_RANK_TOL,
@@ -71,11 +83,33 @@ class DegenerateAdjustmentError(ValueError):
     """Raised when an adjustment rule is undefined for the given estimate."""
 
 
+def _stream_key(seed, stream):
+    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)],
+                    dtype=np.uint64)
+
+
 def stream_rng(seed, stream):
     """Counter-based generator for logical stream ``stream`` of ``seed``."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, stream)))
+
+
+def _rekey(rng, seed, stream):
+    # move a stream_rng generator to the start of stream ``stream`` of
+    # ``seed``: the state of a fresh Philox with that key (counter 0, empty
+    # buffer, no cached 32-bit half), so the draws that follow are bitwise
+    # those of stream_rng(seed, stream). Building a Philox instead costs
+    # about four re-keys, as it first seeds a SeedSequence from the OS
+    # entropy pool
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": _stream_key(seed, stream)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _trial_stream(trial, purpose):
@@ -132,25 +166,32 @@ def _draw_gaussian_vector(rng, size, scale2, complex_field):
     return np.sqrt(scale2) * rng.standard_normal(size)
 
 
+def _symbol_draw(rng, cfg):
+    n = cfg.M + cfg.channel.N - 1
+    return _draw_gaussian_vector(rng, n, cfg.sigma_a2, cfg.field == COMPLEX)
+
+
+def _noise_draw(rng, cfg):
+    ny = cfg.M * cfg.channel.m
+    return _draw_gaussian_vector(rng, ny, cfg.sigma_v2, cfg.field == COMPLEX)
+
+
 def experiment_symbols(cfg: ExperimentConfig, trial=0):
     """Symbol vector of length ``M + N - 1``.
 
     Deterministic model: one fixed draw per experiment (stream 0), shared by
     every trial. Gaussian model: a fresh draw per trial.
     """
-    n = cfg.M + cfg.channel.N - 1
     if cfg.model == DETERMINISTIC:
         rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
     else:
         rng = stream_rng(cfg.seed, _trial_stream(trial, _PURPOSE_SYMBOLS))
-    return _draw_gaussian_vector(rng, n, cfg.sigma_a2, cfg.field == COMPLEX)
+    return _symbol_draw(rng, cfg)
 
 
 def draw_noise(cfg: ExperimentConfig, trial):
     """Observation noise of one trial: white, circular when complex."""
-    ny = cfg.M * cfg.channel.m
-    rng = stream_rng(cfg.seed, _trial_stream(trial, _PURPOSE_NOISE))
-    return _draw_gaussian_vector(rng, ny, cfg.sigma_v2, cfg.field == COMPLEX)
+    return _noise_draw(stream_rng(cfg.seed, _trial_stream(trial, _PURPOSE_NOISE)), cfg)
 
 
 def simulate_burst(cfg: ExperimentConfig, trial=0):
@@ -178,8 +219,9 @@ def _det_score_matrix(cfg, trials):
     D = np.hstack([T, Aop])
     nA = cfg.M + ch.N - 1
     V = np.empty((trials, T.shape[0]), dtype=complex if cfg.field == COMPLEX else float)
+    rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
     for t in range(trials):
-        V[t] = draw_noise(cfg, t)
+        V[t] = _noise_draw(_rekey(rng, cfg.seed, _trial_stream(t, _PURPOSE_NOISE)), cfg)
     if cfg.field == REAL:
         return (V @ D) / cfg.sigma_v2
     U = V @ D.conj()                      # row t = (D^H v_t)^T
@@ -195,8 +237,10 @@ def _gaussian_score_matrix(cfg, trials):
     offset = np.einsum("ij,aji->a", Ci, slabs).real
     T = ch.toeplitz(cfg.M)
     Y = np.empty((trials, T.shape[0]), dtype=complex if cfg.field == COMPLEX else float)
+    rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
     for t in range(trials):
-        Y[t] = T @ experiment_symbols(cfg, t) + draw_noise(cfg, t)
+        A = _symbol_draw(_rekey(rng, cfg.seed, _trial_stream(t, _PURPOSE_SYMBOLS)), cfg)
+        Y[t] = T @ A + _noise_draw(_rekey(rng, cfg.seed, _trial_stream(t, _PURPOSE_NOISE)), cfg)
     quad = np.einsum("ti,aij,tj->ta", Y.conj(), P, Y).real
     if cfg.field == COMPLEX:
         return quad - offset
@@ -280,6 +324,10 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
     if the sweep budget runs out first, the best iterate is returned with
     ``converged=False``.
 
+    Neither step forms ``T(h)`` or ``A_op``: the symbol step solves the
+    banded ``T(h)^H T(h)`` (bandwidth N - 1) and the channel step one N x N
+    Gram with m right-hand sides, ``A_op^H A_op = (A'^H A') (x) I_m``.
+
     Convergence is local: the iteration settles into the cost basin selected
     by ``init``, and an initialization far from (or orthogonal to) the true
     channel may converge to a different stationary point. Experiments here
@@ -294,14 +342,15 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
     if h.size != m * N:
         raise ValueError(f"init must have length m*N = {m * N}")
     h = h / np.linalg.norm(h)
+    Yr = Y.reshape(M, m)                  # row r = block r of Y
     history = []
     A = None
     for sweep in range(sweeps):
-        T = block_toeplitz(taps_from_stacked(h, m), M)
-        A = _ls_solve(T, Y)
-        Aop = commutativity_op(A, m, N, M)
-        h = _ls_solve(Aop, Y)
-        resid = np.linalg.norm(Y - Aop @ h)
+        A = _symbol_step(taps_from_stacked(h, m), Yr)
+        Ap = symbol_hankel(A, N, M)
+        X = _channel_step(Ap, Yr)
+        resid = np.linalg.norm(Yr - Ap @ X)
+        h = X.ravel()
         h = h / np.linalg.norm(h)
         history.append(float(resid))
         if sweep > 0 and history[-2] - resid <= rtol * max(history[-2], 1.0):
@@ -309,22 +358,62 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
     return AlternatingLsResult(h, A, float(history[-1]), tuple(history), False, sweeps)
 
 
-def _ls_solve(D, Y):
-    # normal equations through one Cholesky factor of the Gram. A
-    # numerically singular Gram can still factor, and its solution then
-    # carries an arbitrary null-space part; when the factor fails, or its
-    # smallest pivot is at or below DEFAULT_RANK_TOL times its largest (the
-    # relative eigenvalue rule of linalg.hermitian_nullity), lstsq returns
-    # the minimum-norm solution instead
-    Dh = D.conj().T
+def _pivots_ok(pivots):
+    # both ALS steps solve their normal equations through one Cholesky
+    # factor of the Gram. A numerically singular Gram can still factor, and
+    # its solution then carries an arbitrary null-space part; when the
+    # factor fails, or its smallest squared pivot is at or below
+    # DEFAULT_RANK_TOL times its largest (the relative eigenvalue rule of
+    # linalg.hermitian_nullity), lstsq returns the minimum-norm solution
+    p = np.abs(pivots) ** 2
+    return p.min() > DEFAULT_RANK_TOL * p.max()
+
+
+def _symbol_step(H, Yr):
+    """Least-squares symbols ``argmin_A ||Y - T(h) A||`` for taps ``H`` (m x N).
+
+    ``T(h)^H T(h)`` is Hermitian banded with bandwidth N - 1: its d-th
+    superdiagonal is the d-th diagonal of ``R = H^H H`` convolved with M
+    ones, built here in LAPACK's upper ``(N, M + N - 1)`` band storage.
+    ``T(h)^H Y`` sums ``Yr @ conj(H)`` along its anti-diagonals. Only the
+    minimum-norm fallback builds a dense ``T(h)``.
+    """
+    M = Yr.shape[0]
+    N = H.shape[1]
+    R = H.conj().T @ H
+    band = np.zeros((N, M + N - 1), dtype=R.dtype)
+    box = np.ones(M)
+    for d in range(N):
+        band[N - 1 - d, d:] = np.convolve(np.diagonal(R, d), box)
+    P = Yr @ H.conj()
+    rhs = np.zeros(M + N - 1, dtype=P.dtype)
+    for i in range(N):
+        rhs[i:i + M] += P[:, i]
     try:
-        factor = sla.cho_factor(Dh @ D, check_finite=False)
+        cb = sla.cholesky_banded(band, check_finite=False)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(D, Y, rcond=None)[0]
-    pivots = np.abs(np.diag(factor[0])) ** 2
-    if pivots.min() <= DEFAULT_RANK_TOL * pivots.max():
-        return np.linalg.lstsq(D, Y, rcond=None)[0]
-    return sla.cho_solve(factor, Dh @ Y, check_finite=False)
+        cb = None
+    if cb is not None and _pivots_ok(cb[-1]):
+        return sla.cho_solve_banded((cb, False), rhs, check_finite=False)
+    return np.linalg.lstsq(block_toeplitz(H, M), Yr.ravel(), rcond=None)[0]
+
+
+def _channel_step(Ap, Yr):
+    """Least-squares taps ``X = H^T`` (N x m) for the symbol Hankel ``Ap``.
+
+    ``A_op = A' (x) I_m`` makes ``A_op h = vec(A' X)`` row by row, so the
+    channel step is one N x N Gram ``A'^H A'`` with the m columns of
+    ``A'^H Yr`` as right-hand sides. ``G (x) I_m`` has the pivots of ``G``,
+    each m times, so the singular-Gram rule reads the same on ``G``.
+    """
+    Aph = Ap.conj().T
+    try:
+        factor = sla.cho_factor(Aph @ Ap, check_finite=False)
+    except np.linalg.LinAlgError:
+        factor = None
+    if factor is not None and _pivots_ok(np.diag(factor[0])):
+        return sla.cho_solve(factor, Aph @ Yr, check_finite=False)
+    return np.linalg.lstsq(Ap, Yr, rcond=None)[0]
 
 
 def snr_to_sigma_v2(ch: Channel, sigma_a2, snr_db):
@@ -339,7 +428,13 @@ def snr_to_sigma_v2(ch: Channel, sigma_a2, snr_db):
 
 @dataclass(frozen=True)
 class MseRow:
-    """One SNR point of an MSE-vs-bound experiment (wide over adjustment rules)."""
+    """One SNR point of an MSE-vs-bound experiment (wide over adjustment rules).
+
+    ``sweeps_mean`` is the estimator's mean sweep count over the trials.
+    ``warnings`` are those of the reduced FIM behind ``crb_trace``: with
+    ``toeplitz-rank-deficient`` the channel is not identifiable from the
+    burst and the bound is a pseudo-inverse bound of a singular FIM.
+    """
 
     snr_db: float
     sigma_v2: float
@@ -348,6 +443,8 @@ class MseRow:
     mse: dict
     std_err: dict
     nonconverged: int
+    sweeps_mean: float
+    warnings: tuple = ()
 
 
 def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list, rules=_ADJUSTMENTS):
@@ -364,6 +461,8 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list, rules=_ADJUSTMENTS
     ch = cfg.channel
     h0 = ch.h
     A = experiment_symbols(cfg)
+    TA = ch.toeplitz(cfg.M) @ A
+    rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
     rows = []
     for snr_db in snr_db_list:
         sv2 = snr_to_sigma_v2(ch, cfg.sigma_a2, snr_db)
@@ -372,12 +471,15 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list, rules=_ADJUSTMENTS
         crb_trace = minimal_crb(reduced).trace
         sq = {r: np.empty(cfg.trials) for r in rules}
         nonconv = 0
+        sweeps = 0
         for t in range(cfg.trials):
-            Y = simulate_burst(cfg_snr, t)
-            rng = stream_rng(cfg.seed, _trial_stream(t, _PURPOSE_INIT))
-            pert = _draw_gaussian_vector(rng, h0.size, 1.0, cfg.field == COMPLEX)
+            # simulate_burst(cfg_snr, t), with the fixed T(h) A formed once
+            Y = TA + _noise_draw(_rekey(rng, cfg.seed, _trial_stream(t, _PURPOSE_NOISE)), cfg_snr)
+            pert = _draw_gaussian_vector(_rekey(rng, cfg.seed, _trial_stream(t, _PURPOSE_INIT)),
+                                         h0.size, 1.0, cfg.field == COMPLEX)
             init = h0 + cfg.init_scale * np.linalg.norm(h0) * pert / np.linalg.norm(pert)
             est = alternating_ls_estimator(Y, ch.m, ch.N, init, sweeps=cfg.ls_sweeps)
+            sweeps += est.sweeps
             if not est.converged:
                 nonconv += 1
             for r in rules:
@@ -388,5 +490,6 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list, rules=_ADJUSTMENTS
             r: float(sq[r].std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else float("inf")
             for r in rules
         }
-        rows.append(MseRow(float(snr_db), sv2, crb_trace, cfg.trials, mse, se, nonconv))
+        rows.append(MseRow(float(snr_db), sv2, crb_trace, cfg.trials, mse, se, nonconv,
+                           sweeps / cfg.trials, reduced.warnings))
     return rows

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import blindcrb
-from blindcrb import fim
+from blindcrb import channel, fim, simulate
 from blindcrb.channel import COMPLEX, REAL
 
 from conftest import random_channel
@@ -88,3 +88,21 @@ def test_gaussian_fim_does_not_call_its_oracle(monkeypatch, field):
     np.testing.assert_array_equal(got.J, want.J)
     if field == COMPLEX:
         np.testing.assert_array_equal(got.cross, want.cross)
+
+
+def test_als_builds_no_dense_operators(monkeypatch):
+    # on a full-rank channel both ALS steps are structured solves: neither
+    # the dense T(h) nor A_op is formed (only the singular-Gram fallback
+    # builds T(h))
+    ch = random_channel(np.random.default_rng(12), 2, 4, COMPLEX)
+    cfg = simulate.ExperimentConfig(channel=ch, M=30, sigma_v2=0.01, seed=4)
+    Y = simulate.simulate_burst(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("alternating LS formed a dense operator")
+
+    for mod in (channel, simulate):
+        monkeypatch.setattr(mod, "block_toeplitz", refuse)
+        monkeypatch.setattr(mod, "commutativity_op", refuse)
+    res = simulate.alternating_ls_estimator(Y, ch.m, ch.N, ch.h, sweeps=20)
+    assert res.residual < np.linalg.norm(Y)

@@ -9,6 +9,7 @@ import pytest
 
 from blindcrb.cli import main
 from blindcrb.channel import (
+    REAL,
     Channel,
     channel_to_json,
     example_channel,
@@ -18,6 +19,8 @@ from blindcrb.channel import (
 from blindcrb.crb import constrained_crb, reducible_constraints
 from blindcrb.fim import deterministic_reduced_fim
 from blindcrb.simulate import ExperimentConfig, experiment_symbols
+
+from conftest import channel_with_common_roots
 
 
 @pytest.fixture
@@ -295,6 +298,22 @@ class TestMse:
         assert header[0] == "snr_db" and "mse_NO" in header
         assert len(rows) == 1
         assert float(dict(zip(header, rows[0]))["crb_trace"]) > 0
+
+    def test_sweeps_column_and_rank_warning(self, tmp_path, chan_file):
+        # a real 2x4 channel with a common root at 0.5 is not identifiable
+        # from the burst; the bundled random channel is
+        ch, _, _ = channel_with_common_roots(np.random.default_rng(3), 2, 3, [0.5], REAL)
+        common = tmp_path / "common.json"
+        common.write_text(json.dumps(channel_to_json(ch)))
+        for chan, flagged in ((str(common), True), (chan_file, False)):
+            exp = self._experiment(tmp_path, chan, M=20, trials=3, ls_sweeps=30)
+            out = tmp_path / "mse.csv"
+            assert main(["mse", exp, "-o", str(out)]) == 0
+            manifest, header, rows = _read_csv(out)
+            assert "# schema=mse-v2" in manifest
+            assert manifest.count("# warning=toeplitz-rank-deficient") == int(flagged)
+            assert header[-1] == "sweeps_mean"
+            assert 1 <= float(rows[0][-1]) <= 30
 
     def test_seed_reproducibility(self, tmp_path, chan_file):
         exp = self._experiment(tmp_path, chan_file)

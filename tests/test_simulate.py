@@ -1,13 +1,16 @@
 """Monte Carlo harness: reproducibility, moments, scores, adjustments, estimator."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from blindcrb import simulate
-from blindcrb.channel import COMPLEX, REAL
+from blindcrb.channel import COMPLEX, REAL, block_toeplitz, commutativity_op, symbol_hankel
 from blindcrb.fim import (
+    DEFAULT_RANK_TOL,
     DETERMINISTIC,
     GAUSSIAN,
     GaussianModelConfig,
@@ -46,6 +49,42 @@ class TestReproducibility:
         _ = stream_rng(7, 4).standard_normal(100)
         a2 = stream_rng(7, 3).standard_normal(5)
         np.testing.assert_array_equal(a1, a2)
+
+    @pytest.mark.parametrize("seed, stream", [(7, 3), (-5, 12), (2**63 + 9, 40001)])
+    def test_rekeyed_generator_matches_fresh_stream(self, seed, stream):
+        rng = stream_rng(seed, stream + 1)
+        for complex_field in (False, True):
+            # serve another stream first: a partly used buffer and, after an
+            # odd number of 32-bit draws, a cached 32-bit half
+            rng.standard_normal(5)
+            rng.integers(0, 2**32, 3, dtype=np.uint32)
+            got = simulate._rekey(rng, seed, stream)
+            want = stream_rng(seed, stream)
+            np.testing.assert_array_equal(
+                simulate._draw_gaussian_vector(got, 9, 2.0, complex_field),
+                simulate._draw_gaussian_vector(want, 9, 2.0, complex_field))
+            np.testing.assert_array_equal(got.integers(0, 2**32, 5, dtype=np.uint32),
+                                          want.integers(0, 2**32, 5, dtype=np.uint32))
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_trial_loops_draw_the_fresh_generator_streams(self, monkeypatch, field):
+        # the trial loops re-key one generator; building a fresh stream_rng
+        # per draw instead must give bitwise the same results
+        ch = random_channel(np.random.default_rng(7), 2, 2, field)
+        det = _cfg(ch, M=4, trials=200, sigma_v2=0.3)
+        gauss = replace(det, model=GAUSSIAN)
+        mse = replace(det, trials=4, ls_sweeps=20)
+
+        def run():
+            return (score_covariance_fim(det).J_hat, score_covariance_fim(gauss).J_hat,
+                    mse_vs_crb_experiment(mse, [20.0]))
+
+        got = run()
+        monkeypatch.setattr(simulate, "_rekey", lambda rng, seed, stream: stream_rng(seed, stream))
+        want = run()
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
 
     def test_bursts_bit_identical(self, chan_random):
         cfg = _cfg(chan_random)
@@ -232,8 +271,102 @@ class TestAlternatingLs:
         Y = rng.standard_normal(T.shape[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = simulate._ls_solve(T, Y)
+            got = simulate._symbol_step(ch.coeffs, Y.reshape(M, ch.m))
         np.testing.assert_allclose(got, np.linalg.lstsq(T, Y, rcond=None)[0], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("eps", [0.0, 1e-5])
+    def test_rank_deficient_channel_step_is_lstsq(self, field, eps):
+        # geometric symbols make the Hankel A' rank one (its Gram does not
+        # factor); a 1e-5 perturbation leaves a Gram that factors with a
+        # squared pivot ratio near 1e-10, below DEFAULT_RANK_TOL, where the
+        # normal equations lose about 1e-6 relative. Either way the solution
+        # is the lstsq one of the Kronecker system A_op h = Y
+        rng = np.random.default_rng(5)
+        m, N, M = 2, 4, 12
+        z = 0.9 * np.exp(0.3j) if field == COMPLEX else 0.9
+        A = z ** np.arange(M + N - 1) + eps * random_burst(rng, M + N - 1, field)
+        Y = random_burst(rng, M * m, field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = simulate._channel_step(symbol_hankel(A, N, M), Y.reshape(M, m))
+        want = np.linalg.lstsq(commutativity_op(A, m, N, M), Y, rcond=None)[0]
+        assert np.linalg.norm(X.ravel() - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _dense_als_oracle(Y, m, N, init, sweeps, rtol=1e-12):
+    """Alternating LS with dense ``T(h)`` and ``A_op`` and the same
+    normal-equation rule (Cholesky of the Gram, minimum-norm lstsq when the
+    factor fails or its smallest squared pivot is at or below
+    ``DEFAULT_RANK_TOL`` times its largest)."""
+
+    def solve(D, y):
+        Dh = D.conj().T
+        try:
+            factor = sla.cho_factor(Dh @ D)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(D, y, rcond=None)[0]
+        pivots = np.abs(np.diag(factor[0])) ** 2
+        if pivots.min() <= DEFAULT_RANK_TOL * pivots.max():
+            return np.linalg.lstsq(D, y, rcond=None)[0]
+        return sla.cho_solve(factor, Dh @ y)
+
+    M = Y.size // m
+    h = init / np.linalg.norm(init)
+    history = []
+    for sweep in range(sweeps):
+        A = solve(block_toeplitz(h.reshape(N, m).T, M), Y)
+        Aop = commutativity_op(A, m, N, M)
+        h = solve(Aop, Y)
+        resid = np.linalg.norm(Y - Aop @ h)
+        h = h / np.linalg.norm(h)
+        history.append(resid)
+        if sweep > 0 and history[-2] - resid <= rtol * max(history[-2], 1.0):
+            return h, A, history, True, sweep + 1
+    return h, A, history, False, sweeps
+
+
+class TestStructuredAls:
+    @staticmethod
+    def _assert_rel(got, want, rtol=1e-12):
+        got, want = np.asarray(got), np.asarray(want)
+        assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("M", [4, 30])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_matches_dense_sweep(self, field, m, M):
+        rng = np.random.default_rng(100 + 10 * m + M)
+        ch = random_channel(rng, m, 3, field)
+        Y = ch.toeplitz(M) @ random_burst(rng, M + 2, field) \
+            + 0.1 * random_burst(rng, M * m, field)
+        init = ch.h + 0.05 * random_burst(rng, ch.h.size, field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = alternating_ls_estimator(Y, m, 3, init, sweeps=60)
+        h, A, history, converged, sweeps = _dense_als_oracle(Y, m, 3, init, 60)
+        assert (got.sweeps, got.converged) == (sweeps, converged)
+        self._assert_rel(got.h, h)
+        self._assert_rel(got.A, A)
+        self._assert_rel(got.residual_history, history)
+
+    def test_common_root_channel_takes_minimum_norm_fallback(self):
+        # started on the common-root channel, noiseless, the iterate keeps
+        # the common root: T(h) loses column rank, every symbol step goes to
+        # lstsq, and a solve through the singular factor would add a
+        # null-space part the oracle's minimum-norm symbols do not have
+        rng = np.random.default_rng(3)
+        ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5], REAL)
+        M = 20
+        Y = ch.toeplitz(M) @ rng.standard_normal(M + ch.N - 1)
+        init = ch.h
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = alternating_ls_estimator(Y, ch.m, ch.N, init, sweeps=3)
+        h, A, history, converged, sweeps = _dense_als_oracle(Y, ch.m, ch.N, init, 3)
+        assert (got.sweeps, got.converged) == (sweeps, converged)
+        self._assert_rel(got.h, h, 1e-10)
+        self._assert_rel(got.A, A, 1e-10)
 
 
 class TestMseExperiment:
@@ -266,6 +399,28 @@ class TestMseExperiment:
             spread = abs(row.mse[a] - row.mse[b])
             combined = np.hypot(row.std_err[a], row.std_err[b])
             assert spread < 3 * combined
+
+    def test_rank_deficient_channel_is_flagged(self, chan_random):
+        # a common root at 0.5 makes T(h) lose column rank: crb_trace is then
+        # a pseudo-inverse bound of a singular FIM, and the row says so
+        ch, _, _ = channel_with_common_roots(np.random.default_rng(3), 2, 3, [0.5], REAL)
+        row = mse_vs_crb_experiment(_cfg(ch, M=20, trials=3, ls_sweeps=30), [20.0])[0]
+        assert row.warnings == ("toeplitz-rank-deficient",)
+        clean = mse_vs_crb_experiment(_cfg(chan_random, M=20, trials=3, ls_sweeps=30), [20.0])[0]
+        assert clean.warnings == ()
+
+    def test_sweeps_mean_is_the_estimator_mean(self, monkeypatch, chan_random):
+        sweeps = []
+
+        def recording(*args, **kwargs):
+            res = alternating_ls_estimator(*args, **kwargs)
+            sweeps.append(res.sweeps)
+            return res
+
+        monkeypatch.setattr(simulate, "alternating_ls_estimator", recording)
+        rows = mse_vs_crb_experiment(_cfg(chan_random, M=20, trials=4), [10.0, 30.0])
+        assert [r.sweeps_mean for r in rows] == [np.mean(sweeps[:4]), np.mean(sweeps[4:])]
+        assert len(set(sweeps)) > 1
 
     def test_gaussian_model_rejected(self, chan_random):
         cfg = _cfg(chan_random, model=GAUSSIAN)
