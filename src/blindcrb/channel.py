@@ -22,6 +22,9 @@ from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .linalg import min_norm_solve
 
 __all__ = [
     "REAL",
@@ -33,6 +36,9 @@ __all__ = [
     "DecompositionError",
     "DEFAULT_ZERO_TOL",
     "block_toeplitz",
+    "toeplitz_apply",
+    "toeplitz_adjoint",
+    "toeplitz_gram_band",
     "taps_from_stacked",
     "symbol_hankel",
     "commutativity_op",
@@ -176,6 +182,50 @@ def block_toeplitz(taps, M):
     for r in range(M):
         T[r * m:(r + 1) * m, r:r + N] = taps
     return T
+
+
+def toeplitz_apply(taps, X):
+    """``T_M(h) X`` as N shifted tap sums, for ``X`` with ``M + N - 1`` rows.
+
+    Same result as ``block_toeplitz(taps, M) @ X`` without forming the
+    ``M m x (M + N - 1)`` matrix; ``X`` may have columns.
+    """
+    m, N = taps.shape
+    M = X.shape[0] - N + 1
+    win = sliding_window_view(X, N, axis=0)           # win[r, ..., i] = X[r + i]
+    return np.moveaxis(win @ taps.T, -1, 1).reshape((M * m,) + X.shape[1:])
+
+
+def toeplitz_adjoint(taps, Y):
+    """``T_M(h)^H Y`` as N shifted tap sums, for ``Y`` with ``M m`` rows.
+
+    Block ``r`` of ``Y`` meets taps ``H`` at symbols ``r .. r + N - 1``, so the
+    result sums ``Yr @ conj(H)`` along its anti-diagonals; ``Y`` may have
+    columns.
+    """
+    m, N = taps.shape
+    M = Y.shape[0] // m
+    P = np.moveaxis(Y.reshape((M, m) + Y.shape[1:]), 1, -1) @ taps.conj()
+    out = np.zeros((M + N - 1,) + Y.shape[1:], dtype=P.dtype)
+    for i in range(N):
+        out[i:i + M] += P[..., i]
+    return out
+
+
+def toeplitz_gram_band(taps, M):
+    """``T_M(h)^H T_M(h)`` in LAPACK's upper band storage, ``(N, M + N - 1)``.
+
+    The Gram is Hermitian banded with bandwidth N - 1: its d-th
+    superdiagonal is the d-th diagonal of ``R = H^H H`` convolved with M
+    ones, and sits in row ``N - 1 - d``.
+    """
+    N = taps.shape[1]
+    R = taps.conj().T @ taps
+    band = np.zeros((N, M + N - 1), dtype=R.dtype)
+    box = np.ones(M)
+    for d in range(N):
+        band[N - 1 - d, d:] = np.convolve(np.diagonal(R, d), box)
+    return band
 
 
 def symbol_hankel(A, N, M=None):
@@ -345,7 +395,7 @@ def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL, residual_tol=1e-8):
     HI = np.empty((ch.m, NI), dtype=ch.coeffs.dtype)
     res2 = 0.0
     for l in range(ch.m):
-        sol, _, _, _ = np.linalg.lstsq(conv, ch.coeffs[l], rcond=None)
+        sol, _ = min_norm_solve(conv, ch.coeffs[l])
         HI[l] = sol
         res2 += float(np.linalg.norm(conv @ sol - ch.coeffs[l]) ** 2)
     residual = np.sqrt(res2) / np.linalg.norm(ch.coeffs)

@@ -60,6 +60,7 @@ from .fim import (
     deterministic_reduced_fim,
     gaussian_fim,
     phase_direction,
+    realified_singularities,
 )
 from .identifiability import deterministic_verdict, gaussian_verdict, verdict_vs_fim
 from .linalg import DEFAULT_RANK_TOL, realify_vector
@@ -170,7 +171,7 @@ def cmd_analyze(args):
 
     fim, A = _model_fim(ch, args)
     if args.model == DETERMINISTIC:
-        full = deterministic_fim(ch, A, args.sigma_v2, args.M).realified()
+        full = deterministic_fim(ch, A, args.sigma_v2, args.M)
         predicted = [("scale", realify_vector(ch.h))]
         verdict = deterministic_verdict(ch, args.M, tol=args.zero_tol)
     else:
@@ -180,10 +181,10 @@ def cmd_analyze(args):
                                    tol=args.zero_tol)
     if ch.field == COMPLEX:
         predicted.append(("phase", phase_direction(ch.h)))
-    rep_full = analyze_singularities(full, tol=args.rank_tol)
+    rep_full = realified_singularities(full, tol=args.rank_tol)
     rep_red = analyze_singularities(channel_block(fim), predicted, tol=args.rank_tol)
-    print(f"model {args.model}: full FIM dim={full.dim} rank={rep_full.rank} "
-          f"nullity={rep_full.nullity}")
+    print(f"model {args.model}: full FIM dim={rep_full.rank + rep_full.nullity} "
+          f"rank={rep_full.rank} nullity={rep_full.nullity}")
     print(f"  channel-reduced FIM rank={rep_red.rank} nullity={rep_red.nullity}")
     for name, ang, ok in rep_red.matches:
         print(f"  predicted null direction '{name}': angle={ang:.2e} "

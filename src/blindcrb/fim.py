@@ -9,7 +9,13 @@ Three constructions live here:
 * the deterministic-symbol model, where the FIM is the scaled Gram matrix of
   ``[T(h) A_op]`` over the joint parameter ``theta = [A; h]``
   (:func:`deterministic_fim`) and its reduction onto the channel block
-  (:func:`deterministic_reduced_fim`);
+  (:func:`deterministic_reduced_fim`). The reduction is the residual Gram
+  ``E^H E / sigma_v^2`` with ``E = A_op - T(h) X`` and ``X`` the least-squares
+  solution of ``T(h) X = A_op``, taken from a Cholesky factor of the banded
+  ``T(h)^H T(h)``: linear in M, with no dense ``T(h)`` and no ``ny x ny``
+  matrix. When that Gram is numerically singular, ``X`` is the minimum-norm
+  solution under the SVD rule ``max(shape) eps``, which also flags a
+  rank-deficient ``T(h)``;
 * the Gaussian-symbol model over ``theta = [h; sigma_v^2]``
   (:func:`gaussian_fim`), in the channel's own field; a complex channel's FIM
   also carries the cross matrix ``J_cross``. Its covariance slabs are column
@@ -18,7 +24,9 @@ Three constructions live here:
   ``O(ny^3 + (mN)^2 M^2)`` work, with no ``(p, ny, ny)`` slab tensor.
 
 Complex-model results convert to the stacked real representation with
-:meth:`FimResult.realified`; blocks keep their names so Schur reductions can
+:meth:`FimResult.realified`; :func:`realified_singularities` counts the rank
+of a complex FIM with no cross matrix in stacked-real coordinates without
+forming that ``2n x 2n`` copy; blocks keep their names so Schur reductions can
 be phrased representation-independently (``schur_reduce(fim, keep="h")``).
 :func:`channel_block` is the one path from a model FIM to its stacked-real
 channel block with the other blocks reduced out.
@@ -44,12 +52,16 @@ from .channel import (
     Channel,
     SymbolBurst,
     commutativity_op,
+    toeplitz_adjoint,
+    toeplitz_apply,
+    toeplitz_gram_band,
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
+    cholesky_solve,
     hermitian_nullity,
+    min_norm_solve,
     principal_angle,
-    range_basis,
     realify_fim,
 )
 
@@ -78,6 +90,7 @@ __all__ = [
     "channel_block",
     "SingularityReport",
     "analyze_singularities",
+    "realified_singularities",
     "deterministic_null_directions",
     "phase_direction",
 ]
@@ -401,21 +414,37 @@ def deterministic_reduced_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
     parameters. The true channel is always in its null space. For reducible
     channels ``T(h)`` loses column rank and the result carries a warning flag
     (the nullity grows to the common-factor length).
+
+    It is formed as a residual Gram: ``E = A_op - T(h) X`` with ``X`` the
+    least-squares solution of ``T(h) X = A_op``, then ``J = E^H E / sigma_v^2``.
+    ``X`` solves the normal equations through a Cholesky factor of the banded
+    ``T(h)^H T(h)`` (bandwidth N - 1), with ``T(h)`` and ``T(h)^H`` applied as
+    N shifted tap sums: ``O(M m (mN)^2)`` work, linear in M, with neither a
+    dense ``T(h)`` nor any ``ny x ny`` matrix. When that Gram is numerically
+    singular (:func:`~blindcrb.linalg.cholesky_solve`), ``X`` is the
+    minimum-norm solution under the SVD rule ``max(shape) eps``, whose rank
+    sets the ``toeplitz-rank-deficient`` flag. The subtracted Gram
+    ``A_op^H A_op - X^H T(h)^H A_op`` is not used: it cancels catastrophically
+    on channels with near-common zeros.
     """
     if sigma_v2 <= 0:
         raise ValueError("sigma_v2 must be positive")
     A, M = _burst_values(A, ch, M)
     field = _model_field(ch, A)
-    T = ch.toeplitz(M)
-    if field == COMPLEX:
-        T = T.astype(np.complex128)
-    Aop = commutativity_op(A, ch.m, ch.N, M).astype(T.dtype)
-    Q = range_basis(T)
-    Pperp = np.eye(T.shape[0], dtype=Q.dtype) - Q @ Q.conj().T
-    J = Aop.conj().T @ Pperp @ Aop / sigma_v2
+    dtype = np.complex128 if field == COMPLEX else np.float64
+    H = ch.coeffs.astype(dtype)
+    Aop = commutativity_op(A, ch.m, ch.N, M).astype(dtype)
+    X = cholesky_solve(toeplitz_gram_band(H, M), toeplitz_adjoint(H, Aop), banded=True)
     warnings = ()
-    if Q.shape[1] < T.shape[1]:
-        warnings = ("toeplitz-rank-deficient",)
+    if X is not None:
+        E = Aop - toeplitz_apply(H, X)
+    else:
+        T = ch.toeplitz(M).astype(dtype)
+        X, rank = min_norm_solve(T, Aop)
+        E = Aop - T @ X
+        if rank < T.shape[1]:
+            warnings = ("toeplitz-rank-deficient",)
+    J = E.conj().T @ E / sigma_v2
     layout = _layout(("h", CHANNEL, ch.m * ch.N, field))
     return FimResult(J, layout, field, DETERMINISTIC, warnings=warnings)
 
@@ -630,6 +659,32 @@ def analyze_singularities(fim, predicted=(), tol=DEFAULT_RANK_TOL, match_tol=1e-
         ang = principal_angle(np.asarray(vec), basis)
         matches.append((name, float(ang), bool(ang < match_tol)))
     return SingularityReport(rank, nullity, basis, w, tuple(matches), tol)
+
+
+def realified_singularities(fim: FimResult, tol=DEFAULT_RANK_TOL) -> SingularityReport:
+    """:func:`analyze_singularities` of ``fim.realified()``, counted on ``fim``.
+
+    A complex FIM with no cross matrix realifies to ``2 [[Re J, -Im J],
+    [Im J, Re J]]``, whose eigenvalues are those of ``2 J``, each twice; a
+    complex null vector ``v`` gives the real null vectors of ``v`` and
+    ``j v``. So the ``n x n`` Hermitian FIM is eigendecomposed instead of its
+    ``2n x 2n`` real form, and rank and nullity come back doubled, in the
+    per-block ``[Re; Im]`` order of :meth:`FimResult.realified`. A real FIM
+    is analysed as it is.
+    """
+    rep = analyze_singularities(fim, tol=tol)
+    if fim.field == REAL:
+        return rep
+    if fim.cross is not None or any(b.field != COMPLEX for b in fim.layout.blocks):
+        raise ValueError("only a complex FIM with complex blocks and no cross "
+                         "matrix realifies to doubled eigenvalues")
+    n = fim.dim
+    perm = np.concatenate([np.r_[s.start:s.stop, n + s.start:n + s.stop]
+                           for s in map(fim.layout.block_slice, fim.layout.names)])
+    B = rep.null_basis
+    basis = np.block([[B.real, -B.imag], [B.imag, B.real]])[perm]
+    return SingularityReport(2 * rep.rank, 2 * rep.nullity, basis,
+                             np.repeat(2.0 * rep.eigenvalues, 2), tol=tol)
 
 
 def deterministic_null_directions(ch: Channel, A, M=None, realified=False):

@@ -16,6 +16,7 @@ know the spectral gap of their problem can tighten or loosen it per call.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -26,6 +27,8 @@ __all__ = [
     "null_space_basis",
     "range_basis",
     "numerical_rank",
+    "min_norm_solve",
+    "cholesky_solve",
     "hermitian_nullity",
     "real_complex_map",
     "realify_vector",
@@ -95,6 +98,50 @@ def numerical_rank(A, tol=None):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
+
+
+def min_norm_solve(A, B, tol=None):
+    """Minimum-norm least-squares solution of ``A X = B`` and the rank of ``A``.
+
+    Singular values at or below ``tol * sigma_max`` count as zero, with
+    ``tol`` defaulting to ``max(m, n) * eps``: the same rule as
+    :func:`numerical_rank`. Returns ``(X, rank)``.
+    """
+    A = _as_matrix(A)
+    if tol is None:
+        tol = _default_tol(A)
+    X, _, rank, _ = np.linalg.lstsq(A, B, rcond=tol)
+    return X, int(rank)
+
+
+def cholesky_solve(gram, rhs, banded=False):
+    """Solve ``G X = rhs`` for a Hermitian positive semidefinite Gram ``G``
+    through one Cholesky factor, or return ``None`` if ``G`` is numerically
+    singular.
+
+    ``G`` is dense, or with ``banded`` in LAPACK's upper band storage
+    (superdiagonal ``d`` of a bandwidth-``b`` matrix in row ``b - d``). LAPACK's
+    ``potrf``/``potrs`` (``pbtrf``/``pbtrs``) are called directly. ``G`` counts
+    as singular when the factor fails, or when its smallest squared pivot is
+    at or below ``DEFAULT_RANK_TOL`` times its largest, the relative
+    eigenvalue rule of :func:`hermitian_nullity`: a numerically singular Gram
+    can still factor, and a solve through that factor adds an arbitrary
+    null-space part. Callers then take :func:`min_norm_solve`.
+    """
+    names = ("pbtrf", "pbtrs") if banded else ("potrf", "potrs")
+    trf, trs = sla.get_lapack_funcs(names, (gram, rhs))
+    c, info = trf(gram, lower=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {names[0]}")
+    if info > 0:
+        return None
+    pivots = np.abs(c[-1] if banded else np.diagonal(c)) ** 2
+    if pivots.min() <= DEFAULT_RANK_TOL * pivots.max():
+        return None
+    x, info = trs(c, rhs, lower=0)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of {names[1]}")
+    return x
 
 
 def projector(X):

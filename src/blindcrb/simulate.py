@@ -37,16 +37,18 @@ from .channel import (
     commutativity_op,
     symbol_hankel,
     taps_from_stacked,
+    toeplitz_adjoint,
+    toeplitz_gram_band,
 )
 from .crb import minimal_crb
 from .fim import (
-    DEFAULT_RANK_TOL,
     DETERMINISTIC,
     GAUSSIAN,
     GaussianModelConfig,
     deterministic_reduced_fim,
     gaussian_real_param_derivs,
 )
+from .linalg import cholesky_solve, min_norm_solve
 
 __all__ = [
     "ADJUST_NO",
@@ -358,44 +360,18 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
     return AlternatingLsResult(h, A, float(history[-1]), tuple(history), False, sweeps)
 
 
-def _pivots_ok(pivots):
-    # both ALS steps solve their normal equations through one Cholesky
-    # factor of the Gram. A numerically singular Gram can still factor, and
-    # its solution then carries an arbitrary null-space part; when the
-    # factor fails, or its smallest squared pivot is at or below
-    # DEFAULT_RANK_TOL times its largest (the relative eigenvalue rule of
-    # linalg.hermitian_nullity), lstsq returns the minimum-norm solution
-    p = np.abs(pivots) ** 2
-    return p.min() > DEFAULT_RANK_TOL * p.max()
-
-
 def _symbol_step(H, Yr):
     """Least-squares symbols ``argmin_A ||Y - T(h) A||`` for taps ``H`` (m x N).
 
-    ``T(h)^H T(h)`` is Hermitian banded with bandwidth N - 1: its d-th
-    superdiagonal is the d-th diagonal of ``R = H^H H`` convolved with M
-    ones, built here in LAPACK's upper ``(N, M + N - 1)`` band storage.
-    ``T(h)^H Y`` sums ``Yr @ conj(H)`` along its anti-diagonals. Only the
-    minimum-norm fallback builds a dense ``T(h)``.
+    The normal equations use the banded ``T(h)^H T(h)`` and the tap sums of
+    ``T(h)^H Y``; a numerically singular Gram (see
+    :func:`~blindcrb.linalg.cholesky_solve`) takes the minimum-norm
+    solution, and only that fallback builds a dense ``T(h)``.
     """
     M = Yr.shape[0]
-    N = H.shape[1]
-    R = H.conj().T @ H
-    band = np.zeros((N, M + N - 1), dtype=R.dtype)
-    box = np.ones(M)
-    for d in range(N):
-        band[N - 1 - d, d:] = np.convolve(np.diagonal(R, d), box)
-    P = Yr @ H.conj()
-    rhs = np.zeros(M + N - 1, dtype=P.dtype)
-    for i in range(N):
-        rhs[i:i + M] += P[:, i]
-    try:
-        cb = sla.cholesky_banded(band, check_finite=False)
-    except np.linalg.LinAlgError:
-        cb = None
-    if cb is not None and _pivots_ok(cb[-1]):
-        return sla.cho_solve_banded((cb, False), rhs, check_finite=False)
-    return np.linalg.lstsq(block_toeplitz(H, M), Yr.ravel(), rcond=None)[0]
+    Y = Yr.ravel()
+    A = cholesky_solve(toeplitz_gram_band(H, M), toeplitz_adjoint(H, Y), banded=True)
+    return A if A is not None else min_norm_solve(block_toeplitz(H, M), Y)[0]
 
 
 def _channel_step(Ap, Yr):
@@ -407,13 +383,8 @@ def _channel_step(Ap, Yr):
     each m times, so the singular-Gram rule reads the same on ``G``.
     """
     Aph = Ap.conj().T
-    try:
-        factor = sla.cho_factor(Aph @ Ap, check_finite=False)
-    except np.linalg.LinAlgError:
-        factor = None
-    if factor is not None and _pivots_ok(np.diag(factor[0])):
-        return sla.cho_solve(factor, Aph @ Yr, check_finite=False)
-    return np.linalg.lstsq(Ap, Yr, rcond=None)[0]
+    X = cholesky_solve(Aph @ Ap, Aph @ Yr)
+    return X if X is not None else min_norm_solve(Ap, Yr)[0]
 
 
 def snr_to_sigma_v2(ch: Channel, sigma_a2, snr_db):
@@ -462,13 +433,14 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list, rules=_ADJUSTMENTS
     h0 = ch.h
     A = experiment_symbols(cfg)
     TA = ch.toeplitz(cfg.M) @ A
+    # the reduced FIM scales as 1/sigma_v^2: build it once at unit noise
+    reduced = deterministic_reduced_fim(ch, A, 1.0, cfg.M)
     rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
     rows = []
     for snr_db in snr_db_list:
         sv2 = snr_to_sigma_v2(ch, cfg.sigma_a2, snr_db)
         cfg_snr = replace(cfg, sigma_v2=sv2)
-        reduced = deterministic_reduced_fim(ch, A, sv2, cfg.M)
-        crb_trace = minimal_crb(reduced).trace
+        crb_trace = minimal_crb(reduced.J / sv2).trace
         sq = {r: np.empty(cfg.trials) for r in rules}
         nonconv = 0
         sweeps = 0

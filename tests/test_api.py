@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import blindcrb
-from blindcrb import channel, fim, simulate
+from blindcrb import channel, fim, linalg, simulate
 from blindcrb.channel import COMPLEX, REAL
 
 from conftest import random_channel
@@ -50,7 +50,7 @@ def test_package_imports_are_public(module, names):
     assert not private, f"blindcrb imports {private} from {module}, outside its __all__"
 
 
-_RANK_CALLS = {"matrix_rank", "pinv"}
+_RANK_CALLS = {"matrix_rank", "pinv", "lstsq"}
 
 
 @pytest.mark.parametrize(
@@ -60,8 +60,9 @@ _RANK_CALLS = {"matrix_rank", "pinv"}
     ids=lambda p: p.stem,
 )
 def test_rank_decisions_go_through_linalg(path):
-    # one SVD rank rule: pseudo-inverses and rank counts outside
-    # blindcrb.linalg call its pseudo_inverse/numerical_rank
+    # one SVD rank rule: pseudo-inverses, rank counts and minimum-norm
+    # solves outside blindcrb.linalg call its pseudo_inverse, numerical_rank
+    # and min_norm_solve
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = sorted({node.attr for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr in _RANK_CALLS}
@@ -106,3 +107,23 @@ def test_als_builds_no_dense_operators(monkeypatch):
         monkeypatch.setattr(mod, "commutativity_op", refuse)
     res = simulate.alternating_ls_estimator(Y, ch.m, ch.N, ch.h, sweeps=20)
     assert res.residual < np.linalg.norm(Y)
+
+
+def test_reduced_fim_builds_no_dense_operators(monkeypatch):
+    # on an irreducible channel the reduced FIM takes the banded fast path:
+    # no dense T(h) (block_toeplitz), no SVD range basis of it and no
+    # minimum-norm fallback solve
+    ch = random_channel(np.random.default_rng(13), 2, 4, COMPLEX)
+    A = simulate.experiment_symbols(simulate.ExperimentConfig(channel=ch, M=40, seed=5))
+    want = fim.deterministic_reduced_fim(ch, A, 0.3, 40)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reduced FIM formed a dense operator or took the fallback")
+
+    monkeypatch.setattr(channel, "block_toeplitz", refuse)
+    for name in ("range_basis", "min_norm_solve"):
+        monkeypatch.setattr(linalg, name, refuse)
+        monkeypatch.setattr(fim, name, refuse, raising=False)
+    got = fim.deterministic_reduced_fim(ch, A, 0.3, 40)
+    np.testing.assert_array_equal(got.J, want.J)
+    assert got.warnings == ()

@@ -9,6 +9,7 @@ import pytest
 
 from blindcrb.cli import main
 from blindcrb.channel import (
+    COMPLEX,
     REAL,
     Channel,
     channel_to_json,
@@ -17,7 +18,7 @@ from blindcrb.channel import (
     reducible_decompose,
 )
 from blindcrb.crb import constrained_crb, reducible_constraints
-from blindcrb.fim import deterministic_reduced_fim
+from blindcrb.fim import analyze_singularities, deterministic_fim, deterministic_reduced_fim
 from blindcrb.simulate import ExperimentConfig, experiment_symbols
 
 from conftest import channel_with_common_roots
@@ -99,6 +100,32 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "conjugate reciprocal pair" in out
         assert "nullity=1" in out
+
+    @pytest.mark.parametrize("kind", ["irreducible", "common-root", "conj-recip", "near-common"])
+    def test_joint_rank_equals_realified_fim(self, tmp_path, capsys, kind):
+        # analyze counts the complex joint FIM in its own field; its printed
+        # dim, rank and nullity are those of the realified FIM
+        rng = np.random.default_rng(21)
+        z0 = 0.6 * np.exp(1.1j)
+        if kind == "irreducible":
+            H = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        elif kind == "common-root":
+            H = channel_with_common_roots(rng, 2, 3, [0.5 + 0.2j], COMPLEX)[0].coeffs
+        elif kind == "conj-recip":
+            H = channel_with_common_roots(rng, 2, 2, [z0, 1 / np.conj(z0)], COMPLEX)[0].coeffs
+        else:
+            others = 1.2 * np.exp(2j * np.pi * rng.uniform(size=(2, 2)))
+            H = np.array([np.poly([z0 + l * 1e-4 * np.exp(0.7j), *others[l]])
+                          for l in range(2)])
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps(channel_to_json(Channel(H, field=COMPLEX, name=kind))))
+        assert main(["analyze", str(path), "--M", "20", "--seed", "3"]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if "full FIM" in l)
+        ch = load_channel(str(path))
+        A = experiment_symbols(ExperimentConfig(channel=ch, M=20, seed=3))
+        rep = analyze_singularities(deterministic_fim(ch, A, 1.0, 20).realified())
+        assert line.endswith(f"dim={rep.rank + rep.nullity} rank={rep.rank} "
+                             f"nullity={rep.nullity}")
 
     def test_malformed_channel_file(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -8,10 +8,11 @@ from blindcrb.channel import (
     REAL,
     Channel,
     block_toeplitz,
+    commutativity_op,
     common_zeros,
     taps_from_stacked,
 )
-from blindcrb.crb import gaussian_blind_crb
+from blindcrb.crb import gaussian_blind_crb, minimal_crb
 from blindcrb.fim import (
     DETERMINISTIC,
     GAUSSIAN,
@@ -31,9 +32,10 @@ from blindcrb.fim import (
     gaussian_fim_generic,
     gaussian_moment_stack,
     phase_direction,
+    realified_singularities,
     schur_reduce,
 )
-from blindcrb.linalg import subspace_distance
+from blindcrb.linalg import range_basis, subspace_distance
 
 from conftest import channel_with_common_roots, random_burst, random_channel
 
@@ -168,7 +170,85 @@ class TestDeterministicFim:
             assert np.linalg.norm(real_fim.J @ v) < 1e-10 * np.linalg.norm(real_fim.J)
 
 
+def _dense_reduced_oracle(ch, A, sigma_v2, M):
+    """Reduced FIM ``A_op^H (I - Q Q^H) A_op / sigma_v^2`` with ``Q`` the SVD
+    range basis of the dense ``T(h)``, and whether ``T(h)`` loses column
+    rank: the dense projector form the structured builder replaced."""
+    cplx = ch.field == COMPLEX or np.iscomplexobj(A)
+    T = ch.toeplitz(M).astype(complex if cplx else float)
+    Aop = commutativity_op(A, ch.m, ch.N, M).astype(T.dtype)
+    Q = range_basis(T)
+    Pperp = np.eye(T.shape[0], dtype=Q.dtype) - Q @ Q.conj().T
+    return Aop.conj().T @ Pperp @ Aop / sigma_v2, Q.shape[1] < T.shape[1]
+
+
+_HARD_KINDS = ["irreducible", "common-1", "common-2", "common-3", "near-common-1e-2",
+               "near-common-1e-3", "near-common-1e-4", "near-unit", "conj-recip"]
+
+
+def _hard_channel(rng, kind, m, field):
+    """``m``-subchannel channel of one hard kind: irreducible; k common roots;
+    a zero shared up to an offset; conjugate zero pairs at radius 1 -+ 5e-4;
+    a common conjugate-reciprocal pair."""
+    cplx = field == COMPLEX
+
+    def from_zeros(zeros_per_sub):
+        gains = 1.0 + 0.5 * random_burst(rng, m, field)
+        H = np.array([g * np.poly(zs) for g, zs in zip(gains, zeros_per_sub)])
+        return Channel(H if cplx else H.real, field=field)
+
+    if kind == "irreducible":
+        return random_channel(rng, m, 4, field)
+    if kind.startswith("common-"):
+        roots = [0.5, -0.7, 0.3] if not cplx else [0.5j, -0.7 + 0.2j, 0.6]
+        return channel_with_common_roots(rng, m, 2, roots[:int(kind[-1])], field)[0]
+    if kind.startswith("near-common-"):
+        offset = float(kind[len("near-common-"):]) * (np.exp(0.7j) if cplx else 1.0)
+        z0 = 0.6 * np.exp(0.9j) if cplx else 0.6
+        others = rng.uniform(-1.3, 1.3, (m, 2))
+        if cplx:
+            others = others * np.exp(2j * np.pi * rng.uniform(size=(m, 2)))
+        return from_zeros([[z0 + l * offset, *others[l]] for l in range(m)])
+    if kind == "near-unit":
+        zeros = []
+        for l in range(m):
+            p = (1 + (-1) ** l * 5e-4) * np.exp(1j * rng.uniform(0.2, np.pi - 0.2))
+            zeros.append([p, np.conj(p), rng.uniform(-0.9, 0.9)])
+        return from_zeros(zeros)
+    z0 = 0.6 * np.exp(1.1j) if cplx else 0.6
+    return channel_with_common_roots(rng, m, 2, [z0, 1 / np.conj(z0)], field)[0]
+
+
 class TestDeterministicReducedFim:
+    @pytest.mark.parametrize("kind", _HARD_KINDS)
+    @pytest.mark.parametrize("M", [4, 20, 200])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_matches_dense_oracle(self, field, m, M, kind):
+        rng = np.random.default_rng([m, M, _HARD_KINDS.index(kind), field == COMPLEX])
+        ch = _hard_channel(rng, kind, m, field)
+        A = random_burst(rng, M + ch.N - 1, field)
+        want, deficient = _dense_reduced_oracle(ch, A, 0.7, M)
+        got = deterministic_reduced_fim(ch, A, 0.7, M)
+        assert got.warnings == (("toeplitz-rank-deficient",) if deficient else ())
+        if m == 1:
+            # T(h) is wide with full row rank: P^perp = 0, and both sides are
+            # roundoff, so there is no CRB to compare
+            scale = np.linalg.norm(commutativity_op(A, m, ch.N, M)) ** 2 / 0.7
+            assert max(np.linalg.norm(got.J), np.linalg.norm(want)) <= 1e-12 * scale
+            return
+        if deficient or np.linalg.cond(ch.toeplitz(M)) < 1e4:
+            # where T(h) has full rank but is ill conditioned (near-common and
+            # near-unit zeros at short bursts) the projector form itself loses
+            # digits: against a 60-digit solve it erred by up to 1.3e-11 where
+            # the residual form erred by 5e-13. There only the CRB bound below
+            # is required
+            assert np.linalg.norm(got.J - want) <= 1e-12 * np.linalg.norm(want)
+        tr_want = minimal_crb(want).trace
+        assert minimal_crb(got).trace == pytest.approx(
+            tr_want, rel=max(1e-6, 1e-11 * abs(tr_want)))
+
+
     def test_channel_is_null_vector(self, rng, chan_random):
         A = random_burst(rng, 23, REAL)
         red = deterministic_reduced_fim(chan_random, A, 1.0, 20)
@@ -445,6 +525,27 @@ class TestSingularityAnalysis:
         rep = analyze_singularities(red)
         TI = ti_matrix(reducible_decompose(ch))
         assert subspace_distance(rep.null_basis, TI) < 1e-8
+
+    @pytest.mark.parametrize("roots", [[], [0.5], [0.6j, 1 / np.conj(0.6j)]])
+    @pytest.mark.parametrize("M", [4, 20])
+    def test_realified_counts_match_realified_fim(self, rng, M, roots):
+        ch = channel_with_common_roots(rng, 2, 3, roots, COMPLEX)[0] if roots \
+            else random_channel(rng, 2, 4, COMPLEX)
+        fim = deterministic_fim(ch, random_burst(rng, M + ch.N - 1, COMPLEX), 0.4, M)
+        got = realified_singularities(fim)
+        want = analyze_singularities(fim.realified())
+        assert (got.rank, got.nullity) == (want.rank, want.nullity)
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues,
+                                   rtol=0, atol=1e-12 * want.eigenvalues.max())
+        assert subspace_distance(got.null_basis, want.null_basis) < 1e-8
+
+    def test_realified_counts_refuse_a_cross_matrix(self, rng):
+        ch = random_channel(rng, 2, 3, COMPLEX)
+        fim = gaussian_fim(ch, GaussianModelConfig(1.0, 0.5, 6))
+        with pytest.raises(ValueError, match="cross"):
+            realified_singularities(fim)
+        real = fim.realified()
+        assert realified_singularities(real).nullity == analyze_singularities(real).nullity
 
     def test_rank_plus_nullity(self, rng, chan_random):
         A = random_burst(rng, 23, REAL)

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from blindcrb.linalg import (
     SingularFimError,
+    cholesky_solve,
     complement_projector,
     complexify_vector,
+    min_norm_solve,
     null_space_basis,
     principal_angle,
     projector,
@@ -112,6 +115,42 @@ class TestNullSpace:
         assert B.shape == (4, 3)
         assert np.linalg.norm(B.conj().T @ v) < 1e-10
         np.testing.assert_allclose(B.conj().T @ B, np.eye(3), atol=1e-12)
+
+
+class TestSolves:
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("rows, cols, rank", [(7, 4, 4), (7, 4, 2), (3, 5, 3)])
+    def test_min_norm_solve_is_pinv_solution(self, rng, rows, cols, rank, complex_):
+        A = _random_matrix(rng, rows, rank, complex_=complex_) \
+            @ _random_matrix(rng, rank, cols, complex_=complex_)
+        B = rng.standard_normal((rows, 2))
+        X, r = min_norm_solve(A, B)
+        assert r == rank
+        np.testing.assert_allclose(X, pseudo_inverse(A) @ B, atol=1e-10)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_cholesky_solve_equals_scipy(self, rng, complex_):
+        # the LAPACK routines are the ones scipy's wrappers call, so the
+        # solutions are bitwise equal
+        D = _random_matrix(rng, 9, 5, complex_=complex_)
+        G, b = D.conj().T @ D, D.conj().T @ rng.standard_normal((9, 2))
+        np.testing.assert_array_equal(cholesky_solve(G, b), sla.cho_solve(sla.cho_factor(G), b))
+        band = np.zeros((3, 5), dtype=G.dtype)
+        for d in range(3):
+            band[2 - d, d:] = np.diagonal(G, d)
+        banded_G = np.triu(np.tril(G, 2), -2)
+        want = sla.cho_solve_banded((sla.cholesky_banded(band), False), b[:, 0])
+        np.testing.assert_array_equal(cholesky_solve(band, b[:, 0], banded=True), want)
+        np.testing.assert_allclose(banded_G @ want, b[:, 0], atol=1e-10)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-6])
+    def test_cholesky_solve_refuses_singular_gram(self, rng, eps):
+        # a rank-deficient Gram, and one that factors but whose squared
+        # pivot ratio (~1e-12) is below DEFAULT_RANK_TOL
+        D = _random_matrix(rng, 8, 4, rank=3)
+        D[:, 3] += eps * rng.standard_normal(8)
+        G = D.T @ D
+        assert cholesky_solve(G, np.ones(4)) is None
 
 
 def _consistent_pair(rng, n, psd=True):

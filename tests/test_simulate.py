@@ -9,12 +9,14 @@ import scipy.linalg as sla
 
 from blindcrb import simulate
 from blindcrb.channel import COMPLEX, REAL, block_toeplitz, commutativity_op, symbol_hankel
+from blindcrb.crb import minimal_crb
 from blindcrb.fim import (
     DEFAULT_RANK_TOL,
     DETERMINISTIC,
     GAUSSIAN,
     GaussianModelConfig,
     deterministic_fim,
+    deterministic_reduced_fim,
     gaussian_fim,
 )
 from blindcrb.simulate import (
@@ -421,6 +423,29 @@ class TestMseExperiment:
         rows = mse_vs_crb_experiment(_cfg(chan_random, M=20, trials=4), [10.0, 30.0])
         assert [r.sweeps_mean for r in rows] == [np.mean(sweeps[:4]), np.mean(sweeps[4:])]
         assert len(set(sweeps)) > 1
+
+    @pytest.mark.parametrize("common_root", [False, True])
+    def test_rows_match_per_point_reduced_fim(self, chan_random, common_root):
+        ch = channel_with_common_roots(np.random.default_rng(3), 2, 3, [0.5], REAL)[0] \
+            if common_root else chan_random
+        cfg = _cfg(ch, M=20, trials=2, ls_sweeps=5)
+        snrs = [10.0, 20.0, 30.0]
+        A = experiment_symbols(cfg)
+        for row, snr in zip(mse_vs_crb_experiment(cfg, snrs), snrs):
+            red = deterministic_reduced_fim(ch, A, snr_to_sigma_v2(ch, cfg.sigma_a2, snr), cfg.M)
+            assert row.crb_trace == pytest.approx(minimal_crb(red).trace, rel=1e-12, abs=0)
+            assert row.warnings == red.warnings
+
+    def test_reduced_fim_built_once(self, monkeypatch, chan_random):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return deterministic_reduced_fim(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "deterministic_reduced_fim", counting)
+        mse_vs_crb_experiment(_cfg(chan_random, M=20, trials=2, ls_sweeps=5), [10.0, 20.0, 30.0])
+        assert len(calls) == 1
 
     def test_gaussian_model_rejected(self, chan_random):
         cfg = _cfg(chan_random, model=GAUSSIAN)
