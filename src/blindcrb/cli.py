@@ -14,6 +14,10 @@ All commands are deterministic given their flags and seed; the timestamp
 line is informational and excluded from that contract. The default seed
 comes from ``BLINDCRB_SEED`` when set.
 
+:func:`main` may be called many times in one process: it builds its
+argument parser on the first call and reuses it, and it reads
+``BLINDCRB_SEED`` on every call.
+
 Exit codes: 0 for successful runs (including data-level negatives such as
 unbounded CRB rows), 1 for oracle-gate failures in ``fim-check``, 2 for bad
 inputs.
@@ -42,7 +46,6 @@ from .channel import (
     realify_channel,
     reducible_decompose,
     subchannel_zeros,
-    common_zeros,
 )
 from .crb import (
     CONSTRAINT_GRAMMAR,
@@ -60,7 +63,7 @@ from .fim import (
     deterministic_reduced_fim,
     gaussian_fim,
     phase_direction,
-    realified_singularities,
+    realified_counts,
 )
 from .identifiability import deterministic_verdict, gaussian_verdict, verdict_vs_fim
 from .linalg import DEFAULT_RANK_TOL, realify_vector
@@ -79,8 +82,23 @@ _SCHEMAS = {
 }
 
 
-def _default_seed():
-    return int(os.environ.get("BLINDCRB_SEED", "0"))
+class _EnvSeed(str):
+    """The ``--seed`` default. argparse passes a string default through the
+    option's ``type`` at every parse, so :func:`_seed` reads
+    ``BLINDCRB_SEED`` on every call of a parser, not when it is built."""
+
+
+_ENV_SEED = _EnvSeed("$BLINDCRB_SEED")
+
+
+def _seed(text):
+    source = ""
+    if isinstance(text, _EnvSeed):
+        text, source = os.environ.get("BLINDCRB_SEED", "0"), " (from BLINDCRB_SEED)"
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}{source}") from None
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -162,10 +180,10 @@ def cmd_analyze(args):
     for l, z in enumerate(zeros):
         zs = ", ".join(_fmt(complex(r)) for r in z) if z.size else "(none)"
         print(f"  subchannel {l} zeros: {zs}")
-    cz = common_zeros(ch, tol=args.zero_tol)
+    dec = reducible_decompose(ch, tol=args.zero_tol)
+    cz = dec.roots
     print(f"  common zeros: "
           + (", ".join(_fmt(complex(r)) for r in cz) if cz.size else "(none)"))
-    dec = reducible_decompose(ch, tol=args.zero_tol)
     print(f"  reducible: {'yes' if dec.N_c > 1 else 'no'} "
           f"(N_c={dec.N_c}, N_I={dec.N_I}, residual={dec.residual:.2e})")
 
@@ -181,7 +199,7 @@ def cmd_analyze(args):
                                    tol=args.zero_tol)
     if ch.field == COMPLEX:
         predicted.append(("phase", phase_direction(ch.h)))
-    rep_full = realified_singularities(full, tol=args.rank_tol)
+    rep_full = realified_counts(full, tol=args.rank_tol)
     rep_red = analyze_singularities(channel_block(fim), predicted, tol=args.rank_tol)
     print(f"model {args.model}: full FIM dim={rep_full.rank + rep_full.nullity} "
           f"rank={rep_full.rank} nullity={rep_full.nullity}")
@@ -407,7 +425,7 @@ def _add_common(p):
     p.add_argument("--M", type=int, default=20, help="burst length")
     p.add_argument("--sigma-a2", dest="sigma_a2", type=float, default=1.0)
     p.add_argument("--sigma-v2", dest="sigma_v2", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_ENV_SEED)
     p.add_argument("--zero-tol", dest="zero_tol", type=float, default=DEFAULT_ZERO_TOL,
                    help="root clustering tolerance")
     p.add_argument("--rank-tol", dest="rank_tol", type=float, default=DEFAULT_RANK_TOL,
@@ -416,6 +434,7 @@ def _add_common(p):
 
 
 def build_parser():
+    """A fresh argument parser; :func:`main` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="blindcrb",
         description="Fisher information and constrained CRBs for blind FIR "
@@ -456,15 +475,22 @@ def build_parser():
 
     p = sub.add_parser("mse", help="MSE vs CRB experiment from a JSON config")
     p.add_argument("experiment", help="experiment JSON file")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_ENV_SEED)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_mse)
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # one parser per process: parsing leaves it unchanged (no set_defaults,
+    # `append` copies its list), and the seed default is read per parse
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -26,8 +26,10 @@ Three constructions live here:
 Complex-model results convert to the stacked real representation with
 :meth:`FimResult.realified`; :func:`realified_singularities` counts the rank
 of a complex FIM with no cross matrix in stacked-real coordinates without
-forming that ``2n x 2n`` copy; blocks keep their names so Schur reductions can
-be phrased representation-independently (``schur_reduce(fim, keep="h")``).
+forming that ``2n x 2n`` copy, and :func:`realified_counts` reads the same
+count from the eigenvalues a :class:`FimResult` keeps from its validation;
+blocks keep their names so Schur reductions can be phrased
+representation-independently (``schur_reduce(fim, keep="h")``).
 :func:`channel_block` is the one path from a model FIM to its stacked-real
 channel block with the other blocks reduced out.
 
@@ -40,7 +42,7 @@ these problems sits many decades inside the gap between true singularities
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,6 +61,7 @@ from .channel import (
 from .linalg import (
     DEFAULT_RANK_TOL,
     cholesky_solve,
+    eigenvalue_rank,
     hermitian_nullity,
     min_norm_solve,
     principal_angle,
@@ -91,6 +94,7 @@ __all__ = [
     "SingularityReport",
     "analyze_singularities",
     "realified_singularities",
+    "realified_counts",
     "deterministic_null_directions",
     "phase_direction",
 ]
@@ -168,6 +172,8 @@ class FimResult:
     ``cross`` is the complex cross-information matrix (present only for the
     complex Gaussian model, where it is nonzero); ``warnings`` carries
     structural flags such as a rank-deficient convolution operator.
+    ``eigenvalues`` (read-only, ascending) are those of ``J`` computed when
+    it was validated; :func:`realified_counts` reads its rank from them.
     """
 
     J: np.ndarray
@@ -176,6 +182,7 @@ class FimResult:
     model: str
     cross: np.ndarray | None = None
     warnings: tuple = ()
+    eigenvalues: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         J = np.asarray(self.J)
@@ -193,11 +200,14 @@ class FimResult:
         J = 0.5 * (J + J.conj().T)
         if self.field == REAL:
             J = J.real
-        wmin = float(np.linalg.eigvalsh(J).min())
+        w = np.linalg.eigvalsh(J)
+        wmin = float(w.min())
         if wmin < -1e-8 * scale:
             raise ValueError(f"FIM has negative eigenvalue {wmin:.3e} beyond roundoff")
         J.flags.writeable = False
+        w.flags.writeable = False
         object.__setattr__(self, "J", J)
+        object.__setattr__(self, "eigenvalues", w)
 
     @property
     def dim(self):
@@ -625,7 +635,11 @@ def channel_block(fim: FimResult) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SingularityReport:
-    """Numerical rank structure of a FIM plus matches to predicted null vectors."""
+    """Numerical rank structure of a FIM plus matches to predicted null vectors.
+
+    ``null_basis`` is ``None`` in a report counted from eigenvalues alone
+    (:func:`realified_counts`).
+    """
 
     rank: int
     nullity: int
@@ -661,6 +675,12 @@ def analyze_singularities(fim, predicted=(), tol=DEFAULT_RANK_TOL, match_tol=1e-
     return SingularityReport(rank, nullity, basis, w, tuple(matches), tol)
 
 
+def _check_doubling(fim: FimResult):
+    if fim.cross is not None or any(b.field != COMPLEX for b in fim.layout.blocks):
+        raise ValueError("only a complex FIM with complex blocks and no cross "
+                         "matrix realifies to doubled eigenvalues")
+
+
 def realified_singularities(fim: FimResult, tol=DEFAULT_RANK_TOL) -> SingularityReport:
     """:func:`analyze_singularities` of ``fim.realified()``, counted on ``fim``.
 
@@ -675,9 +695,7 @@ def realified_singularities(fim: FimResult, tol=DEFAULT_RANK_TOL) -> Singularity
     rep = analyze_singularities(fim, tol=tol)
     if fim.field == REAL:
         return rep
-    if fim.cross is not None or any(b.field != COMPLEX for b in fim.layout.blocks):
-        raise ValueError("only a complex FIM with complex blocks and no cross "
-                         "matrix realifies to doubled eigenvalues")
+    _check_doubling(fim)
     n = fim.dim
     perm = np.concatenate([np.r_[s.start:s.stop, n + s.start:n + s.stop]
                            for s in map(fim.layout.block_slice, fim.layout.names)])
@@ -685,6 +703,18 @@ def realified_singularities(fim: FimResult, tol=DEFAULT_RANK_TOL) -> Singularity
     basis = np.block([[B.real, -B.imag], [B.imag, B.real]])[perm]
     return SingularityReport(2 * rep.rank, 2 * rep.nullity, basis,
                              np.repeat(2.0 * rep.eigenvalues, 2), tol=tol)
+
+
+def realified_counts(fim: FimResult, tol=DEFAULT_RANK_TOL) -> SingularityReport:
+    """The rank and nullity of :func:`realified_singularities`, read from the
+    eigenvalues ``fim`` kept when it was validated: no second
+    eigendecomposition, and no null basis (``null_basis`` is ``None``)."""
+    rank, nullity = eigenvalue_rank(fim.eigenvalues, tol)
+    if fim.field == REAL:
+        return SingularityReport(rank, nullity, None, fim.eigenvalues, tol=tol)
+    _check_doubling(fim)
+    return SingularityReport(2 * rank, 2 * nullity, None,
+                             np.repeat(2.0 * fim.eigenvalues, 2), tol=tol)
 
 
 def deterministic_null_directions(ch: Channel, A, M=None, realified=False):

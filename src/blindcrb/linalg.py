@@ -29,6 +29,7 @@ __all__ = [
     "numerical_rank",
     "min_norm_solve",
     "cholesky_solve",
+    "eigenvalue_rank",
     "hermitian_nullity",
     "real_complex_map",
     "realify_vector",
@@ -193,20 +194,29 @@ def null_space_basis(A, tol=None):
     return Vh[r:].conj().T
 
 
-def hermitian_nullity(J, tol=DEFAULT_RANK_TOL):
-    """(rank, nullity, eigvals, eigvecs) of a Hermitian PSD matrix.
+def eigenvalue_rank(w, tol=DEFAULT_RANK_TOL):
+    """(rank, nullity) of a Hermitian PSD matrix from its eigenvalues ``w``.
 
-    Eigenvalues at or below ``tol * lambda_max`` count as zero. Used for
-    Fisher-information rank decisions where the true null eigenvalues sit
-    many orders below the smallest genuine one.
+    Eigenvalues at or below ``tol * lambda_max`` count as zero; with no
+    positive eigenvalue the whole space is null. Used for Fisher-information
+    rank decisions where the true null eigenvalues sit many orders below the
+    smallest genuine one.
     """
-    J = _as_matrix(J, "J")
-    w, V = np.linalg.eigh(J)
+    w = np.asarray(w)
     wmax = float(w.max()) if w.size else 0.0
     if wmax <= 0.0:
-        return 0, J.shape[0], w, V
+        return 0, w.size
     nullity = int(np.count_nonzero(w <= tol * wmax))
-    return J.shape[0] - nullity, nullity, w, V
+    return w.size - nullity, nullity
+
+
+def hermitian_nullity(J, tol=DEFAULT_RANK_TOL):
+    """(rank, nullity, eigvals, eigvecs) of a Hermitian PSD matrix, counted
+    by :func:`eigenvalue_rank`."""
+    J = _as_matrix(J, "J")
+    w, V = np.linalg.eigh(J)
+    rank, nullity = eigenvalue_rank(w, tol)
+    return rank, nullity, w, V
 
 
 def real_complex_map(n):

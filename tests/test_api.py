@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import pathlib
 import pkgutil
 from collections import defaultdict
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 import blindcrb
-from blindcrb import channel, fim, linalg, simulate
+from blindcrb import channel, cli, fim, linalg, simulate
 from blindcrb.channel import COMPLEX, REAL
 
-from conftest import random_channel
+from conftest import channel_with_common_roots, random_channel
 
 _MODULES = [importlib.import_module(f"blindcrb.{info.name}")
             for info in pkgutil.iter_modules(blindcrb.__path__)]
@@ -127,3 +128,67 @@ def test_reduced_fim_builds_no_dense_operators(monkeypatch):
     got = fim.deterministic_reduced_fim(ch, A, 0.3, 40)
     np.testing.assert_array_equal(got.J, want.J)
     assert got.warnings == ()
+
+
+def test_cli_builds_one_parser(monkeypatch, tmp_path, capsys):
+    # main builds its argument parser once per process and reuses it
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(channel.channel_to_json(channel.example_channel("random"))))
+    argv = ["crb", str(path), "--constraint", "minimal", "--M", "8"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cli.main rebuilt its argument parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        got = capsys.readouterr().out
+        assert [l for l in got.splitlines() if not l.startswith("# timestamp=")] \
+            == [l for l in want.splitlines() if not l.startswith("# timestamp=")]
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_fim_keeps_its_validation_eigenvalues(field):
+    ch = random_channel(np.random.default_rng(14), 2, 4, field)
+    A = simulate.experiment_symbols(simulate.ExperimentConfig(channel=ch, M=12, seed=2))
+    for result in (fim.deterministic_fim(ch, A, 0.5, 12),
+                   fim.gaussian_fim(ch, fim.GaussianModelConfig(1.0, 0.5, 6)).realified()):
+        w = result.eigenvalues
+        assert not w.flags.writeable
+        np.testing.assert_array_equal(w, np.linalg.eigvalsh(result.J))
+
+
+def _near_common(rng, field):
+    z0 = 0.6 * np.exp(1.1j) if field == COMPLEX else 0.6
+    others = 1.2 * np.exp(2j * np.pi * rng.uniform(size=(2, 2)))
+    if field == REAL:
+        return channel.Channel(np.array([np.poly([z0 + l * 1e-4, *others[l, :1],
+                                                  np.conj(others[l, 0])]).real
+                                         for l in range(2)]), field=REAL)
+    return channel.Channel(np.array([np.poly([z0 + l * 1e-4 * np.exp(0.7j), *others[l]])
+                                     for l in range(2)]), field=COMPLEX)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("kind", ["irreducible", "common-root", "near-common"])
+@pytest.mark.parametrize("M", [4, 20])
+def test_joint_counts_use_the_kept_eigenvalues(field, kind, M):
+    # analyze counts the joint FIM from the eigenvalues kept at validation;
+    # the counts equal those of a fresh eigendecomposition
+    rng = np.random.default_rng(15)
+    if kind == "irreducible":
+        ch = random_channel(rng, 2, 4, field)
+    elif kind == "common-root":
+        ch = channel_with_common_roots(rng, 2, 3, [0.5], field)[0]
+    else:
+        ch = _near_common(rng, field)
+    A = simulate.experiment_symbols(simulate.ExperimentConfig(channel=ch, M=M, seed=3))
+    joint = fim.deterministic_fim(ch, A, 1.0, M)
+    got = fim.realified_counts(joint)
+    want = fim.realified_singularities(joint)
+    assert (got.rank, got.nullity, got.tol) == (want.rank, want.nullity, want.tol)
+    assert got.null_basis is None
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues,
+                               rtol=0, atol=1e-12 * want.eigenvalues.max())

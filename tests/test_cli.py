@@ -387,3 +387,59 @@ class TestManifest:
 
         args = build_parser().parse_args(["sweep-known", chan_file])
         assert args.seed == 123
+
+
+class TestInProcess:
+    """``main`` called many times in one process: one parser, per-call state."""
+
+    def test_env_seed_read_per_call(self, chan_file, tmp_path, monkeypatch):
+        outs = {}
+        for seed in ("11", "12"):
+            monkeypatch.setenv("BLINDCRB_SEED", seed)
+            outs[seed] = tmp_path / f"sweep{seed}.csv"
+            assert main(["sweep-known", chan_file, "-o", str(outs[seed])]) == 0
+        manifests = {seed: _read_csv(path)[0] for seed, path in outs.items()}
+        for seed, manifest in manifests.items():
+            assert f"# seed={seed}" in manifest
+        digests = {seed: next(l for l in manifest if l.startswith("# args_sha256="))
+                   for seed, manifest in manifests.items()}
+        assert digests["11"] != digests["12"]
+        # the same seed given as a flag digests like the environment default
+        flag = tmp_path / "flag.csv"
+        assert main(["sweep-known", chan_file, "--seed", "12", "-o", str(flag)]) == 0
+        assert _data_lines(flag) == _data_lines(outs["12"])
+
+    def test_constraint_lists_do_not_leak(self, chan_file, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["crb", chan_file, "--constraint", "minimal",
+                     "--constraint", "norm", "-o", str(a)]) == 0
+        assert main(["crb", chan_file, "--constraint", "known:0", "-o", str(b)]) == 0
+        assert [r[0] for r in _read_csv(a)[2]] == ["minimal", "norm"]
+        assert [r[0] for r in _read_csv(b)[2]] == ["known:0"]
+
+    def test_rejected_call_leaves_later_calls_intact(self, chan_file, tmp_path, capsys):
+        argv = ["crb", chan_file, "--constraint", "minimal", "--M", "12"]
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        assert main(argv + ["-o", str(before)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["crb", chan_file, "--constraint", "minimal", "--M", "twelve",
+                  "--model", "nonsense"])
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+        assert main(argv + ["-o", str(after)]) == 0
+        assert _data_lines(after) == _data_lines(before)
+
+    def test_version_exits_zero(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("blindcrb ")
+
+    def test_bad_env_seed_is_bad_input(self, chan_file, monkeypatch, capsys):
+        monkeypatch.setenv("BLINDCRB_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-known", chan_file])
+        assert exc.value.code == 2
+        assert "BLINDCRB_SEED" in capsys.readouterr().err
+        assert main(["sweep-known", chan_file, "--seed", "4", "-o", os.devnull]) == 0
