@@ -16,7 +16,6 @@ from .channel import (
     COMPLEX,
     REAL,
     Channel,
-    SymbolBurst,
     ReducibleDecomposition,
     DecompositionError,
     block_toeplitz,
@@ -37,7 +36,6 @@ from .crb import (
     ConstraintSet,
     CrbResult,
     constrained_crb,
-    constrained_crb_projector_form,
     gaussian_blind_crb,
     known_coeff_constraint,
     linear_constraint,
@@ -77,8 +75,6 @@ from .linalg import (
     pseudo_inverse,
     realify_fim,
     realify_vector,
-    real_complex_map,
-    trace_crb_complex,
 )
 from .simulate import (
     ExperimentConfig,

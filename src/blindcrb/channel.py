@@ -18,7 +18,7 @@ the symbol Hankel matrix reads ``A'[r, c] = A[r + c]``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "REAL",
     "COMPLEX",
     "Channel",
-    "SymbolBurst",
     "ReducibleDecomposition",
     "RootPairing",
     "DecompositionError",
@@ -132,33 +131,6 @@ class Channel:
         return block_toeplitz(self.coeffs, M)
 
 
-@dataclass(frozen=True)
-class SymbolBurst:
-    """Symbol vector paired with the burst length it feeds.
-
-    ``values`` has length ``M + N - 1`` and is stacked newest-first, matching
-    the observation stacking of the convolution operator.
-    """
-
-    values: np.ndarray
-    M: int
-    N: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 1 or v.size != self.M + self.N - 1:
-            raise ValueError(
-                f"burst of length M+N-1={self.M + self.N - 1} required, got {v.size}"
-            )
-        v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def field(self):
-        return COMPLEX if np.iscomplexobj(self.values) else REAL
-
-
 def taps_from_stacked(h, m):
     """Reshape a stacked coefficient vector back into an ``m x N`` tap matrix."""
     h = np.asarray(h)
@@ -245,14 +217,8 @@ def symbol_hankel(A, N, M=None):
 def commutativity_op(A, m, N, M=None):
     """Operator ``A_op = A' (x) I_m`` satisfying ``T(h) A = A_op h`` for all h.
 
-    ``A`` may be a :class:`SymbolBurst` or a plain vector of length
-    ``M + N - 1``.
+    ``A`` is a symbol vector of length ``M + N - 1``.
     """
-    if isinstance(A, SymbolBurst):
-        if A.N != N:
-            raise ValueError(f"burst was built for N={A.N}, requested N={N}")
-        M = A.M
-        A = A.values
     Ap = symbol_hankel(A, N, M)
     return np.kron(Ap, np.eye(m))
 
@@ -346,15 +312,20 @@ def common_zeros(ch: Channel, tol=DEFAULT_ZERO_TOL):
 class ReducibleDecomposition:
     """Factorization ``H(z) = H_I(z) H_c(z)`` with monic scalar ``H_c``.
 
-    ``irreducible_part`` has length ``N_I = N - N_c + 1``; ``monic`` holds the
-    ``N_c`` coefficients of ``H_c`` (first coefficient 1); ``residual`` is the
-    relative error of reconvolving the factors against the original taps.
+    ``irreducible_part`` has length ``N_I = N - N_c + 1`` (the channel itself
+    when ``N_c = 1``); ``monic`` holds the ``N_c`` coefficients of ``H_c``
+    (first coefficient 1); ``residual`` is the relative error of reconvolving
+    the factors against the original taps; ``roots`` are the common zeros
+    that build ``H_c``, clustered at the absolute distance ``tol``. Built by
+    :func:`reducible_decompose`, the one place that decides the common
+    factor.
     """
 
     irreducible_part: Channel
     monic: np.ndarray
     residual: float
-    roots: np.ndarray = dc_field(default_factory=lambda: np.array([], dtype=complex))
+    roots: np.ndarray
+    tol: float
 
     @property
     def N_c(self):
@@ -372,10 +343,11 @@ class ReducibleDecomposition:
 def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL, residual_tol=1e-8):
     """Factor a channel into an irreducible part and a monic common factor.
 
-    The common factor is built from the clustered common zeros; the
-    irreducible part is recovered by per-subchannel least-squares
-    deconvolution, which is far better conditioned than synthetic division
-    when roots are clustered. Irreducible channels return ``H_c = [1]``.
+    The common factor is built from the common zeros clustered at ``tol``;
+    the irreducible part is recovered by least-squares deconvolution of all
+    subchannels at once, which is far better conditioned than synthetic
+    division when roots are clustered. Irreducible channels return
+    ``H_c = [1]`` and the channel itself as the irreducible part.
 
     Raises
     ------
@@ -385,26 +357,21 @@ def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL, residual_tol=1e-8):
     roots = common_zeros(ch, tol=tol)
     if roots.size == 0:
         one = np.array([1.0]) if ch.field == REAL else np.array([1.0 + 0.0j])
-        return ReducibleDecomposition(ch, one, 0.0, roots)
+        return ReducibleDecomposition(ch, one, 0.0, roots, tol)
     hc = poly_from_roots(roots, real_field=(ch.field == REAL))
     Nc = hc.size
     NI = ch.N - Nc + 1
     if NI < 1:
         raise DecompositionError("common factor longer than the channel itself")
     conv = block_toeplitz(hc[None, :], NI).T        # (N, N_I) scalar convolution map
-    HI = np.empty((ch.m, NI), dtype=ch.coeffs.dtype)
-    res2 = 0.0
-    for l in range(ch.m):
-        sol, _ = min_norm_solve(conv, ch.coeffs[l])
-        HI[l] = sol
-        res2 += float(np.linalg.norm(conv @ sol - ch.coeffs[l]) ** 2)
-    residual = np.sqrt(res2) / np.linalg.norm(ch.coeffs)
+    sol, _ = min_norm_solve(conv, ch.coeffs.T)      # (N_I, m), one column per subchannel
+    residual = np.linalg.norm(conv @ sol - ch.coeffs.T) / np.linalg.norm(ch.coeffs)
     if residual > residual_tol:
         raise DecompositionError(
             f"deconvolution residual {residual:.3e} exceeds {residual_tol:.3e}"
         )
-    part = Channel(HI, field=ch.field, name=f"{ch.name}-irreducible")
-    return ReducibleDecomposition(part, hc, float(residual), roots)
+    part = Channel(sol.T, field=ch.field, name=f"{ch.name}-irreducible")
+    return ReducibleDecomposition(part, hc, float(residual), roots, tol)
 
 
 def tc_matrix(dec: ReducibleDecomposition):
@@ -433,7 +400,7 @@ def ti_matrix(dec: ReducibleDecomposition):
 
 @dataclass(frozen=True)
 class RootPairing:
-    """Conjugate-reciprocal structure of a polynomial's z-plane roots.
+    """Conjugate-reciprocal structure of a set of z-plane roots.
 
     ``pairs`` holds ``(z0, z1)`` with ``z1 ~ 1/conj(z0)``; ``unit_selfpaired``
     holds roots at +1 or -1 (each its own conjugate reciprocal);
@@ -456,17 +423,15 @@ class RootPairing:
         }
 
 
-def conjugate_reciprocal_pairs(poly, field=COMPLEX, tol=DEFAULT_ZERO_TOL):
-    """Detect conjugate-reciprocal root pairs ``(z0, 1/z0^*)`` of a polynomial.
+def conjugate_reciprocal_pairs(roots, tol=DEFAULT_ZERO_TOL):
+    """Detect conjugate-reciprocal pairs ``(z0, 1/z0^*)`` in a set of z-plane roots.
 
     Roots within ``tol`` of +1 or -1 are reported separately (self-paired);
     remaining unit-modulus roots land in ``unit_circle``. Matching is greedy
     over root pairs at absolute tolerance ``tol``.
     """
-    _validate_field(field)
-    roots = list(poly_roots(poly))
     unit_self, unit_circle, rest = [], [], []
-    for r in roots:
+    for r in np.asarray(roots).ravel():
         if abs(r - 1.0) <= tol or abs(r + 1.0) <= tol:
             unit_self.append(r)
         elif abs(abs(r) - 1.0) <= tol:

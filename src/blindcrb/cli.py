@@ -191,12 +191,11 @@ def cmd_analyze(args):
     if args.model == DETERMINISTIC:
         full = deterministic_fim(ch, A, args.sigma_v2, args.M)
         predicted = [("scale", realify_vector(ch.h))]
-        verdict = deterministic_verdict(ch, args.M, tol=args.zero_tol)
+        verdict = deterministic_verdict(dec, args.M)
     else:
         fim = full = fim.realified()
         predicted = []
-        verdict = gaussian_verdict(ch, GaussianModelConfig(args.sigma_a2, args.sigma_v2, args.M),
-                                   tol=args.zero_tol)
+        verdict = gaussian_verdict(dec, GaussianModelConfig(args.sigma_a2, args.sigma_v2, args.M))
     if ch.field == COMPLEX:
         predicted.append(("phase", phase_direction(ch.h)))
     rep_full = realified_counts(full, tol=args.rank_tol)

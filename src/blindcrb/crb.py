@@ -49,7 +49,6 @@ __all__ = [
     "linear_constraint",
     "reducible_constraints",
     "constrained_crb",
-    "constrained_crb_projector_form",
     "minimal_crb",
     "gaussian_blind_crb",
     "parse_constraint",
@@ -234,21 +233,6 @@ def constrained_crb(J, cs: ConstraintSet, tol=DEFAULT_RANK_TOL) -> CrbResult:
     crb = 0.5 * (crb + crb.conj().T)
     notes = cs.notes if bounded else cs.notes + ("unbounded-directions",)
     return CrbResult(crb, float(np.trace(crb).real), bounded, cs.kind, notes)
-
-
-def constrained_crb_projector_form(J, A_theta):
-    """Alternative bound form ``A (A^H J A)^+ A^H`` for any tangent-spanning ``A``.
-
-    ``A_theta`` need only span the tangent space; it may be rank deficient or
-    overcomplete (e.g. the projector ``P_V`` itself), and the result equals
-    the orthonormal-basis form.
-    """
-    Jm = _fim_matrix(J)
-    A = np.atleast_2d(np.asarray(A_theta))
-    inner = A.conj().T @ Jm @ A
-    inner = 0.5 * (inner + inner.conj().T)
-    out = A @ pseudo_inverse(inner) @ A.conj().T
-    return 0.5 * (out + out.conj().T)
 
 
 def minimal_crb(J) -> CrbResult:

@@ -52,7 +52,6 @@ from .channel import (
     COMPLEX,
     REAL,
     Channel,
-    SymbolBurst,
     commutativity_op,
     toeplitz_adjoint,
     toeplitz_apply,
@@ -83,7 +82,6 @@ __all__ = [
     "MomentStack",
     "GaussianModelConfig",
     "gaussian_fim_generic",
-    "deterministic_moment_stack",
     "gaussian_moment_stack",
     "deterministic_fim",
     "deterministic_reduced_fim",
@@ -95,7 +93,6 @@ __all__ = [
     "analyze_singularities",
     "realified_singularities",
     "realified_counts",
-    "deterministic_null_directions",
     "phase_direction",
 ]
 
@@ -347,10 +344,6 @@ def gaussian_fim_generic(stack: MomentStack, layout=None, model=GENERIC) -> FimR
 
 
 def _burst_values(A, ch: Channel, M=None):
-    if isinstance(A, SymbolBurst):
-        if A.N != ch.N:
-            raise ValueError(f"burst built for N={A.N}, channel has N={ch.N}")
-        return A.values, A.M
     A = np.asarray(A).ravel()
     if M is None:
         M = A.size - ch.N + 1
@@ -361,35 +354,6 @@ def _burst_values(A, ch: Channel, M=None):
 
 def _model_field(ch: Channel, A):
     return COMPLEX if (ch.field == COMPLEX or np.iscomplexobj(A)) else REAL
-
-
-def deterministic_moment_stack(ch: Channel, A, sigma_v2, M=None, include_noise=False):
-    """Moment stack of the deterministic model ``Y = T(h) A + V``.
-
-    The mean is the noise-free signal, linear in ``theta = [A; h]``; the
-    covariance is ``sigma_v^2 I`` and depends only on the (optional) noise
-    parameter. With ``include_noise`` the stack appends ``sigma_v^2`` as a
-    final parameter, which exposes the symbol/channel vs noise decoupling.
-    """
-    A, M = _burst_values(A, ch, M)
-    field = _model_field(ch, A)
-    T = ch.toeplitz(M)
-    Aop = commutativity_op(A, ch.m, ch.N, M)
-    Dm = np.hstack([T, Aop])
-    ny = T.shape[0]
-    if field == COMPLEX:
-        Dm = Dm.astype(np.complex128)
-        mean = (T @ A.astype(np.complex128))
-        cov = sigma_v2 * np.eye(ny, dtype=complex)
-    else:
-        mean = T @ A
-        cov = sigma_v2 * np.eye(ny)
-    p = Dm.shape[1]
-    slabs = [np.zeros_like(cov) for _ in range(p)]
-    if include_noise:
-        Dm = np.hstack([Dm, np.zeros((ny, 1), dtype=Dm.dtype)])
-        slabs.append((0.5 if field == COMPLEX else 1.0) * np.eye(ny, dtype=cov.dtype))
-    return MomentStack(mean, cov, Dm, np.stack(slabs), field)
 
 
 def deterministic_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
@@ -715,35 +679,6 @@ def realified_counts(fim: FimResult, tol=DEFAULT_RANK_TOL) -> SingularityReport:
     _check_doubling(fim)
     return SingularityReport(2 * rank, 2 * nullity, None,
                              np.repeat(2.0 * fim.eigenvalues, 2), tol=tol)
-
-
-def deterministic_null_directions(ch: Channel, A, M=None, realified=False):
-    """Known null directions of the deterministic joint FIM.
-
-    The scale indeterminacy gives ``theta_s = [-A; h]``. In the complex case
-    the stacked real representation has two independent directions,
-    ``theta_s`` and ``j theta_s`` (scale and phase); the real case has one.
-    Returns a list of ``(name, unit_vector)`` in the same ordering as the
-    corresponding FIM (per-block [Re; Im] stacking when ``realified``).
-    """
-    A, M = _burst_values(A, ch, M)
-    field = _model_field(ch, A)
-    theta = np.concatenate([-np.asarray(A, dtype=complex), ch.h.astype(complex)])
-    if not realified:
-        v = theta / np.linalg.norm(theta)
-        return [("scale", v if field == COMPLEX else v.real)]
-    nA = A.size
-
-    def stack(vec):
-        out = np.concatenate(
-            [vec[:nA].real, vec[:nA].imag, vec[nA:].real, vec[nA:].imag]
-        )
-        return out / np.linalg.norm(out)
-
-    if field == REAL:
-        v = theta.real / np.linalg.norm(theta.real)
-        return [("scale", v)]
-    return [("scale", stack(theta)), ("phase", stack(1j * theta))]
 
 
 def phase_direction(h, pad_noise=False):

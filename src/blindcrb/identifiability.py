@@ -1,9 +1,14 @@
 """Rule-based identifiability verdicts from channel structure.
 
-These rules predict, from the zero structure of the channel and the burst
-length alone, how many singular directions the corresponding FIM must have;
+These rules predict, from the common-factor decomposition of the channel
+(:class:`~blindcrb.channel.ReducibleDecomposition`, built once by
+:func:`~blindcrb.channel.reducible_decompose`) and the burst length alone,
+how many singular directions the corresponding FIM must have;
 :func:`verdict_vs_fim` then checks the prediction against a computed
-:class:`~blindcrb.fim.SingularityReport`. The census:
+:class:`~blindcrb.fim.SingularityReport`. The verdicts read the field, the
+subchannel count and the length from the decomposition's irreducible part
+(the channel itself when it is irreducible) and decide no common factor of
+their own. The census:
 
 Deterministic model (irreducible channel, sufficient burst/excitation):
 one scale singularity; in the stacked real representation of a complex
@@ -12,7 +17,8 @@ model, two (scale and phase). A reducible channel with common-factor length
 channel-reduced FIM.
 
 Gaussian model: identifiability hinges on conjugate reciprocal zero pairs
-``(z0, 1/z0^*)`` among the *common* zeros. Complex data carry a baseline
+``(z0, 1/z0^*)`` among the *common* zeros, paired at the tolerance the
+decomposition clustered them at. Complex data carry a baseline
 phase singularity; each pair adds two, each zero at +/-1 adds one. Real data
 have no baseline; each pair or +/-1 zero adds one. A monochannel whose
 transfer function has no conjugate reciprocal zeros additionally cannot
@@ -24,17 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import (
     COMPLEX,
-    DEFAULT_ZERO_TOL,
     REAL,
-    Channel,
-    SymbolBurst,
-    commutativity_op,
+    ReducibleDecomposition,
     conjugate_reciprocal_pairs,
-    reducible_decompose,
+    symbol_hankel,
 )
 from .fim import DETERMINISTIC, GAUSSIAN, GaussianModelConfig, SingularityReport
 from .linalg import numerical_rank
@@ -83,26 +84,30 @@ class IdentifiabilityVerdict:
         return "; ".join(self.reasons)
 
 
-def _burst_rank_ok(ch: Channel, A, M):
-    """Numerical full-column-rank proxy for 'enough input excitation modes'."""
+def _burst_rank_ok(A, N, M):
+    """Numerical full-column-rank proxy for 'enough input excitation modes'.
+
+    ``A_op = A' (x) I_m`` has full column rank exactly when the ``M x N``
+    symbol Hankel ``A'`` does, since rank(``A' (x) I_m``) = m rank(``A'``).
+    """
     if A is None:
         return True, ()
-    vals = A.values if isinstance(A, SymbolBurst) else np.asarray(A).ravel()
-    Aop = commutativity_op(vals, ch.m, ch.N, M)
-    if numerical_rank(Aop) < Aop.shape[1]:
+    if numerical_rank(symbol_hankel(A, N, M)) < N:
         return False, ("symbol operator rank deficient: too few excitation modes",)
     return True, ()
 
 
-def deterministic_verdict(ch: Channel, M, A=None, tol=DEFAULT_ZERO_TOL) -> IdentifiabilityVerdict:
+def deterministic_verdict(dec: ReducibleDecomposition, M, A=None) -> IdentifiabilityVerdict:
     """Identifiability of (A, h) under the deterministic symbol model.
 
-    Requires an irreducible channel and burst length ``M >= 2(N-1)``
-    (``M >= N`` suffices for two subchannels); the excitation-mode condition
-    is checked numerically on the symbol operator when a burst is supplied.
-    Reducible channels are predicted from the common-factor length.
+    ``dec`` is the channel's :func:`~blindcrb.channel.reducible_decompose`.
+    Reducible channels are predicted from the common-factor length. An
+    irreducible channel (``dec.irreducible_part``) requires burst length
+    ``M >= 2(N-1)`` (``M >= N`` suffices for two subchannels); the
+    excitation-mode condition is checked numerically on the symbol operator
+    when a burst ``A`` is supplied.
     """
-    dec = reducible_decompose(ch, tol=tol)
+    ch = dec.irreducible_part
     Nc = dec.N_c
     reasons = []
     if Nc > 1:
@@ -128,7 +133,7 @@ def deterministic_verdict(ch: Channel, M, A=None, tol=DEFAULT_ZERO_TOL) -> Ident
         return IdentifiabilityVerdict(
             DETERMINISTIC, ch.field, NOT_IDENTIFIABLE, -1, -1, -1, tuple(reasons)
         )
-    modes_ok, mode_reasons = _burst_rank_ok(ch, A, M)
+    modes_ok, mode_reasons = _burst_rank_ok(A, ch.N, M)
     reasons.extend(mode_reasons)
     if not modes_ok:
         return IdentifiabilityVerdict(
@@ -148,35 +153,28 @@ def deterministic_verdict(ch: Channel, M, A=None, tol=DEFAULT_ZERO_TOL) -> Ident
 
 
 def gaussian_verdict(
-    ch: Channel,
-    cfg: GaussianModelConfig,
-    tol=DEFAULT_ZERO_TOL,
-    min_irreducible_burst=None,
+    dec: ReducibleDecomposition, cfg: GaussianModelConfig
 ) -> IdentifiabilityVerdict:
     """Identifiability of (h, sigma_v^2) under the Gaussian symbol model.
 
-    ``min_irreducible_burst`` is the minimal burst supporting the irreducible
-    part (a property of the channel not derivable here); it defaults to the
-    irreducible length ``N_I``, and verdicts that depended on the default are
-    flagged in the reasons.
+    ``dec`` is the channel's :func:`~blindcrb.channel.reducible_decompose`;
+    its common zeros ``dec.roots`` are paired at ``dec.tol``. The minimal
+    burst supporting the irreducible part is a property of the channel not
+    derivable here; it is taken as the irreducible length ``N_I``, and the
+    reasons say so.
     """
-    dec = reducible_decompose(ch, tol=tol)
+    field, m = dec.irreducible_part.field, dec.m
     reasons = []
-    mi = min_irreducible_burst
-    if mi is None:
-        mi = dec.N_I
-        mi_note = f"assuming minimal irreducible burst = N_I = {dec.N_I}"
-    else:
-        mi_note = f"minimal irreducible burst supplied as {mi}"
-    need = max(mi + 1, dec.N_c - 1)
+    mi_note = f"assuming minimal irreducible burst = N_I = {dec.N_I}"
+    need = max(dec.N_I + 1, dec.N_c - 1)
     if cfg.M < need:
         reasons.append(f"burst too short: M={cfg.M} < {need} ({mi_note})")
         return IdentifiabilityVerdict(
-            GAUSSIAN, ch.field, INDETERMINATE, -1, -1, -1, tuple(reasons)
+            GAUSSIAN, field, INDETERMINATE, -1, -1, -1, tuple(reasons)
         )
     reasons.append(f"burst condition met: M={cfg.M} >= {need} ({mi_note})")
 
-    pairing = conjugate_reciprocal_pairs(dec.monic, field=ch.field, tol=tol)
+    pairing = conjugate_reciprocal_pairs(dec.roots, tol=dec.tol)
     P = len(pairing.pairs)
     U = len(pairing.unit_selfpaired)
     if pairing.unit_circle:
@@ -185,13 +183,13 @@ def gaussian_verdict(
             "from +/-1: census rule does not cover this case"
         )
         return IdentifiabilityVerdict(
-            GAUSSIAN, ch.field, INDETERMINATE, -1, -1, -1, tuple(reasons)
+            GAUSSIAN, field, INDETERMINATE, -1, -1, -1, tuple(reasons)
         )
     clean = P == 0 and U == 0
-    base = 1 if ch.field == COMPLEX else 0
-    per_pair = 2 if ch.field == COMPLEX else 1
+    base = 1 if field == COMPLEX else 0
+    per_pair = 2 if field == COMPLEX else 1
     extra = per_pair * P + U
-    noise = 1 if (ch.m == 1 and clean) else 0
+    noise = 1 if (m == 1 and clean) else 0
     nullity = base + extra + noise
 
     if base:
@@ -203,15 +201,15 @@ def gaussian_verdict(
     if noise:
         reasons.append("monochannel without conjugate reciprocal zeros: "
                        "noise variance not identifiable (+1)")
-    if ch.m == 1 and not clean:
+    if m == 1 and not clean:
         reasons.append("monochannel with conjugate reciprocal zeros: "
                        "no extra noise-variance singularity")
 
-    if clean and ch.m > 1:
-        up_to = PHASE if ch.field == COMPLEX else SIGN
+    if clean and m > 1:
+        up_to = PHASE if field == COMPLEX else SIGN
         reasons.append(
             "no conjugate reciprocal zeros: locally identifiable"
-            + (" up to phase" if ch.field == COMPLEX else " (sign only)")
+            + (" up to phase" if field == COMPLEX else " (sign only)")
         )
     else:
         up_to = NOT_IDENTIFIABLE
@@ -219,7 +217,7 @@ def gaussian_verdict(
     # drops the noise-variance direction but keeps all channel singularities.
     reduced = base + extra
     return IdentifiabilityVerdict(
-        GAUSSIAN, ch.field, up_to, nullity, nullity, reduced, tuple(reasons)
+        GAUSSIAN, field, up_to, nullity, nullity, reduced, tuple(reasons)
     )
 
 

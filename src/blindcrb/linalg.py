@@ -31,13 +31,9 @@ __all__ = [
     "cholesky_solve",
     "eigenvalue_rank",
     "hermitian_nullity",
-    "real_complex_map",
     "realify_vector",
-    "complexify_vector",
     "realify_fim",
-    "trace_crb_complex",
     "principal_angle",
-    "subspace_distance",
 ]
 
 _EPS = np.finfo(np.float64).eps
@@ -63,6 +59,15 @@ def _default_tol(A):
     return max(A.shape) * _EPS
 
 
+def _svd_rank(s, tol):
+    """Count of the descending singular values ``s`` above ``tol * s[0]``: the
+    one SVD rank rule of this module. An empty or all-zero spectrum has
+    rank 0."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0]))
+
+
 def pseudo_inverse(A, tol=None):
     """Moore-Penrose pseudo-inverse with a relative singular-value cutoff.
 
@@ -84,9 +89,11 @@ def pseudo_inverse(A, tol=None):
     if tol is None:
         tol = _default_tol(A)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    r = _svd_rank(s, tol)
+    if r == 0:
         return np.zeros((A.shape[1], A.shape[0]), dtype=A.dtype)
-    s_inv = np.where(s > tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    s_inv = np.zeros_like(s)
+    s_inv[:r] = 1.0 / s[:r]
     return (Vh.conj().T * s_inv) @ U.conj().T
 
 
@@ -95,10 +102,7 @@ def numerical_rank(A, tol=None):
     A = _as_matrix(A)
     if tol is None:
         tol = _default_tol(A)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return _svd_rank(np.linalg.svd(A, compute_uv=False), tol)
 
 
 def min_norm_solve(A, B, tol=None):
@@ -170,10 +174,7 @@ def range_basis(X, tol=None):
     if tol is None:
         tol = _default_tol(X)
     U, s, _ = np.linalg.svd(X, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((X.shape[0], 0), dtype=X.dtype)
-    r = int(np.count_nonzero(s > tol * s[0]))
-    return U[:, :r]
+    return U[:, :_svd_rank(s, tol)]
 
 
 def null_space_basis(A, tol=None):
@@ -187,10 +188,9 @@ def null_space_basis(A, tol=None):
     if tol is None:
         tol = _default_tol(A)
     _, s, Vh = np.linalg.svd(A)
-    n = A.shape[1]
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(n, dtype=A.dtype)
-    r = int(np.count_nonzero(s > tol * s[0]))
+    r = _svd_rank(s, tol)
+    if r == 0:
+        return np.eye(A.shape[1], dtype=A.dtype)
     return Vh[r:].conj().T
 
 
@@ -219,31 +219,12 @@ def hermitian_nullity(J, tol=DEFAULT_RANK_TOL):
     return rank, nullity, w, V
 
 
-def real_complex_map(n):
-    """The 2n x 2n matrix ``M`` with ``theta_R = M [theta; theta^*]``.
-
-    Block structure ``M = (1/2) [[I, I], [-jI, jI]]``; satisfies
-    ``M M^H = (1/2) I``.
-    """
-    I = np.eye(n)
-    return 0.5 * np.block([[I, I], [-1j * I, 1j * I]])
-
-
 def realify_vector(z):
     """Stack a complex vector as ``[Re(z); Im(z)]`` (real vectors pass through)."""
     z = np.asarray(z)
     if np.iscomplexobj(z):
         return np.concatenate([z.real, z.imag])
     return z.astype(np.float64, copy=True)
-
-
-def complexify_vector(x):
-    """Inverse of :func:`realify_vector` for an even-length real vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size % 2:
-        raise ValueError("length must be even to fold into a complex vector")
-    n = x.size // 2
-    return x[:n] + 1j * x[n:]
 
 
 def _check_fim_pair(J, J_cross):
@@ -280,30 +261,6 @@ def realify_fim(J, J_cross=None):
     return 0.5 * (out + out.T)
 
 
-def trace_crb_complex(J, J_cross=None):
-    """Mean-squared-error lower bound ``4 tr((J - Jc J^{-*} Jc^*)^{-1})``.
-
-    The inner matrix is the Schur complement of the stacked
-    ``[[J, Jc], [Jc^*, J^*]]`` block matrix; the returned value equals
-    ``4 tr(F^{-1})`` where ``F`` is the two-block-sum real representation
-    produced by :func:`realify_fim`.
-
-    Raises
-    ------
-    SingularFimError
-        If the Schur-complement matrix is numerically singular.
-    """
-    J, Jc = _check_fim_pair(J, J_cross)
-    n = J.shape[0]
-    if np.linalg.norm(Jc) == 0.0:
-        S = J
-    else:
-        S = J - Jc @ np.linalg.solve(J.conj(), Jc.conj())
-    if numerical_rank(S) < n:
-        raise SingularFimError("Schur-complement information matrix is singular")
-    return float(4.0 * np.trace(np.linalg.inv(S)).real)
-
-
 def principal_angle(v, basis):
     """Principal angle (radians) between vector ``v`` and ``span(basis)``.
 
@@ -320,10 +277,3 @@ def principal_angle(v, basis):
     # sine form: well conditioned near zero, where match decisions are made
     resid = v / nv - B @ (B.conj().T @ (v / nv))
     return float(np.arcsin(min(1.0, np.linalg.norm(resid))))
-
-
-def subspace_distance(B1, B2):
-    """Spectral-norm distance between the projectors onto two column spans."""
-    P1 = projector(np.asarray(B1))
-    P2 = projector(np.asarray(B2))
-    return float(np.linalg.norm(P1 - P2, ord=2))

@@ -1,0 +1,152 @@
+"""Reference implementations that only the tests use.
+
+Each function here is an independent oracle or an alternative formula that
+the test suite checks the library against; none is called by the package
+itself, so they live with the tests instead of in the shipped library.
+"""
+
+import numpy as np
+
+from blindcrb.channel import COMPLEX, REAL, Channel, commutativity_op
+from blindcrb.crb import _fim_matrix
+from blindcrb.fim import MomentStack, _burst_values, _model_field
+from blindcrb.linalg import (
+    SingularFimError,
+    _check_fim_pair,
+    numerical_rank,
+    projector,
+    pseudo_inverse,
+)
+
+__all__ = [
+    "real_complex_map",
+    "complexify_vector",
+    "trace_crb_complex",
+    "subspace_distance",
+    "deterministic_moment_stack",
+    "deterministic_null_directions",
+    "constrained_crb_projector_form",
+]
+
+
+def real_complex_map(n):
+    """The 2n x 2n matrix ``M`` with ``theta_R = M [theta; theta^*]``.
+
+    Block structure ``M = (1/2) [[I, I], [-jI, jI]]``; satisfies
+    ``M M^H = (1/2) I``.
+    """
+    I = np.eye(n)
+    return 0.5 * np.block([[I, I], [-1j * I, 1j * I]])
+
+
+def complexify_vector(x):
+    """Inverse of :func:`realify_vector` for an even-length real vector."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size % 2:
+        raise ValueError("length must be even to fold into a complex vector")
+    n = x.size // 2
+    return x[:n] + 1j * x[n:]
+
+
+def trace_crb_complex(J, J_cross=None):
+    """Mean-squared-error lower bound ``4 tr((J - Jc J^{-*} Jc^*)^{-1})``.
+
+    The inner matrix is the Schur complement of the stacked
+    ``[[J, Jc], [Jc^*, J^*]]`` block matrix; the returned value equals
+    ``4 tr(F^{-1})`` where ``F`` is the two-block-sum real representation
+    produced by :func:`realify_fim`.
+
+    Raises
+    ------
+    SingularFimError
+        If the Schur-complement matrix is numerically singular.
+    """
+    J, Jc = _check_fim_pair(J, J_cross)
+    n = J.shape[0]
+    if np.linalg.norm(Jc) == 0.0:
+        S = J
+    else:
+        S = J - Jc @ np.linalg.solve(J.conj(), Jc.conj())
+    if numerical_rank(S) < n:
+        raise SingularFimError("Schur-complement information matrix is singular")
+    return float(4.0 * np.trace(np.linalg.inv(S)).real)
+
+
+def subspace_distance(B1, B2):
+    """Spectral-norm distance between the projectors onto two column spans."""
+    P1 = projector(np.asarray(B1))
+    P2 = projector(np.asarray(B2))
+    return float(np.linalg.norm(P1 - P2, ord=2))
+
+
+def deterministic_moment_stack(ch: Channel, A, sigma_v2, M=None, include_noise=False):
+    """Moment stack of the deterministic model ``Y = T(h) A + V``.
+
+    The mean is the noise-free signal, linear in ``theta = [A; h]``; the
+    covariance is ``sigma_v^2 I`` and depends only on the (optional) noise
+    parameter. With ``include_noise`` the stack appends ``sigma_v^2`` as a
+    final parameter, which exposes the symbol/channel vs noise decoupling.
+    """
+    A, M = _burst_values(A, ch, M)
+    field = _model_field(ch, A)
+    T = ch.toeplitz(M)
+    Aop = commutativity_op(A, ch.m, ch.N, M)
+    Dm = np.hstack([T, Aop])
+    ny = T.shape[0]
+    if field == COMPLEX:
+        Dm = Dm.astype(np.complex128)
+        mean = (T @ A.astype(np.complex128))
+        cov = sigma_v2 * np.eye(ny, dtype=complex)
+    else:
+        mean = T @ A
+        cov = sigma_v2 * np.eye(ny)
+    p = Dm.shape[1]
+    slabs = [np.zeros_like(cov) for _ in range(p)]
+    if include_noise:
+        Dm = np.hstack([Dm, np.zeros((ny, 1), dtype=Dm.dtype)])
+        slabs.append((0.5 if field == COMPLEX else 1.0) * np.eye(ny, dtype=cov.dtype))
+    return MomentStack(mean, cov, Dm, np.stack(slabs), field)
+
+
+def deterministic_null_directions(ch: Channel, A, M=None, realified=False):
+    """Known null directions of the deterministic joint FIM.
+
+    The scale indeterminacy gives ``theta_s = [-A; h]``. In the complex case
+    the stacked real representation has two independent directions,
+    ``theta_s`` and ``j theta_s`` (scale and phase); the real case has one.
+    Returns a list of ``(name, unit_vector)`` in the same ordering as the
+    corresponding FIM (per-block [Re; Im] stacking when ``realified``).
+    """
+    A, M = _burst_values(A, ch, M)
+    field = _model_field(ch, A)
+    theta = np.concatenate([-np.asarray(A, dtype=complex), ch.h.astype(complex)])
+    if not realified:
+        v = theta / np.linalg.norm(theta)
+        return [("scale", v if field == COMPLEX else v.real)]
+    nA = A.size
+
+    def stack(vec):
+        out = np.concatenate(
+            [vec[:nA].real, vec[:nA].imag, vec[nA:].real, vec[nA:].imag]
+        )
+        return out / np.linalg.norm(out)
+
+    if field == REAL:
+        v = theta.real / np.linalg.norm(theta.real)
+        return [("scale", v)]
+    return [("scale", stack(theta)), ("phase", stack(1j * theta))]
+
+
+def constrained_crb_projector_form(J, A_theta):
+    """Alternative bound form ``A (A^H J A)^+ A^H`` for any tangent-spanning ``A``.
+
+    ``A_theta`` need only span the tangent space; it may be rank deficient or
+    overcomplete (e.g. the projector ``P_V`` itself), and the result equals
+    the orthonormal-basis form.
+    """
+    Jm = _fim_matrix(J)
+    A = np.atleast_2d(np.asarray(A_theta))
+    inner = A.conj().T @ Jm @ A
+    inner = 0.5 * (inner + inner.conj().T)
+    out = A @ pseudo_inverse(inner) @ A.conj().T
+    return 0.5 * (out + out.conj().T)

@@ -18,7 +18,6 @@ from blindcrb.channel import (
 from blindcrb.crb import (
     ConstraintSet,
     constrained_crb,
-    constrained_crb_projector_form,
     gaussian_blind_crb,
     minimal_crb,
     norm_constraint,
@@ -30,14 +29,13 @@ from blindcrb.fim import (
     GaussianModelConfig,
     analyze_singularities,
     deterministic_fim,
-    deterministic_null_directions,
     deterministic_reduced_fim,
     gaussian_fim,
     gaussian_moment_stack,
     schur_reduce,
 )
 from blindcrb.channel import block_toeplitz, taps_from_stacked
-from blindcrb.linalg import null_space_basis, projector, pseudo_inverse, subspace_distance
+from blindcrb.linalg import null_space_basis, projector, pseudo_inverse
 from blindcrb.simulate import (
     ExperimentConfig,
     experiment_symbols,
@@ -46,6 +44,11 @@ from blindcrb.simulate import (
 )
 
 from conftest import channel_with_common_roots, random_burst, random_channel
+from oracles import (
+    constrained_crb_projector_form,
+    deterministic_null_directions,
+    subspace_distance,
+)
 
 
 def _report(num, desc, ok, detail=""):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import blindcrb
-from blindcrb import channel, cli, fim, linalg, simulate
+from blindcrb import channel, cli, fim, identifiability, linalg, simulate
 from blindcrb.channel import COMPLEX, REAL
 
 from conftest import channel_with_common_roots, random_channel
@@ -192,3 +192,43 @@ def test_joint_counts_use_the_kept_eigenvalues(field, kind, M):
     assert got.null_basis is None
     np.testing.assert_allclose(got.eigenvalues, want.eigenvalues,
                                rtol=0, atol=1e-12 * want.eigenvalues.max())
+
+
+def test_identifiability_decides_no_common_factor():
+    # the verdicts read the decomposition they are given: the module neither
+    # decomposes a channel nor builds the Kronecker symbol operator
+    tree = ast.parse(pathlib.Path(identifiability.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"reducible_decompose", "commutativity_op"}
+
+
+@pytest.mark.parametrize("model", ["deterministic", "gaussian"])
+@pytest.mark.parametrize("kind", ["irreducible", "conj-recip"])
+def test_analyze_decomposes_once(monkeypatch, tmp_path, capsys, model, kind):
+    # one reducible_decompose per analyze job, and the subchannel zeros are
+    # found twice (the printed zeros and the decomposition): 2 m np.roots calls
+    rng = np.random.default_rng(16)
+    if kind == "irreducible":
+        ch = random_channel(rng, 2, 4, COMPLEX)
+    else:
+        z0 = 0.6 * np.exp(1.1j)
+        ch = channel_with_common_roots(rng, 2, 2, [z0, 1 / np.conj(z0)], COMPLEX)[0]
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(channel.channel_to_json(ch)))
+    calls = defaultdict(int)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    decompose = counted("reducible_decompose", channel.reducible_decompose)
+    for mod in (channel, cli, identifiability):
+        if hasattr(mod, "reducible_decompose"):
+            monkeypatch.setattr(mod, "reducible_decompose", decompose)
+    monkeypatch.setattr(np, "roots", counted("roots", np.roots))
+    assert cli.main(["analyze", str(path), "--model", model, "--M", "20"]) == 0
+    assert "predicted vs computed: CONSISTENT" in capsys.readouterr().out
+    assert dict(calls) == {"reducible_decompose": 1, "roots": 2 * ch.m}

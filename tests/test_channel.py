@@ -9,7 +9,6 @@ from blindcrb.channel import (
     REAL,
     Channel,
     DecompositionError,
-    SymbolBurst,
     block_toeplitz,
     channel_from_json,
     channel_to_json,
@@ -118,12 +117,6 @@ class TestCommutativity:
     def test_burst_length_mismatch(self, rng):
         with pytest.raises(ValueError):
             commutativity_op(rng.standard_normal(5), 2, 3, 6)
-
-    def test_symbol_burst_wrapper(self, rng):
-        A = SymbolBurst(rng.standard_normal(8), M=6, N=3)
-        assert commutativity_op(A, 2, 3).shape == (12, 6)
-        with pytest.raises(ValueError):
-            SymbolBurst(rng.standard_normal(7), M=6, N=3)
 
 
 class TestRealify:
@@ -261,32 +254,32 @@ class TestFactorMatrices:
 class TestConjugateReciprocalPairs:
     def test_real_pair(self):
         c = np.convolve([1.0, -0.5], [1.0, -2.0])
-        pairing = conjugate_reciprocal_pairs(c, field=REAL)
+        pairing = conjugate_reciprocal_pairs(poly_roots(c))
         assert pairing.counts["pairs"] == 1
         z0, z1 = pairing.pairs[0]
         assert abs(z0 * np.conj(z1) - 1.0) < 1e-8
 
     def test_unit_root_self_paired(self):
         c = np.convolve([1.0, -1.0], [1.0, -0.3])
-        pairing = conjugate_reciprocal_pairs(c, field=REAL)
+        pairing = conjugate_reciprocal_pairs(poly_roots(c))
         assert pairing.counts == {"pairs": 0, "unit_selfpaired": 1,
                                   "unit_circle": 0, "unpaired": 1}
 
     def test_complex_constructed_pair(self):
         z0 = 0.5 + 0.5j
         c = np.convolve([1.0, -z0], [1.0, -1.0 / np.conj(z0)])
-        pairing = conjugate_reciprocal_pairs(c, field=COMPLEX)
+        pairing = conjugate_reciprocal_pairs(poly_roots(c))
         assert pairing.counts["pairs"] == 1
 
     def test_no_pairs_for_generic_roots(self):
         c = np.poly([0.5, -0.3, 0.2 + 0.1j])
-        pairing = conjugate_reciprocal_pairs(c)
+        pairing = conjugate_reciprocal_pairs(poly_roots(c))
         assert pairing.counts["pairs"] == 0
         assert pairing.counts["unpaired"] == 3
 
     def test_unit_circle_bucket(self):
         c = np.poly([np.exp(0.7j), 0.3])
-        pairing = conjugate_reciprocal_pairs(c)
+        pairing = conjugate_reciprocal_pairs(poly_roots(c))
         assert pairing.counts["unit_circle"] == 1
 
 

@@ -127,6 +127,25 @@ class TestAnalyze:
         assert line.endswith(f"dim={rep.rank + rep.nullity} rank={rep.rank} "
                              f"nullity={rep.nullity}")
 
+    @pytest.mark.parametrize("zero_tol, nullity", [("1e-6", 1), ("1e-4", 3)])
+    def test_zero_tol_reaches_gaussian_pairing(self, tmp_path, capsys, zero_tol, nullity):
+        # the common factor (z - z0)(z - 1/conj(z0) - 1e-5) is a conjugate
+        # reciprocal pair only at a clustering distance above 1e-5; the
+        # computed nullity is 3 either way
+        z0 = 0.6 * np.exp(0.7j)
+        HI = np.array([[1.0, 0.4 - 0.3j], [0.5j, -0.8 + 0.2j]])
+        hc = np.poly([z0, 1 / np.conj(z0) + 1e-5])
+        H = np.array([np.convolve(row, hc) for row in HI])
+        path = tmp_path / "near-pair.json"
+        path.write_text(json.dumps(channel_to_json(Channel(H, field=COMPLEX, name="near-pair"))))
+        assert main(["analyze", str(path), "--model", "gaussian", "--M", "20",
+                     "--zero-tol", zero_tol]) == 0
+        out = capsys.readouterr().out
+        assert "full FIM dim=17 rank=14 nullity=3" in out
+        assert f"predicted nullity {nullity}\n" in out
+        assert ("1 conjugate reciprocal pair(s): +2" in out) == (nullity == 3)
+        assert ("CONSISTENT" in out) == (nullity == 3)
+
     def test_malformed_channel_file(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"name": oops}')

@@ -7,7 +7,6 @@ from blindcrb.channel import COMPLEX, REAL, Channel, reducible_decompose
 from blindcrb.crb import (
     ConstraintSet,
     constrained_crb,
-    constrained_crb_projector_form,
     gaussian_blind_crb,
     known_coeff_constraint,
     linear_constraint,
@@ -26,6 +25,7 @@ from blindcrb.fim import (
 from blindcrb.linalg import null_space_basis, projector, pseudo_inverse, realify_vector
 
 from conftest import channel_with_common_roots, random_burst, random_channel
+from oracles import constrained_crb_projector_form
 
 
 def _rank_deficient_psd(rng, n, rank):

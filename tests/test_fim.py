@@ -24,8 +24,6 @@ from blindcrb.fim import (
     SingularBlockError,
     analyze_singularities,
     deterministic_fim,
-    deterministic_moment_stack,
-    deterministic_null_directions,
     deterministic_reduced_fim,
     channel_block,
     gaussian_fim,
@@ -35,9 +33,10 @@ from blindcrb.fim import (
     realified_singularities,
     schur_reduce,
 )
-from blindcrb.linalg import range_basis, subspace_distance
+from blindcrb.linalg import range_basis
 
 from conftest import channel_with_common_roots, random_burst, random_channel
+from oracles import deterministic_moment_stack, deterministic_null_directions, subspace_distance
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,16 @@ from blindcrb.linalg import (
     SingularFimError,
     cholesky_solve,
     complement_projector,
-    complexify_vector,
     min_norm_solve,
     null_space_basis,
     principal_angle,
     projector,
     pseudo_inverse,
-    real_complex_map,
     realify_fim,
     realify_vector,
-    subspace_distance,
-    trace_crb_complex,
 )
+
+from oracles import complexify_vector, real_complex_map, subspace_distance, trace_crb_complex
 
 
 def _random_matrix(rng, rows, cols, rank=None, complex_=False):
