@@ -68,7 +68,6 @@ from .identifiability import (
     verdict_vs_fim,
 )
 from .linalg import (
-    SingularFimError,
     null_space_basis,
     projector,
     complement_projector,

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import get_lapack_funcs
 
 from .linalg import min_norm_solve
 
@@ -38,6 +40,7 @@ __all__ = [
     "toeplitz_apply",
     "toeplitz_adjoint",
     "toeplitz_gram_band",
+    "toeplitz_staircase_qr",
     "taps_from_stacked",
     "symbol_hankel",
     "commutativity_op",
@@ -200,6 +203,78 @@ def toeplitz_gram_band(taps, M):
     return band
 
 
+# time steps per staircase QR step: wide enough that the LAPACK call, not
+# Python, dominates each step; the band of R grows with it
+_STAIRCASE_BLOCK = 32
+
+
+@lru_cache(maxsize=64)
+def _upper_indices(rows, cols):
+    """``np.triu_indices(rows, 0, cols)``, kept read-only across calls."""
+    idx = np.triu_indices(rows, 0, cols)
+    for a in idx:
+        a.flags.writeable = False
+    return idx
+
+
+def toeplitz_staircase_qr(taps, B):
+    """Triangularize ``[T_M(h) | B]`` by a staircase of small QRs.
+
+    ``B`` has ``M m`` rows. Returns ``(R, C1, G2)``: the ``n x n``
+    upper-triangular ``R`` of ``T_M(h) = Q [R; 0]`` (``n = M + N - 1``) in
+    LAPACK's upper band storage, ``(kd + 1, n)`` with ``R[i, j]`` in row
+    ``kd + i - j`` and ``kd = min(32, M) + N - 2``; the right-hand-side
+    rows ``C1 = (Q^H B)[:n]``; and the Gram ``G2`` of the rows ``(Q^H B)[n:]``
+    that fall outside every column of ``T_M(h)``, so that ``G2`` is the
+    least-squares residual Gram when ``R`` has full rank.
+
+    Block rows ``t .. t + b - 1`` (``b`` at most 32) meet columns
+    ``t .. t + b + N - 2`` only, so each step takes one QR of the ``N - 1``
+    carried rows on columns ``t .. t + N - 2`` stacked on the block's
+    ``m b`` new rows (a copy of ``T_b(h)``), keeps its first ``b`` rows,
+    carries the next ``N - 1`` and adds the Gram of the rest to ``G2``; the
+    first step carries ``N - 1`` zero rows. Neither the dense ``T_M(h)``
+    nor any ``M m x M m`` matrix is formed: ``O(M (m b + N) (b + N + p)^2 / b)``
+    work for ``p`` right-hand sides, linear in M.
+    """
+    m, N = taps.shape
+    M = B.shape[0] // m
+    n, p = M + N - 1, B.shape[1]
+    dtype = np.result_type(taps, B)
+    geqrf, = get_lapack_funcs(("geqrf",), dtype=dtype)
+    b = min(_STAIRCASE_BLOCK, M)
+    kd = b + N - 2
+    Tb = np.zeros((b, m, b + N - 1), dtype=dtype)
+    r = np.arange(b)
+    for i in range(N):
+        Tb[r, :, r + i] = taps[:, i]
+    Tb = Tb.reshape(b * m, b + N - 1)                 # T_b(h)
+    R = np.zeros((kd + 1, n), dtype=dtype, order="F")
+    C1 = np.empty((n, p), dtype=dtype)
+    G2 = np.zeros((p, p), dtype=dtype)
+    carry_R = np.zeros((N - 1, N - 1), dtype=dtype)   # carried rows: their R part
+    carry_C = np.zeros((N - 1, p), dtype=dtype)       # and their right-hand side
+    for t in range(0, M, b):
+        bt = min(b, M - t)
+        L = bt + N - 1
+        K = np.zeros((N - 1 + m * bt, L + p), dtype=dtype, order="F")
+        K[:N - 1, :N - 1] = carry_R
+        K[:N - 1, L:] = carry_C
+        K[N - 1:, :L] = Tb[:m * bt, :L]
+        K[N - 1:, L:] = B[t * m:(t + bt) * m]
+        qr, _, _, info = geqrf(K, overwrite_a=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of geqrf")
+        keep = L if t + bt == M else bt
+        i, j = _upper_indices(keep, L)
+        R[kd + i - j, t + j] = qr[i, j]
+        C1[t:t + keep] = qr[:keep, L:]
+        carry_R, carry_C = np.triu(qr[bt:L, bt:L]), qr[bt:L, L:]
+        rest = np.triu(qr[L:L + p, L:])
+        G2 += rest.conj().T @ rest
+    return R, C1, G2
+
+
 def symbol_hankel(A, N, M=None):
     """Hankel matrix ``A'`` with ``A'[r, c] = A[r + c]`` from a symbol vector.
 
@@ -282,8 +357,12 @@ def common_zeros(ch: Channel, tol=DEFAULT_ZERO_TOL):
     ``tol``) twice in every subchannel. For a monochannel every root is
     common. Returned values average the matched cluster.
     """
-    per = subchannel_zeros(ch)
-    if ch.m == 1:
+    return _cluster_common(subchannel_zeros(ch), tol)
+
+
+def _cluster_common(per, tol):
+    """:func:`common_zeros` from the per-subchannel root arrays ``per``."""
+    if len(per) == 1:
         return per[0]
     out = []
     pools = [list(r) for r in per[1:]]
@@ -316,9 +395,10 @@ class ReducibleDecomposition:
     when ``N_c = 1``); ``monic`` holds the ``N_c`` coefficients of ``H_c``
     (first coefficient 1); ``residual`` is the relative error of reconvolving
     the factors against the original taps; ``roots`` are the common zeros
-    that build ``H_c``, clustered at the absolute distance ``tol``. Built by
-    :func:`reducible_decompose`, the one place that decides the common
-    factor.
+    that build ``H_c``, clustered at the absolute distance ``tol`` from
+    ``zeros``, each subchannel's z-plane roots (:func:`subchannel_zeros`).
+    Built by :func:`reducible_decompose`, the one place that decides the
+    common factor.
     """
 
     irreducible_part: Channel
@@ -326,6 +406,7 @@ class ReducibleDecomposition:
     residual: float
     roots: np.ndarray
     tol: float
+    zeros: tuple
 
     @property
     def N_c(self):
@@ -354,10 +435,11 @@ def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL, residual_tol=1e-8):
     DecompositionError
         If the relative reconvolution residual exceeds ``residual_tol``.
     """
-    roots = common_zeros(ch, tol=tol)
+    zeros = tuple(subchannel_zeros(ch))
+    roots = _cluster_common(zeros, tol)
     if roots.size == 0:
         one = np.array([1.0]) if ch.field == REAL else np.array([1.0 + 0.0j])
-        return ReducibleDecomposition(ch, one, 0.0, roots, tol)
+        return ReducibleDecomposition(ch, one, 0.0, roots, tol, zeros)
     hc = poly_from_roots(roots, real_field=(ch.field == REAL))
     Nc = hc.size
     NI = ch.N - Nc + 1
@@ -371,7 +453,7 @@ def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL, residual_tol=1e-8):
             f"deconvolution residual {residual:.3e} exceeds {residual_tol:.3e}"
         )
     part = Channel(sol.T, field=ch.field, name=f"{ch.name}-irreducible")
-    return ReducibleDecomposition(part, hc, float(residual), roots, tol)
+    return ReducibleDecomposition(part, hc, float(residual), roots, tol, zeros)
 
 
 def tc_matrix(dec: ReducibleDecomposition):

@@ -45,7 +45,6 @@ from .channel import (
     load_channel,
     realify_channel,
     reducible_decompose,
-    subchannel_zeros,
 )
 from .crb import (
     CONSTRAINT_GRAMMAR,
@@ -176,11 +175,10 @@ def _model_fim(ch, args):
 def cmd_analyze(args):
     ch = _resolve_field(load_channel(args.channel), args.field)
     print(f"channel {ch.name}: m={ch.m} N={ch.N} field={ch.field}")
-    zeros = subchannel_zeros(ch)
-    for l, z in enumerate(zeros):
+    dec = reducible_decompose(ch, tol=args.zero_tol)
+    for l, z in enumerate(dec.zeros):
         zs = ", ".join(_fmt(complex(r)) for r in z) if z.size else "(none)"
         print(f"  subchannel {l} zeros: {zs}")
-    dec = reducible_decompose(ch, tol=args.zero_tol)
     cz = dec.roots
     print(f"  common zeros: "
           + (", ".join(_fmt(complex(r)) for r in cz) if cz.size else "(none)"))

@@ -13,8 +13,10 @@ Three constructions live here:
   ``E^H E / sigma_v^2`` with ``E = A_op - T(h) X`` and ``X`` the least-squares
   solution of ``T(h) X = A_op``, taken from a Cholesky factor of the banded
   ``T(h)^H T(h)``: linear in M, with no dense ``T(h)`` and no ``ny x ny``
-  matrix. When that Gram is numerically singular, ``X`` is the minimum-norm
-  solution under the SVD rule ``max(shape) eps``, which also flags a
+  matrix. When that Gram is numerically singular, a staircase QR of
+  ``[T(h) | A_op]`` and a rank reveal on its banded triangular factor under
+  the SVD rule ``max(shape) eps`` give the same reduction as Grams of
+  orthogonally transformed rows, also linear in M; that rank flags a
   rank-deficient ``T(h)``;
 * the Gaussian-symbol model over ``theta = [h; sigma_v^2]``
   (:func:`gaussian_fim`), in the channel's own field; a complex channel's FIM
@@ -56,15 +58,16 @@ from .channel import (
     toeplitz_adjoint,
     toeplitz_apply,
     toeplitz_gram_band,
+    toeplitz_staircase_qr,
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
     cholesky_solve,
     eigenvalue_rank,
     hermitian_nullity,
-    min_norm_solve,
     principal_angle,
     realify_fim,
+    triangular_rank_reveal,
 )
 
 __all__ = [
@@ -394,12 +397,22 @@ def deterministic_reduced_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
     ``X`` solves the normal equations through a Cholesky factor of the banded
     ``T(h)^H T(h)`` (bandwidth N - 1), with ``T(h)`` and ``T(h)^H`` applied as
     N shifted tap sums: ``O(M m (mN)^2)`` work, linear in M, with neither a
-    dense ``T(h)`` nor any ``ny x ny`` matrix. When that Gram is numerically
-    singular (:func:`~blindcrb.linalg.cholesky_solve`), ``X`` is the
-    minimum-norm solution under the SVD rule ``max(shape) eps``, whose rank
-    sets the ``toeplitz-rank-deficient`` flag. The subtracted Gram
+    dense ``T(h)`` nor any ``ny x ny`` matrix. The subtracted Gram
     ``A_op^H A_op - X^H T(h)^H A_op`` is not used: it cancels catastrophically
     on channels with near-common zeros.
+
+    When that Gram is numerically singular
+    (:func:`~blindcrb.linalg.cholesky_solve`), a staircase QR
+    ``T(h) = Q [R; 0]`` (:func:`~blindcrb.channel.toeplitz_staircase_qr`)
+    gives ``C1 = (Q^H A_op)[:n]`` and the Gram ``G2`` of the rows of
+    ``Q^H A_op`` below them, and :func:`~blindcrb.linalg.triangular_rank_reveal`
+    finds the rank of ``R`` under the SVD rule ``max(shape) eps`` of
+    ``T(h)``, with the left singular vectors ``U_d`` it drops. Then
+    ``J = (G2 + (U_d^H C1)^H (U_d^H C1)) / sigma_v^2``: Grams of orthogonally
+    transformed rows, so nothing cancels, and linear in M (banded triangular
+    solves). A rank below ``n`` sets the ``toeplitz-rank-deficient`` flag; a rank
+    equal to the row count of ``T(h)`` (one subchannel) means
+    ``P^perp = 0``, and ``J`` is exactly zero.
     """
     if sigma_v2 <= 0:
         raise ValueError("sigma_v2 must be positive")
@@ -408,17 +421,25 @@ def deterministic_reduced_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
     dtype = np.complex128 if field == COMPLEX else np.float64
     H = ch.coeffs.astype(dtype)
     Aop = commutativity_op(A, ch.m, ch.N, M).astype(dtype)
-    X = cholesky_solve(toeplitz_gram_band(H, M), toeplitz_adjoint(H, Aop), banded=True)
+    band = toeplitz_gram_band(H, M)
+    X = cholesky_solve(band, toeplitz_adjoint(H, Aop), banded=True)
     warnings = ()
     if X is not None:
         E = Aop - toeplitz_apply(H, X)
+        J = E.conj().T @ E / sigma_v2
     else:
-        T = ch.toeplitz(M).astype(dtype)
-        X, rank = min_norm_solve(T, Aop)
-        E = Aop - T @ X
-        if rank < T.shape[1]:
+        R, C1, G2 = toeplitz_staircase_qr(H, Aop)
+        n, ny = R.shape[1], Aop.shape[0]
+        # a nonzero subchannel's Toeplitz block has full row rank M, so the
+        # nullity of T(h) is at most N - 1: N columns reveal all of it
+        rank, _, U = triangular_rank_reveal(R, ch.N, band, rows=ny)
+        if rank < n:
             warnings = ("toeplitz-rank-deficient",)
-    J = E.conj().T @ E / sigma_v2
+        if rank == ny:                       # full row rank: P^perp = 0
+            J = np.zeros_like(G2)
+        else:
+            D = U[:, :n - rank].conj().T @ C1
+            J = (G2 + D.conj().T @ D) / sigma_v2
     layout = _layout(("h", CHANNEL, ch.m * ch.N, field))
     return FimResult(J, layout, field, DETERMINISTIC, warnings=warnings)
 

@@ -20,7 +20,6 @@ import scipy.linalg as sla
 
 __all__ = [
     "DEFAULT_RANK_TOL",
-    "SingularFimError",
     "pseudo_inverse",
     "projector",
     "complement_projector",
@@ -29,6 +28,7 @@ __all__ = [
     "numerical_rank",
     "min_norm_solve",
     "cholesky_solve",
+    "triangular_rank_reveal",
     "eigenvalue_rank",
     "hermitian_nullity",
     "realify_vector",
@@ -40,10 +40,6 @@ _EPS = np.finfo(np.float64).eps
 
 # relative eigenvalue threshold for Fisher-information rank decisions
 DEFAULT_RANK_TOL = 1e-8
-
-
-class SingularFimError(np.linalg.LinAlgError):
-    """Raised when a Fisher-information-like matrix that must be inverted is singular."""
 
 
 def _as_matrix(A, name="A"):
@@ -59,13 +55,15 @@ def _default_tol(A):
     return max(A.shape) * _EPS
 
 
-def _svd_rank(s, tol):
-    """Count of the descending singular values ``s`` above ``tol * s[0]``: the
-    one SVD rank rule of this module. An empty or all-zero spectrum has
-    rank 0."""
-    if s.size == 0 or s[0] == 0.0:
+def _svd_rank(s, tol, s_max=None):
+    """Count of the singular values ``s`` above ``tol * s_max``: the one SVD
+    rank rule of this module. ``s_max`` defaults to ``s[0]`` (``s``
+    descending). An empty or all-zero spectrum has rank 0."""
+    if s_max is None:
+        s_max = s[0] if s.size else 0.0
+    if s_max == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > tol * s_max))
 
 
 def pseudo_inverse(A, tol=None):
@@ -147,6 +145,71 @@ def cholesky_solve(gram, rhs, banded=False):
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of {names[1]}")
     return x
+
+
+def triangular_rank_reveal(R, k, gram, rows=None):
+    """Numerical rank of an upper-triangular ``R`` of nullity below ``k``,
+    with its ``k`` smallest singular values and left singular vectors.
+
+    ``R`` is ``n x n`` in LAPACK's upper band storage, ``(kd + 1, n)`` with
+    ``R[i, j]`` in row ``kd + i - j`` (``kd = n - 1`` holds any triangular
+    matrix): the triangular factor of a matrix with ``rows`` rows (default
+    n) whose Gram ``R^H R`` is ``gram``, in the same storage with its own
+    bandwidth. Rank follows the SVD rule of :func:`numerical_rank` for that
+    matrix: singular values at or below ``max(rows, n) eps s_max`` count as
+    zero, with ``s_max^2`` the largest eigenvalue of ``gram``.
+
+    No SVD of ``R`` is taken: two steps of block inverse iteration with
+    ``(R R^H)^-1``, one banded triangular solve with ``R`` and one with
+    ``R^H`` each, from a fixed ``n x k`` start block, then a Ritz SVD of the
+    ``n x k`` product ``R^H U``; ``O(n kd k)`` work. ``s_max`` lies between
+    the largest column norm ``s_lo`` and the Gershgorin bound of ``gram``;
+    only when a Ritz value falls between the two cutoffs is it computed
+    exactly (:func:`scipy.linalg.eigvals_banded`). Pivots below
+    ``eps s_lo`` (exact zeros included) are raised to it first, a
+    perturbation far inside the cutoff. Returns ``(rank, s, U)`` with the
+    Ritz values ``s`` ascending and ``U`` their orthonormal left singular
+    vectors (n x k); ``U[:, :n - rank]`` spans the dropped ones.
+    """
+    R = np.array(_as_matrix(R, "R"), order="F")
+    kd, n = R.shape[0] - 1, R.shape[1]
+    G = np.abs(_as_matrix(gram, "gram"))
+    w = G.shape[0] - 1
+    rowsum = G.sum(axis=0)                    # diagonal and the column above it
+    for d in range(1, w + 1):
+        rowsum[:n - d] += G[w - d, d:]        # and the row right of it
+    s_lo, s_hi = np.sqrt(G[w].max()), np.sqrt(rowsum.max())
+    if s_lo == 0.0:
+        raise ValueError("R is zero")
+    floor = _EPS * s_lo
+    R[kd, np.abs(R[kd]) < floor] = floor
+    tbtrs, geqrf, orgqr = sla.get_lapack_funcs(("tbtrs", "geqrf", "orgqr"), (R,))
+    tbmv, = sla.get_blas_funcs(("tbmv",), (R,))
+
+    def solve(U, trans):
+        x, info = tbtrs(R, U, trans=trans)
+        if info != 0:
+            raise ValueError(f"tbtrs failed with info={info}")
+        qr, tau, _, _ = geqrf(x, overwrite_a=1)
+        return orgqr(qr, tau, overwrite_a=1)[0]
+
+    # a fixed quasi-random block: deterministic, and unlike unit vectors or
+    # ones not orthogonal to the structured null vectors of Toeplitz factors
+    U = np.cos(np.outer(np.arange(1, n + 1), np.arange(1, k + 1)) * 0.6180339887498949)
+    U = U.astype(R.dtype)
+    for _ in range(2):
+        U = solve(solve(U, "N"), "C")
+    RhU = np.empty_like(U)
+    for c in range(k):
+        RhU[:, c] = tbmv(kd, R, U[:, c], trans=2)
+    _, s, Wh = np.linalg.svd(RhU, full_matrices=False)
+    U = U @ Wh.conj().T
+    tol = max(n if rows is None else rows, n) * _EPS
+    s_max = s_hi
+    if np.any((s > tol * s_lo) & (s <= tol * s_hi)):
+        s_max = np.sqrt(sla.eigvals_banded(gram, select="i", select_range=(n - 1, n - 1))[0])
+    rank = n - k + _svd_rank(s, tol, s_max)
+    return rank, s[::-1], U[:, ::-1]
 
 
 def projector(X):

@@ -44,6 +44,26 @@ def random_burst(rng, n, field):
     return rng.standard_normal(n)
 
 
+def upper_band(A, kd=None):
+    """LAPACK upper band storage ``(kd + 1, n)`` of the upper triangle of a
+    square ``A``: ``A[i, j]`` in row ``kd + i - j`` (default ``kd = n - 1``)."""
+    n = A.shape[0]
+    kd = n - 1 if kd is None else kd
+    band = np.zeros((kd + 1, n), dtype=A.dtype)
+    for d in range(kd + 1):
+        band[kd - d, d:] = np.diagonal(A, d)
+    return band
+
+
+def from_upper_band(band):
+    """The upper-triangular ``n x n`` matrix held in upper band storage."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    A = np.zeros((n, n), dtype=band.dtype)
+    for d in range(kd + 1):
+        A[np.arange(n - d), np.arange(d, n)] = band[kd - d, d:]
+    return A
+
+
 def channel_with_common_roots(rng, m, N_I, roots, field, name="constructed"):
     """Channel built as (random irreducible part) * (monic factor with `roots`)."""
     hc = np.poly(np.asarray(roots, dtype=complex))

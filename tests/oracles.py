@@ -11,7 +11,6 @@ from blindcrb.channel import COMPLEX, REAL, Channel, commutativity_op
 from blindcrb.crb import _fim_matrix
 from blindcrb.fim import MomentStack, _burst_values, _model_field
 from blindcrb.linalg import (
-    SingularFimError,
     _check_fim_pair,
     numerical_rank,
     projector,
@@ -19,6 +18,7 @@ from blindcrb.linalg import (
 )
 
 __all__ = [
+    "SingularFimError",
     "real_complex_map",
     "complexify_vector",
     "trace_crb_complex",
@@ -27,6 +27,10 @@ __all__ = [
     "deterministic_null_directions",
     "constrained_crb_projector_form",
 ]
+
+
+class SingularFimError(np.linalg.LinAlgError):
+    """Raised when a Fisher-information-like matrix that must be inverted is singular."""
 
 
 def real_complex_map(n):

@@ -51,7 +51,7 @@ def test_package_imports_are_public(module, names):
     assert not private, f"blindcrb imports {private} from {module}, outside its __all__"
 
 
-_RANK_CALLS = {"matrix_rank", "pinv", "lstsq"}
+_RANK_CALLS = {"matrix_rank", "pinv", "lstsq", "svd"}
 
 
 @pytest.mark.parametrize(
@@ -61,9 +61,9 @@ _RANK_CALLS = {"matrix_rank", "pinv", "lstsq"}
     ids=lambda p: p.stem,
 )
 def test_rank_decisions_go_through_linalg(path):
-    # one SVD rank rule: pseudo-inverses, rank counts and minimum-norm
-    # solves outside blindcrb.linalg call its pseudo_inverse, numerical_rank
-    # and min_norm_solve
+    # one SVD rank rule: pseudo-inverses, rank counts, minimum-norm solves
+    # and SVDs outside blindcrb.linalg call its pseudo_inverse,
+    # numerical_rank, min_norm_solve and triangular_rank_reveal
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = sorted({node.attr for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr in _RANK_CALLS}
@@ -128,6 +128,47 @@ def test_reduced_fim_builds_no_dense_operators(monkeypatch):
     got = fim.deterministic_reduced_fim(ch, A, 0.3, 40)
     np.testing.assert_array_equal(got.J, want.J)
     assert got.warnings == ()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("M", [20, 60])
+@pytest.mark.parametrize("kind", ["common-root", "conj-recip", "near-common"])
+def test_reduced_fim_fallback_is_structured(monkeypatch, kind, M, field):
+    # when the banded Cholesky refuses T(h)^H T(h) (rank-deficient T(h) from
+    # a common root or conjugate-reciprocal pair, or a full-rank T(h) with a
+    # zero shared up to 1e-4), the reduced FIM comes from a staircase QR and
+    # a triangular rank reveal: no dense T(h), no SVD range basis and no
+    # dense least-squares solve; repeat calls are bitwise equal
+    rng = np.random.default_rng(23)
+    z0 = 0.6 * np.exp(1.1j) if field == COMPLEX else 0.6
+    if kind == "common-root":
+        ch = channel_with_common_roots(rng, 2, 3, [0.5], field)[0]
+    elif kind == "conj-recip":
+        ch = channel_with_common_roots(rng, 2, 2, [z0, 1 / np.conj(z0)], field)[0]
+    else:
+        ch = _near_common(rng, field)
+    A = simulate.experiment_symbols(simulate.ExperimentConfig(channel=ch, M=M, seed=4))
+    want = fim.deterministic_reduced_fim(ch, A, 0.3, M)
+    refused = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reduced FIM took a dense path")
+
+    def cholesky(*args, **kwargs):
+        X = linalg.cholesky_solve(*args, **kwargs)
+        refused.append(X is None)
+        return X
+
+    monkeypatch.setattr(channel, "block_toeplitz", refuse)
+    monkeypatch.setattr(linalg, "min_norm_solve", refuse)
+    monkeypatch.setattr(linalg, "range_basis", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(fim, "cholesky_solve", cholesky)
+    got = fim.deterministic_reduced_fim(ch, A, 0.3, M)
+    assert refused == [True]
+    deficient = kind != "near-common"
+    assert got.warnings == (("toeplitz-rank-deficient",) if deficient else ())
+    np.testing.assert_array_equal(got.J, want.J)
 
 
 def test_cli_builds_one_parser(monkeypatch, tmp_path, capsys):
@@ -206,8 +247,8 @@ def test_identifiability_decides_no_common_factor():
 @pytest.mark.parametrize("model", ["deterministic", "gaussian"])
 @pytest.mark.parametrize("kind", ["irreducible", "conj-recip"])
 def test_analyze_decomposes_once(monkeypatch, tmp_path, capsys, model, kind):
-    # one reducible_decompose per analyze job, and the subchannel zeros are
-    # found twice (the printed zeros and the decomposition): 2 m np.roots calls
+    # one reducible_decompose per analyze job, and each subchannel's zeros
+    # are found once: the printed zeros are those the decomposition clustered
     rng = np.random.default_rng(16)
     if kind == "irreducible":
         ch = random_channel(rng, 2, 4, COMPLEX)
@@ -231,4 +272,4 @@ def test_analyze_decomposes_once(monkeypatch, tmp_path, capsys, model, kind):
     monkeypatch.setattr(np, "roots", counted("roots", np.roots))
     assert cli.main(["analyze", str(path), "--model", model, "--M", "20"]) == 0
     assert "predicted vs computed: CONSISTENT" in capsys.readouterr().out
-    assert dict(calls) == {"reducible_decompose": 1, "roots": 2 * ch.m}
+    assert dict(calls) == {"reducible_decompose": 1, "roots": ch.m}

@@ -24,10 +24,19 @@ from blindcrb.channel import (
     taps_from_stacked,
     tc_matrix,
     ti_matrix,
+    toeplitz_gram_band,
+    toeplitz_staircase_qr,
 )
 from blindcrb.linalg import projector
 
-from conftest import channel_with_common_roots, convolve_oracle, random_burst, random_channel
+from conftest import (
+    channel_with_common_roots,
+    convolve_oracle,
+    from_upper_band,
+    random_burst,
+    random_channel,
+    upper_band,
+)
 
 
 class TestChannelType:
@@ -80,6 +89,50 @@ class TestToeplitzOperator:
         T = chan_random.toeplitz(5)
         np.testing.assert_array_equal(T[:2, :4], chan_random.coeffs)
         assert np.all(T[:2, 4:] == 0)
+
+
+class TestStaircaseQr:
+    @pytest.mark.parametrize("m, N, M", [(2, 4, 20), (2, 4, 32), (2, 4, 33), (3, 3, 70),
+                                         (2, 4, 65), (1, 4, 40), (2, 1, 5)])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_factors_the_augmented_matrix(self, rng, m, N, M, field):
+        # [R; 0] and [C1; C2] are Q^H [T(h) | B] for one unitary Q, so R^H R,
+        # R^H C1 and C1^H C1 + G2 reproduce the Grams of T(h) and B, across
+        # partial and whole blocks
+        ch = random_channel(rng, m, N, field)
+        B = commutativity_op(random_burst(rng, M + N - 1, field), m, N, M)
+        R, C1, G2 = toeplitz_staircase_qr(ch.coeffs, B)
+        T = ch.toeplitz(M)
+        n = M + N - 1
+        assert R.shape == (min(32, M) + N - 1, n)
+        Rd = from_upper_band(R)
+        scale = np.linalg.norm(T) * np.linalg.norm(B)
+        np.testing.assert_allclose(Rd.conj().T @ Rd, T.conj().T @ T,
+                                   atol=1e-13 * np.linalg.norm(T) ** 2)
+        np.testing.assert_allclose(Rd.conj().T @ C1, T.conj().T @ B, atol=1e-13 * scale)
+        np.testing.assert_allclose(C1.conj().T @ C1 + G2, B.conj().T @ B,
+                                   atol=1e-13 * np.linalg.norm(B) ** 2)
+        assert R.dtype == C1.dtype == G2.dtype == T.dtype
+
+    def test_residual_gram_of_full_rank_channel(self, rng):
+        # with R of full rank, G2 is the least-squares residual Gram
+        ch = random_channel(rng, 2, 4, COMPLEX)
+        M = 45
+        B = commutativity_op(random_burst(rng, M + 3, COMPLEX), 2, 4, M)
+        _, _, G2 = toeplitz_staircase_qr(ch.coeffs, B)
+        T = ch.toeplitz(M)
+        E = B - T @ np.linalg.lstsq(T, B, rcond=None)[0]
+        np.testing.assert_allclose(G2, E.conj().T @ E, atol=1e-12 * np.linalg.norm(B) ** 2)
+
+    def test_band_layout(self, rng):
+        # entry (i, j) of R sits in row kd + i - j of the band storage
+        ch = random_channel(rng, 2, 3, REAL)
+        M = 40
+        R, _, _ = toeplitz_staircase_qr(ch.coeffs, np.zeros((2 * M, 1)))
+        Rd = from_upper_band(R)
+        np.testing.assert_array_equal(upper_band(Rd, R.shape[0] - 1), R)
+        gram = toeplitz_gram_band(ch.coeffs, M)
+        np.testing.assert_allclose(upper_band(Rd.T @ Rd, 2), gram, atol=1e-13 * np.abs(gram).max())
 
 
 class TestCommutativity:

@@ -81,6 +81,20 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "noise variance not identifiable" in out
 
+    def test_monochannel_reduced_fim_is_zero(self, tmp_path, capsys):
+        # with one subchannel T(h) has full row rank, so P^perp = 0: the
+        # channel-reduced FIM is exactly zero, and its nullity N_c = N
+        # matches the verdict
+        mono = {"name": "mono", "field": "real", "m": 1, "N": 4,
+                "coeffs": [[1.0, -0.4, 0.3, 0.2]]}
+        p = tmp_path / "mono.json"
+        p.write_text(json.dumps(mono))
+        assert main(["analyze", str(p), "--M", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "reducible: yes (N_c=4," in out
+        assert "  channel-reduced FIM rank=0 nullity=4\n" in out
+        assert "channel-reduced nullity N_c" in out and "CONSISTENT" in out
+
     def test_deterministic_complex_field_override(self, chan_file, capsys):
         rc = main(["analyze", chan_file, "--model", "deterministic",
                    "--field", "complex", "--M", "20"])

@@ -5,20 +5,30 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+from blindcrb import linalg
+from blindcrb.channel import block_toeplitz, toeplitz_gram_band, toeplitz_staircase_qr
 from blindcrb.linalg import (
-    SingularFimError,
     cholesky_solve,
     complement_projector,
     min_norm_solve,
     null_space_basis,
+    numerical_rank,
     principal_angle,
     projector,
     pseudo_inverse,
     realify_fim,
     realify_vector,
+    triangular_rank_reveal,
 )
 
-from oracles import complexify_vector, real_complex_map, subspace_distance, trace_crb_complex
+from conftest import upper_band
+from oracles import (
+    SingularFimError,
+    complexify_vector,
+    real_complex_map,
+    subspace_distance,
+    trace_crb_complex,
+)
 
 
 def _random_matrix(rng, rows, cols, rank=None, complex_=False):
@@ -149,6 +159,91 @@ class TestSolves:
         D[:, 3] += eps * rng.standard_normal(8)
         G = D.T @ D
         assert cholesky_solve(G, np.ones(4)) is None
+
+
+def _reveal(R, k, rows=None):
+    """:func:`triangular_rank_reveal` of a dense upper-triangular ``R``."""
+    return triangular_rank_reveal(upper_band(R), k, upper_band(R.conj().T @ R), rows=rows)
+
+
+class TestTriangularRankReveal:
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("nullity", [0, 1, 2, 3])
+    def test_matches_svd(self, rng, complex_, nullity):
+        # planted nullity 0 .. k - 1: the rank of the SVD rule on the factored
+        # matrix, R's dropped singular values and left singular subspace, and
+        # Ritz values no smaller than R's k smallest singular values
+        n, k, rows = 30, 4, 33
+        A = _random_matrix(rng, rows, n - nullity, complex_=complex_) \
+            @ _random_matrix(rng, n - nullity, n, complex_=complex_)
+        R = np.linalg.qr(A, mode="r")
+        rank, s, U = _reveal(R, k, rows)
+        assert rank == numerical_rank(A) == n - nullity
+        P, sv, _ = np.linalg.svd(R)
+        np.testing.assert_allclose(U.conj().T @ U, np.eye(k), atol=1e-12)
+        assert np.all(s[:nullity] <= 1e-13 * sv[0])
+        assert np.all(s[nullity:] >= sv[::-1][nullity:k] * (1 - 1e-12))
+        if nullity:
+            assert subspace_distance(U[:, :nullity], P[:, n - nullity:]) < 1e-8
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_exact_zero_pivots(self, rng, complex_):
+        # the solves run on pivots raised to eps * s_max; the rank is still
+        # the SVD rule's. Column 4 lies in the span of columns 0..3, and
+        # column 11 (a random vector in rows 0..10) generically not in that
+        # of columns 0..10: two zero pivots, one null direction
+        n = 20
+        R = np.triu(_random_matrix(rng, n, n, complex_=complex_))
+        R[[4, 11], [4, 11]] = 0.0
+        rank, s, _ = _reveal(R, 3)
+        assert rank == numerical_rank(R) == n - 1
+        assert s[0] <= 1e-13 * np.linalg.norm(R, 2) < s[1]
+
+    @pytest.mark.parametrize("taps, M, nullity", [
+        ([[-2.0, 3.0, -1.0, 0.0], [-6.0, 1.0, 1.0, 0.0]], 39, 2),
+        ([[6.0, -3.0, 0.0], [-2.0, 1.0, 0.0]], 31, 2),
+    ])
+    def test_integer_channel_with_common_root(self, taps, M, nullity):
+        # integer taps sharing the root 0.5 (and 0): here the staircase QR of
+        # T(h) meets exactly zero pivots
+        taps = np.array(taps)
+        T = block_toeplitz(taps, M)
+        R, _, _ = toeplitz_staircase_qr(taps, np.zeros((T.shape[0], 1)))
+        rank, s, _ = triangular_rank_reveal(R, taps.shape[1], toeplitz_gram_band(taps, M),
+                                            rows=T.shape[0])
+        assert rank == numerical_rank(T) == T.shape[1] - nullity
+
+    @pytest.mark.parametrize("c, nullity", [(1.25, 0), (0.93, 1)])
+    def test_cutoff_inside_the_bracket(self, monkeypatch, rng, c, nullity):
+        # a singular value c times the cutoff lies between the cutoffs of the
+        # s_max bracket (largest column norm, Gershgorin bound: 0.85 and 1.44
+        # times s_max here), so the exact s_max decides, as in the SVD rule;
+        # 330 rows put the cutoff ~1e3 eps s_max above the roundoff of the
+        # small singular value
+        n, rows = 30, 330
+        Q1 = np.linalg.qr(rng.standard_normal((rows, n)))[0]
+        Q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        sv = np.linspace(3.0, 1.0, n)
+        sv[-1] = c * rows * np.finfo(float).eps * sv[0]
+        A = (Q1 * sv) @ Q2.T
+        exact, original = [], sla.eigvals_banded
+
+        def eigvals_banded(*args, **kwargs):
+            exact.append(True)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.sla, "eigvals_banded", eigvals_banded)
+        rank, _, _ = _reveal(np.linalg.qr(A, mode="r"), 3, rows)
+        assert exact == [True]
+        assert rank == numerical_rank(A) == n - nullity
+
+    def test_repeat_calls_are_bitwise_equal(self, rng):
+        A = _random_matrix(rng, 12, 8, complex_=True) @ _random_matrix(rng, 8, 10, complex_=True)
+        R = np.linalg.qr(A, mode="r")
+        first, again = _reveal(R, 3), _reveal(R, 3)
+        assert first[0] == again[0]
+        np.testing.assert_array_equal(first[1], again[1])
+        np.testing.assert_array_equal(first[2], again[2])
 
 
 def _consistent_pair(rng, n, psd=True):
