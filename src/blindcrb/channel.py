@@ -65,6 +65,9 @@ COMPLEX = "complex"
 # absolute distance at which two z-plane roots count as the same zero
 DEFAULT_ZERO_TOL = 1e-6
 
+# relative reconvolution residual above which a common-factor deconvolution fails
+_RESIDUAL_TOL = 1e-8
+
 
 class DecompositionError(ValueError):
     """Raised when a channel cannot be factored to the requested accuracy."""
@@ -421,7 +424,7 @@ class ReducibleDecomposition:
         return self.irreducible_part.m
 
 
-def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL, residual_tol=1e-8):
+def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL):
     """Factor a channel into an irreducible part and a monic common factor.
 
     The common factor is built from the common zeros clustered at ``tol``;
@@ -433,7 +436,7 @@ def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL, residual_tol=1e-8):
     Raises
     ------
     DecompositionError
-        If the relative reconvolution residual exceeds ``residual_tol``.
+        If the relative reconvolution residual exceeds ``1e-8``.
     """
     zeros = tuple(subchannel_zeros(ch))
     roots = _cluster_common(zeros, tol)
@@ -448,9 +451,9 @@ def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL, residual_tol=1e-8):
     conv = block_toeplitz(hc[None, :], NI).T        # (N, N_I) scalar convolution map
     sol, _ = min_norm_solve(conv, ch.coeffs.T)      # (N_I, m), one column per subchannel
     residual = np.linalg.norm(conv @ sol - ch.coeffs.T) / np.linalg.norm(ch.coeffs)
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise DecompositionError(
-            f"deconvolution residual {residual:.3e} exceeds {residual_tol:.3e}"
+            f"deconvolution residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e}"
         )
     part = Channel(sol.T, field=ch.field, name=f"{ch.name}-irreducible")
     return ReducibleDecomposition(part, hc, float(residual), roots, tol, zeros)

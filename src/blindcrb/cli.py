@@ -128,6 +128,14 @@ def _manifest_lines(command, args_dict, inputs, schema, extra=()):
     return lines
 
 
+def _write_text(out_path, text):
+    if out_path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
 def _emit_csv(out_path, manifest, header, rows):
     buf = io.StringIO()
     for line in manifest:
@@ -135,12 +143,7 @@ def _emit_csv(out_path, manifest, header, rows):
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    text = buf.getvalue()
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write_text(out_path, buf.getvalue())
 
 
 def _resolve_field(ch: Channel, requested):
@@ -174,16 +177,16 @@ def _model_fim(ch, args):
 
 def cmd_analyze(args):
     ch = _resolve_field(load_channel(args.channel), args.field)
-    print(f"channel {ch.name}: m={ch.m} N={ch.N} field={ch.field}")
+    out = [f"channel {ch.name}: m={ch.m} N={ch.N} field={ch.field}"]
     dec = reducible_decompose(ch, tol=args.zero_tol)
     for l, z in enumerate(dec.zeros):
         zs = ", ".join(_fmt(complex(r)) for r in z) if z.size else "(none)"
-        print(f"  subchannel {l} zeros: {zs}")
+        out.append(f"  subchannel {l} zeros: {zs}")
     cz = dec.roots
-    print(f"  common zeros: "
-          + (", ".join(_fmt(complex(r)) for r in cz) if cz.size else "(none)"))
-    print(f"  reducible: {'yes' if dec.N_c > 1 else 'no'} "
-          f"(N_c={dec.N_c}, N_I={dec.N_I}, residual={dec.residual:.2e})")
+    out.append(f"  common zeros: "
+               + (", ".join(_fmt(complex(r)) for r in cz) if cz.size else "(none)"))
+    out.append(f"  reducible: {'yes' if dec.N_c > 1 else 'no'} "
+               f"(N_c={dec.N_c}, N_I={dec.N_I}, residual={dec.residual:.2e})")
 
     fim, A = _model_fim(ch, args)
     if args.model == DETERMINISTIC:
@@ -198,21 +201,22 @@ def cmd_analyze(args):
         predicted.append(("phase", phase_direction(ch.h)))
     rep_full = realified_counts(full, tol=args.rank_tol)
     rep_red = analyze_singularities(channel_block(fim), predicted, tol=args.rank_tol)
-    print(f"model {args.model}: full FIM dim={rep_full.rank + rep_full.nullity} "
-          f"rank={rep_full.rank} nullity={rep_full.nullity}")
-    print(f"  channel-reduced FIM rank={rep_red.rank} nullity={rep_red.nullity}")
+    out.append(f"model {args.model}: full FIM dim={rep_full.rank + rep_full.nullity} "
+               f"rank={rep_full.rank} nullity={rep_full.nullity}")
+    out.append(f"  channel-reduced FIM rank={rep_red.rank} nullity={rep_red.nullity}")
     for name, ang, ok in rep_red.matches:
-        print(f"  predicted null direction '{name}': angle={ang:.2e} "
-              f"{'MATCH' if ok else 'NO MATCH'}")
+        out.append(f"  predicted null direction '{name}': angle={ang:.2e} "
+                   f"{'MATCH' if ok else 'NO MATCH'}")
 
     rec = verdict_vs_fim(verdict, rep_full,
                          realified=args.model == DETERMINISTIC and ch.field == COMPLEX)
-    print(f"verdict: identifiable up to {verdict.identifiable_up_to}; "
-          f"predicted nullity {rec.predicted}")
+    out.append(f"verdict: identifiable up to {verdict.identifiable_up_to}; "
+               f"predicted nullity {rec.predicted}")
     for reason in verdict.reasons:
-        print(f"  - {reason}")
-    print(f"predicted vs computed: {'CONSISTENT' if rec.passed else 'MISMATCH'} "
-          f"({rec.detail})")
+        out.append(f"  - {reason}")
+    out.append(f"predicted vs computed: {'CONSISTENT' if rec.passed else 'MISMATCH'} "
+               f"({rec.detail})")
+    _write_text(args.output, "\n".join(out) + "\n")
     return 0
 
 
@@ -257,9 +261,9 @@ def cmd_crb(args):
                 print("error: reducible constraints on a complex channel are "
                       "supported for the deterministic model only", file=sys.stderr)
                 return 2
-            res = constrained_crb(fim.J, cs)
+            res = constrained_crb(fim.J, cs, tol=args.rank_tol)
         else:
-            res = constrained_crb(Jred, cs)
+            res = constrained_crb(Jred, cs, tol=args.rank_tol)
         diag = _per_coefficient_diag(res.crb, n, ch.field)
         rows.append([spec, _fmt(res.trace, 12), int(res.bounded)]
                     + [_fmt(v, 9) for v in diag])
@@ -284,7 +288,7 @@ def cmd_sweep_known(args):
     rows = []
     for i in range(n):
         cs = parse_constraint(f"known:{i}", ch.h, ch.field)
-        res = constrained_crb(Jred, cs)
+        res = constrained_crb(Jred, cs, tol=args.rank_tol)
         rows.append([i, _fmt(abs(ch.h[i]), 9), _fmt(res.trace, 12),
                      int(res.bounded), _fmt(baseline, 12)])
     header = ["coef_index", "coef_abs", "trace", "bounded", "minimal_trace"]
@@ -426,8 +430,10 @@ def _add_common(p):
     p.add_argument("--zero-tol", dest="zero_tol", type=float, default=DEFAULT_ZERO_TOL,
                    help="root clustering tolerance")
     p.add_argument("--rank-tol", dest="rank_tol", type=float, default=DEFAULT_RANK_TOL,
-                   help="relative eigenvalue threshold for FIM rank")
-    p.add_argument("--output", "-o", default=None, help="CSV output path (default stdout)")
+                   help="relative eigenvalue threshold of FIM rank decisions: the "
+                        "FIM rank in analyze, the bounded flag in crb and sweep-known")
+    p.add_argument("--output", "-o", default=None,
+                   help="output path for the CSV or the analyze report (default stdout)")
 
 
 def build_parser():

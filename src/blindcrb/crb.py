@@ -36,7 +36,6 @@ from .linalg import (
     complement_projector,
     numerical_rank,
     pseudo_inverse,
-    range_basis,
     realify_vector,
 )
 
@@ -58,29 +57,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Constraint Jacobian at the true parameter plus its tangent space.
+    """Constraint Jacobian at the true parameter.
 
-    ``jacobian`` is ``n x k`` (one column per scalar constraint). The tangent
-    basis is derived as the orthonormal complement of the Jacobian columns
-    unless an explicit spanning matrix is supplied (it may then be rank
-    deficient, e.g. a projector; the bound formulas tolerate that).
+    ``jacobian`` is ``n x k`` (one column per scalar constraint); the tangent
+    space is the orthogonal complement of its columns
+    (:meth:`tangent_spanning`).
     """
 
     jacobian: np.ndarray
     kind: str = "custom"
-    tangent: np.ndarray | None = None
     notes: tuple = ()
 
     def __post_init__(self):
-        K = np.atleast_2d(np.asarray(self.jacobian))
-        object.__setattr__(self, "jacobian", K)
-        if self.tangent is not None:
-            V = np.asarray(self.tangent)
-            resid = np.linalg.norm(V.conj().T @ K)
-            scale = max(1.0, np.linalg.norm(V) * np.linalg.norm(K))
-            if resid > 1e-10 * scale:
-                raise ValueError("explicit tangent matrix is not orthogonal to the jacobian")
-            object.__setattr__(self, "tangent", V)
+        object.__setattr__(self, "jacobian", np.atleast_2d(np.asarray(self.jacobian)))
 
     @property
     def n_constraints(self):
@@ -91,9 +80,8 @@ class ConstraintSet:
         return self.jacobian.shape[0]
 
     def tangent_spanning(self):
-        """Matrix whose range is the tangent space (may be rank deficient)."""
-        if self.tangent is not None:
-            return self.tangent
+        """Orthonormal basis of the tangent space: the numerical null space
+        of ``jacobian^H`` (:func:`~blindcrb.linalg.null_space_basis`)."""
         return null_space_basis(self.jacobian.conj().T)
 
 
@@ -212,16 +200,18 @@ def _fim_matrix(J):
 def constrained_crb(J, cs: ConstraintSet, tol=DEFAULT_RANK_TOL) -> CrbResult:
     """Constrained CRB ``V (V^H J V)^{-1} V^H`` on the tangent space of ``cs``.
 
-    When the restricted FIM ``V^H J V`` is singular the constraints do not
-    regularize the problem; the result is flagged ``bounded=False`` and the
-    matrix is the pseudo-inverse form (finite on the identifiable subspace).
+    ``V`` is the orthonormal basis :meth:`ConstraintSet.tangent_spanning`.
+    When the restricted FIM ``V^H J V`` is singular, counted at the relative
+    eigenvalue threshold ``tol``, the constraints do not regularize the
+    problem; the result is flagged ``bounded=False`` and the matrix is the
+    pseudo-inverse form (finite on the identifiable subspace).
     """
     Jm = _fim_matrix(J)
     if Jm.shape[0] != cs.dim:
         raise ValueError(
             f"constraint dimension {cs.dim} does not match FIM dimension {Jm.shape[0]}"
         )
-    V = range_basis(cs.tangent_spanning())
+    V = cs.tangent_spanning()
     if V.shape[1] == 0:
         crb = np.zeros_like(Jm)
         return CrbResult(crb, 0.0, True, cs.kind, cs.notes)
@@ -248,7 +238,7 @@ def minimal_crb(J) -> CrbResult:
     return CrbResult(crb, float(np.trace(crb).real), True, "minimal")
 
 
-def gaussian_blind_crb(ch: Channel, cfg: GaussianModelConfig, tol=DEFAULT_RANK_TOL) -> CrbResult:
+def gaussian_blind_crb(ch: Channel, cfg: GaussianModelConfig) -> CrbResult:
     """Blind channel CRB under the Gaussian symbol model.
 
     Both fields reduce the noise variance out of the (realified) FIM with
@@ -265,11 +255,11 @@ def gaussian_blind_crb(ch: Channel, cfg: GaussianModelConfig, tol=DEFAULT_RANK_T
     """
     cplx = ch.field == COMPLEX
     Jred = channel_block(gaussian_fim(ch, cfg))
-    _, nullity, _, _ = hermitian_nullity(Jred, tol=tol)
+    _, nullity, _, _ = hermitian_nullity(Jred)
     # the phase direction is the one expected singularity of complex data
     notes = () if nullity == int(cplx) else (f"extra-singular:nullity={nullity}",)
     if cplx:
-        res = constrained_crb(Jred, phase_constraint(ch.h), tol=tol)
+        res = constrained_crb(Jred, phase_constraint(ch.h))
         if notes or not res.bounded:
             return CrbResult(res.crb, res.trace, False, "phase", res.notes + notes)
     crb = pseudo_inverse(Jred)

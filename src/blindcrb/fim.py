@@ -26,20 +26,21 @@ Three constructions live here:
   ``O(ny^3 + (mN)^2 M^2)`` work, with no ``(p, ny, ny)`` slab tensor.
 
 Complex-model results convert to the stacked real representation with
-:meth:`FimResult.realified`; :func:`realified_singularities` counts the rank
-of a complex FIM with no cross matrix in stacked-real coordinates without
-forming that ``2n x 2n`` copy, and :func:`realified_counts` reads the same
-count from the eigenvalues a :class:`FimResult` keeps from its validation;
-blocks keep their names so Schur reductions can be phrased
-representation-independently (``schur_reduce(fim, keep="h")``).
+:meth:`FimResult.realified`; :func:`realified_counts` counts the rank of a
+complex FIM with no cross matrix in stacked-real coordinates from the
+eigenvalues a :class:`FimResult` keeps from its validation, without forming
+that ``2n x 2n`` copy; blocks keep their names so Schur reductions can be
+phrased representation-independently (``schur_reduce(fim, keep="h")``).
 :func:`channel_block` is the one path from a model FIM to its stacked-real
 channel block with the other blocks reduced out.
 
 Every FIM here is Hermitian (or real symmetric) positive semidefinite;
 builders validate this and refuse gross violations. Rank and null-space
-decisions use a relative eigenvalue threshold (default ``1e-8``), which for
-these problems sits many decades inside the gap between true singularities
-(~1e-16 relative) and the smallest genuine eigenvalue.
+decisions use the relative eigenvalue threshold of
+:func:`~blindcrb.linalg.eigenvalue_rank` (default
+``linalg.DEFAULT_RANK_TOL = 1e-8``), which for these problems sits many
+decades inside the gap between true singularities (~1e-16 relative) and the
+smallest genuine eigenvalue.
 """
 
 from __future__ import annotations
@@ -73,11 +74,6 @@ from .linalg import (
 __all__ = [
     "DETERMINISTIC",
     "GAUSSIAN",
-    "GENERIC",
-    "SYMBOLS",
-    "CHANNEL",
-    "NOISE",
-    "DEFAULT_RANK_TOL",
     "SingularBlockError",
     "ParamBlock",
     "ParamLayout",
@@ -94,20 +90,15 @@ __all__ = [
     "channel_block",
     "SingularityReport",
     "analyze_singularities",
-    "realified_singularities",
     "realified_counts",
     "phase_direction",
 ]
 
 DETERMINISTIC = "deterministic"
 GAUSSIAN = "gaussian"
-GENERIC = "generic"
 
-SYMBOLS = "symbols"
-CHANNEL = "channel"
-NOISE = "noise"
-
-_MODELS = (DETERMINISTIC, GAUSSIAN, GENERIC)
+# principal angle (radians) below which a predicted null direction matches
+_MATCH_TOL = 1e-6
 
 
 class SingularBlockError(np.linalg.LinAlgError):
@@ -117,7 +108,6 @@ class SingularBlockError(np.linalg.LinAlgError):
 @dataclass(frozen=True)
 class ParamBlock:
     name: str
-    kind: str
     length: int
     field: str
 
@@ -155,7 +145,7 @@ class ParamLayout:
         out = []
         for b in self.blocks:
             if b.field == COMPLEX:
-                out.append(ParamBlock(b.name, b.kind, 2 * b.length, REAL))
+                out.append(ParamBlock(b.name, 2 * b.length, REAL))
             else:
                 out.append(b)
         return ParamLayout(tuple(out))
@@ -179,7 +169,6 @@ class FimResult:
     J: np.ndarray
     layout: ParamLayout
     field: str
-    model: str
     cross: np.ndarray | None = None
     warnings: tuple = ()
     eigenvalues: np.ndarray = dc_field(init=False, repr=False, compare=False)
@@ -192,8 +181,6 @@ class FimResult:
             raise ValueError(
                 f"layout dimension {self.layout.dim} != FIM dimension {J.shape[0]}"
             )
-        if self.model not in _MODELS:
-            raise ValueError(f"unknown model tag {self.model!r}")
         scale = max(1.0, float(np.linalg.norm(J)))
         if np.linalg.norm(J - J.conj().T) > 1e-10 * scale:
             raise ValueError("FIM is not Hermitian/symmetric within tolerance")
@@ -212,10 +199,6 @@ class FimResult:
     @property
     def dim(self):
         return self.J.shape[0]
-
-    def block(self, name):
-        s = self.layout.block_slice(name)
-        return self.J[s, s]
 
     def realified(self) -> "FimResult":
         """Stacked-real-representation FIM with per-block [Re; Im] ordering.
@@ -251,7 +234,6 @@ class FimResult:
             big[np.ix_(perm, perm)],
             self.layout.realified(),
             REAL,
-            self.model,
             warnings=self.warnings,
         )
 
@@ -311,7 +293,7 @@ def _chol_or_raise(C):
         raise SingularBlockError("observation covariance is not positive definite") from exc
 
 
-def gaussian_fim_generic(stack: MomentStack, layout=None, model=GENERIC) -> FimResult:
+def gaussian_fim_generic(stack: MomentStack, layout=None) -> FimResult:
     """FIM of a Gaussian observation model from its moment derivatives.
 
     This is the reference engine: it evaluates the Slepian-Bangs traces slab
@@ -335,15 +317,15 @@ def gaussian_fim_generic(stack: MomentStack, layout=None, model=GENERIC) -> FimR
         cov_term = 0.5 * np.einsum("aij,bji->ab", P, G)  # tr(C^-1 G_a C^-1 G_b)
         J = mean_term + cov_term
         if layout is None:
-            layout = _layout(("theta", "generic", p, REAL))
-        return FimResult(J.real, layout, REAL, model)
+            layout = _layout(("theta", p, REAL))
+        return FimResult(J.real, layout, REAL)
     mean_term = Dm.conj().T @ Ci @ Dm
     cov_term = np.einsum("aij,bij->ab", P, G.conj())     # tr(C^-1 G_a C^-1 G_b^H)
     J = mean_term + cov_term
     Jc = np.einsum("aij,bji->ab", P, G)                  # tr(C^-1 G_a C^-1 G_b)
     if layout is None:
-        layout = _layout(("theta", "generic", p, COMPLEX))
-    return FimResult(J, layout, COMPLEX, model, cross=Jc)
+        layout = _layout(("theta", p, COMPLEX))
+    return FimResult(J, layout, COMPLEX, cross=Jc)
 
 
 def _burst_values(A, ch: Channel, M=None):
@@ -377,10 +359,10 @@ def deterministic_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
         D = D.astype(np.complex128)
     J = D.conj().T @ D / sigma_v2
     layout = _layout(
-        ("A", SYMBOLS, M + ch.N - 1, field),
-        ("h", CHANNEL, ch.m * ch.N, field),
+        ("A", M + ch.N - 1, field),
+        ("h", ch.m * ch.N, field),
     )
-    return FimResult(J, layout, field, DETERMINISTIC)
+    return FimResult(J, layout, field)
 
 
 def deterministic_reduced_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
@@ -440,8 +422,8 @@ def deterministic_reduced_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
         else:
             D = U[:, :n - rank].conj().T @ C1
             J = (G2 + D.conj().T @ D) / sigma_v2
-    layout = _layout(("h", CHANNEL, ch.m * ch.N, field))
-    return FimResult(J, layout, field, DETERMINISTIC, warnings=warnings)
+    layout = _layout(("h", ch.m * ch.N, field))
+    return FimResult(J, layout, field, warnings=warnings)
 
 
 def gaussian_moment_stack(ch: Channel, cfg: GaussianModelConfig) -> MomentStack:
@@ -545,14 +527,14 @@ def gaussian_fim(ch: Channel, cfg: GaussianModelConfig) -> FimResult:
         "rlj,jkr->kl", Ci.reshape(M, m, ny), sliding_window_view(V, M, axis=1)).ravel()
     tr_ci2 = np.vdot(Ci, Ci).real
     layout = _layout(
-        ("h", CHANNEL, n, ch.field),
-        ("sigma_v2", NOISE, 1, REAL),
+        ("h", n, ch.field),
+        ("sigma_v2", 1, REAL),
     )
     if ch.field == COMPLEX:
         J = _bordered(J_h, 0.5 * col, 0.5 * col.conj(), 0.25 * tr_ci2)
         cross = _bordered(J_x, 0.5 * col, 0.5 * col, 0.25 * tr_ci2)
-        return FimResult(J, layout, COMPLEX, GAUSSIAN, cross=cross)
-    return FimResult(_bordered(J_h + J_x, col, col, 0.5 * tr_ci2), layout, REAL, GAUSSIAN)
+        return FimResult(J, layout, COMPLEX, cross=cross)
+    return FimResult(_bordered(J_h + J_x, col, col, 0.5 * tr_ci2), layout, REAL)
 
 
 def gaussian_real_param_derivs(ch: Channel, cfg: GaussianModelConfig):
@@ -638,7 +620,7 @@ class SingularityReport:
         return tuple(name for name, _, ok in self.matches if ok)
 
 
-def analyze_singularities(fim, predicted=(), tol=DEFAULT_RANK_TOL, match_tol=1e-6):
+def analyze_singularities(fim, predicted=(), tol=DEFAULT_RANK_TOL):
     """Rank/nullity of a FIM and principal angles to predicted null vectors.
 
     Parameters
@@ -646,7 +628,7 @@ def analyze_singularities(fim, predicted=(), tol=DEFAULT_RANK_TOL, match_tol=1e-
     fim : FimResult or square ndarray
     predicted : sequence of (name, vector)
         Candidate singular vectors; a match is declared when the principal
-        angle to the computed null space is below ``match_tol`` radians.
+        angle to the computed null space is below ``1e-6`` radians.
     tol : float
         Relative eigenvalue threshold for counting zeros.
     """
@@ -656,60 +638,33 @@ def analyze_singularities(fim, predicted=(), tol=DEFAULT_RANK_TOL, match_tol=1e-
     matches = []
     for name, vec in predicted:
         ang = principal_angle(np.asarray(vec), basis)
-        matches.append((name, float(ang), bool(ang < match_tol)))
+        matches.append((name, float(ang), bool(ang < _MATCH_TOL)))
     return SingularityReport(rank, nullity, basis, w, tuple(matches), tol)
 
 
-def _check_doubling(fim: FimResult):
-    if fim.cross is not None or any(b.field != COMPLEX for b in fim.layout.blocks):
-        raise ValueError("only a complex FIM with complex blocks and no cross "
-                         "matrix realifies to doubled eigenvalues")
-
-
-def realified_singularities(fim: FimResult, tol=DEFAULT_RANK_TOL) -> SingularityReport:
-    """:func:`analyze_singularities` of ``fim.realified()``, counted on ``fim``.
+def realified_counts(fim: FimResult, tol=DEFAULT_RANK_TOL) -> SingularityReport:
+    """Rank and nullity of ``fim.realified()``, counted on ``fim`` from the
+    eigenvalues it kept when it was validated: no second eigendecomposition,
+    and no null basis (``null_basis`` is ``None``).
 
     A complex FIM with no cross matrix realifies to ``2 [[Re J, -Im J],
-    [Im J, Re J]]``, whose eigenvalues are those of ``2 J``, each twice; a
+    [Im J, Re J]]``, whose eigenvalues are those of ``2 J``, each twice (a
     complex null vector ``v`` gives the real null vectors of ``v`` and
-    ``j v``. So the ``n x n`` Hermitian FIM is eigendecomposed instead of its
-    ``2n x 2n`` real form, and rank and nullity come back doubled, in the
-    per-block ``[Re; Im]`` order of :meth:`FimResult.realified`. A real FIM
-    is analysed as it is.
+    ``j v``), so rank and nullity come back doubled. A real FIM is counted as
+    it is.
     """
-    rep = analyze_singularities(fim, tol=tol)
-    if fim.field == REAL:
-        return rep
-    _check_doubling(fim)
-    n = fim.dim
-    perm = np.concatenate([np.r_[s.start:s.stop, n + s.start:n + s.stop]
-                           for s in map(fim.layout.block_slice, fim.layout.names)])
-    B = rep.null_basis
-    basis = np.block([[B.real, -B.imag], [B.imag, B.real]])[perm]
-    return SingularityReport(2 * rep.rank, 2 * rep.nullity, basis,
-                             np.repeat(2.0 * rep.eigenvalues, 2), tol=tol)
-
-
-def realified_counts(fim: FimResult, tol=DEFAULT_RANK_TOL) -> SingularityReport:
-    """The rank and nullity of :func:`realified_singularities`, read from the
-    eigenvalues ``fim`` kept when it was validated: no second
-    eigendecomposition, and no null basis (``null_basis`` is ``None``)."""
     rank, nullity = eigenvalue_rank(fim.eigenvalues, tol)
     if fim.field == REAL:
         return SingularityReport(rank, nullity, None, fim.eigenvalues, tol=tol)
-    _check_doubling(fim)
+    if fim.cross is not None or any(b.field != COMPLEX for b in fim.layout.blocks):
+        raise ValueError("only a complex FIM with complex blocks and no cross "
+                         "matrix realifies to doubled eigenvalues")
     return SingularityReport(2 * rank, 2 * nullity, None,
                              np.repeat(2.0 * fim.eigenvalues, 2), tol=tol)
 
 
-def phase_direction(h, pad_noise=False):
-    """Unit phase-rotation direction ``[-Im(h); Re(h)]`` in realified coordinates.
-
-    With ``pad_noise`` a trailing zero is appended for the noise-variance
-    coordinate of the Gaussian-model parameterization.
-    """
+def phase_direction(h):
+    """Unit phase-rotation direction ``[-Im(h); Re(h)]`` in realified coordinates."""
     h = np.asarray(h, dtype=complex).ravel()
     v = np.concatenate([-h.imag, h.real])
-    if pad_noise:
-        v = np.concatenate([v, [0.0]])
     return v / np.linalg.norm(v)

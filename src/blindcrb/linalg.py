@@ -3,14 +3,15 @@
 Everything in this module works on plain NumPy arrays and treats the
 real/complex distinction as semantic: real inputs stay real, complex inputs
 stay complex, and nothing silently promotes. The routines here back the rest
-of the package: Moore-Penrose pseudo-inverses with explicit rank tolerances,
-orthogonal projectors, null-space bases, and the mapping between a complex
-parameter vector and its stacked real representation
-``theta_R = [Re(theta); Im(theta)]``.
+of the package: Moore-Penrose pseudo-inverses, orthogonal projectors,
+null-space bases, and the mapping between a complex parameter vector and its
+stacked real representation ``theta_R = [Re(theta); Im(theta)]``.
 
-Rank decisions use a relative threshold ``tol * sigma_max``. The default
-``tol = max(rows, cols) * eps`` mirrors the usual SVD cutoff; callers that
-know the spectral gap of their problem can tighten or loosen it per call.
+Two rank rules live here, each written once. An SVD rank counts the singular
+values above ``max(rows, cols) * eps * sigma_max``, the usual cutoff; it has
+no per-call knob, and every SVD helper below applies it. A Fisher-information
+rank counts the eigenvalues above ``tol * lambda_max``
+(:func:`eigenvalue_rank`), with ``tol`` defaulting to ``DEFAULT_RANK_TOL``.
 """
 
 from __future__ import annotations
@@ -51,43 +52,27 @@ def _as_matrix(A, name="A"):
     return A
 
 
-def _default_tol(A):
-    return max(A.shape) * _EPS
-
-
-def _svd_rank(s, tol, s_max=None):
-    """Count of the singular values ``s`` above ``tol * s_max``: the one SVD
-    rank rule of this module. ``s_max`` defaults to ``s[0]`` (``s``
-    descending). An empty or all-zero spectrum has rank 0."""
+def _svd_rank(s, shape, s_max=None):
+    """Count of the singular values ``s`` of a matrix of ``shape`` above
+    ``max(shape) * eps * s_max``: the one SVD rank rule of this module.
+    ``s_max`` defaults to ``s[0]`` (``s`` descending). An empty or all-zero
+    spectrum has rank 0."""
     if s_max is None:
         s_max = s[0] if s.size else 0.0
     if s_max == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s_max))
+    return int(np.count_nonzero(s > max(shape) * _EPS * s_max))
 
 
-def pseudo_inverse(A, tol=None):
-    """Moore-Penrose pseudo-inverse with a relative singular-value cutoff.
+def pseudo_inverse(A):
+    """Moore-Penrose pseudo-inverse of a real or complex ``(m, n)`` matrix.
 
-    Parameters
-    ----------
-    A : (m, n) array_like
-        Real or complex matrix with finite entries.
-    tol : float, optional
-        Singular values below ``tol * sigma_max`` are treated as zero.
-        Defaults to ``max(m, n) * eps``.
-
-    Returns
-    -------
-    (n, m) ndarray
-        ``A^+`` satisfying the four Moore-Penrose identities up to
-        roundoff at the given tolerance.
+    Singular values at or below ``max(m, n) * eps * sigma_max`` count as
+    zero. Returns the ``(n, m)`` matrix ``A^+``.
     """
     A = _as_matrix(A)
-    if tol is None:
-        tol = _default_tol(A)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    r = _svd_rank(s, tol)
+    r = _svd_rank(s, A.shape)
     if r == 0:
         return np.zeros((A.shape[1], A.shape[0]), dtype=A.dtype)
     s_inv = np.zeros_like(s)
@@ -95,25 +80,20 @@ def pseudo_inverse(A, tol=None):
     return (Vh.conj().T * s_inv) @ U.conj().T
 
 
-def numerical_rank(A, tol=None):
-    """Rank of ``A`` counted as singular values above ``tol * sigma_max``."""
+def numerical_rank(A):
+    """Rank of ``A``: singular values above ``max(m, n) * eps * sigma_max``."""
     A = _as_matrix(A)
-    if tol is None:
-        tol = _default_tol(A)
-    return _svd_rank(np.linalg.svd(A, compute_uv=False), tol)
+    return _svd_rank(np.linalg.svd(A, compute_uv=False), A.shape)
 
 
-def min_norm_solve(A, B, tol=None):
+def min_norm_solve(A, B):
     """Minimum-norm least-squares solution of ``A X = B`` and the rank of ``A``.
 
-    Singular values at or below ``tol * sigma_max`` count as zero, with
-    ``tol`` defaulting to ``max(m, n) * eps``: the same rule as
-    :func:`numerical_rank`. Returns ``(X, rank)``.
+    Singular values at or below ``max(m, n) * eps * sigma_max`` count as
+    zero: the rule of :func:`numerical_rank`. Returns ``(X, rank)``.
     """
     A = _as_matrix(A)
-    if tol is None:
-        tol = _default_tol(A)
-    X, _, rank, _ = np.linalg.lstsq(A, B, rcond=tol)
+    X, _, rank, _ = np.linalg.lstsq(A, B, rcond=max(A.shape) * _EPS)
     return X, int(rank)
 
 
@@ -204,11 +184,11 @@ def triangular_rank_reveal(R, k, gram, rows=None):
         RhU[:, c] = tbmv(kd, R, U[:, c], trans=2)
     _, s, Wh = np.linalg.svd(RhU, full_matrices=False)
     U = U @ Wh.conj().T
-    tol = max(n if rows is None else rows, n) * _EPS
+    shape = (n if rows is None else rows, n)
     s_max = s_hi
-    if np.any((s > tol * s_lo) & (s <= tol * s_hi)):
+    if _svd_rank(s, shape, s_lo) != _svd_rank(s, shape, s_hi):
         s_max = np.sqrt(sla.eigvals_banded(gram, select="i", select_range=(n - 1, n - 1))[0])
-    rank = n - k + _svd_rank(s, tol, s_max)
+    rank = n - k + _svd_rank(s, shape, s_max)
     return rank, s[::-1], U[:, ::-1]
 
 
@@ -231,27 +211,24 @@ def complement_projector(X):
     return np.eye(P.shape[0], dtype=P.dtype) - P
 
 
-def range_basis(X, tol=None):
-    """Orthonormal basis of ``range(X)`` (columns), via SVD at tolerance ``tol``."""
+def range_basis(X):
+    """Orthonormal basis of ``range(X)`` (columns), from the SVD rank rule."""
     X = _as_matrix(X, "X")
-    if tol is None:
-        tol = _default_tol(X)
     U, s, _ = np.linalg.svd(X, full_matrices=False)
-    return U[:, :_svd_rank(s, tol)]
+    return U[:, :_svd_rank(s, X.shape)]
 
 
-def null_space_basis(A, tol=None):
+def null_space_basis(A):
     """Orthonormal basis of the numerical null space of ``A``.
 
-    Columns span ``{x : ||A x|| <= tol * ||A|| * ||x||}``; the column count is
-    ``n - rank(A)``. An all-zero matrix returns the identity (any orthonormal
-    basis of the full space is valid; compare spans, not entries).
+    The column count is ``n - rank(A)``, with the rank of
+    :func:`numerical_rank`. An all-zero matrix returns the identity (any
+    orthonormal basis of the full space is valid; compare spans, not
+    entries).
     """
     A = _as_matrix(A)
-    if tol is None:
-        tol = _default_tol(A)
     _, s, Vh = np.linalg.svd(A)
-    r = _svd_rank(s, tol)
+    r = _svd_rank(s, A.shape)
     if r == 0:
         return np.eye(A.shape[1], dtype=A.dtype)
     return Vh[r:].conj().T

@@ -136,7 +136,6 @@ class ExperimentConfig:
     sigma_v2: float = 1.0
     trials: int = 100
     seed: int = 0
-    adjustment: str = ADJUST_NO
     ls_sweeps: int = 400
     init_scale: float = 1e-2
 
@@ -149,8 +148,6 @@ class ExperimentConfig:
             raise ValueError("sigma_a2 must be positive and sigma_v2 nonnegative")
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if self.adjustment not in _ADJUSTMENTS:
-            raise ValueError(f"adjustment must be one of {_ADJUSTMENTS}")
 
     @property
     def field(self):
@@ -418,14 +415,14 @@ class MseRow:
     warnings: tuple = ()
 
 
-def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list, rules=_ADJUSTMENTS):
+def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list):
     """Empirical estimator MSE against the blind CRB trace, per SNR point.
 
     Deterministic model only: the symbols are drawn once, the channel bound
     is the pseudo-inverse trace of the symbol-reduced channel FIM, and the
-    estimator is alternating least squares initialized near the truth. The
-    per-rule MSE is ``E ||adjusted(h_hat) - h0||^2`` with the sign resolved
-    by the positivity convention inside the NO rule.
+    estimator is alternating least squares initialized near the truth. Each
+    adjustment rule (NO, LS, LIN) gets its MSE ``E ||adjusted(h_hat) - h0||^2``,
+    with the sign resolved by the positivity convention inside the NO rule.
     """
     if cfg.model != DETERMINISTIC:
         raise ValueError("MSE experiments are defined for the deterministic model")
@@ -441,7 +438,7 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list, rules=_ADJUSTMENTS
         sv2 = snr_to_sigma_v2(ch, cfg.sigma_a2, snr_db)
         cfg_snr = replace(cfg, sigma_v2=sv2)
         crb_trace = minimal_crb(reduced.J / sv2).trace
-        sq = {r: np.empty(cfg.trials) for r in rules}
+        sq = {r: np.empty(cfg.trials) for r in _ADJUSTMENTS}
         nonconv = 0
         sweeps = 0
         for t in range(cfg.trials):
@@ -454,13 +451,13 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list, rules=_ADJUSTMENTS
             sweeps += est.sweeps
             if not est.converged:
                 nonconv += 1
-            for r in rules:
+            for r in _ADJUSTMENTS:
                 adj = adjust_estimate(est.h, h0, r)
                 sq[r][t] = np.linalg.norm(adj - h0) ** 2
-        mse = {r: float(sq[r].mean()) for r in rules}
+        mse = {r: float(sq[r].mean()) for r in _ADJUSTMENTS}
         se = {
             r: float(sq[r].std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else float("inf")
-            for r in rules
+            for r in _ADJUSTMENTS
         }
         rows.append(MseRow(float(snr_db), sv2, crb_trace, cfg.trials, mse, se, nonconv,
                            sweeps / cfg.trials, reduced.warnings))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import blindcrb
-from blindcrb import channel, cli, fim, identifiability, linalg, simulate
+from blindcrb import channel, cli, crb, fim, identifiability, linalg, simulate
 from blindcrb.channel import COMPLEX, REAL
 
 from conftest import channel_with_common_roots, random_channel
@@ -51,7 +51,7 @@ def test_package_imports_are_public(module, names):
     assert not private, f"blindcrb imports {private} from {module}, outside its __all__"
 
 
-_RANK_CALLS = {"matrix_rank", "pinv", "lstsq", "svd"}
+_RANK_CALLS = {"matrix_rank", "pinv", "lstsq", "svd", "finfo"}
 
 
 @pytest.mark.parametrize(
@@ -63,7 +63,8 @@ _RANK_CALLS = {"matrix_rank", "pinv", "lstsq", "svd"}
 def test_rank_decisions_go_through_linalg(path):
     # one SVD rank rule: pseudo-inverses, rank counts, minimum-norm solves
     # and SVDs outside blindcrb.linalg call its pseudo_inverse,
-    # numerical_rank, min_norm_solve and triangular_rank_reveal
+    # numerical_rank, min_norm_solve and triangular_rank_reveal, and no
+    # other module builds an eps cutoff of its own
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = sorted({node.attr for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr in _RANK_CALLS}
@@ -228,11 +229,33 @@ def test_joint_counts_use_the_kept_eigenvalues(field, kind, M):
     A = simulate.experiment_symbols(simulate.ExperimentConfig(channel=ch, M=M, seed=3))
     joint = fim.deterministic_fim(ch, A, 1.0, M)
     got = fim.realified_counts(joint)
-    want = fim.realified_singularities(joint)
+    want = fim.analyze_singularities(joint.realified())
     assert (got.rank, got.nullity, got.tol) == (want.rank, want.nullity, want.tol)
     assert got.null_basis is None
     np.testing.assert_allclose(got.eigenvalues, want.eigenvalues,
                                rtol=0, atol=1e-12 * want.eigenvalues.max())
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_constrained_crb_takes_one_tangent_basis(monkeypatch, field):
+    # a constrained bound uses the orthonormal tangent basis of its
+    # constraint set as it is: one SVD for that basis, one for the
+    # pseudo-inverse of the restricted FIM, none to re-decide the basis rank
+    ch = random_channel(np.random.default_rng(16), 2, 4, field)
+    A = simulate.experiment_symbols(simulate.ExperimentConfig(channel=ch, M=12, seed=2))
+    J = fim.channel_block(fim.deterministic_reduced_fim(ch, A, 0.5, 12))
+    cs = crb.norm_constraint(ch.h)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    res = crb.constrained_crb(J, cs)
+    assert res.bounded
+    assert len(calls) == 2, calls
 
 
 def test_identifiability_decides_no_common_factor():

@@ -266,12 +266,13 @@ class TestReducibleDecomposition:
         assert dec.N_c == 3 and dec.N_I == 1
 
     def test_residual_gate(self, rng):
-        # force an impossible factorization by tampering with the tolerance:
-        # roots that only nearly agree must not silently pass a tight gate
+        # force an impossible factorization by clustering at a loose zero
+        # tolerance: roots that only nearly agree must not pass the
+        # reconvolution residual gate
         H = np.array([np.poly([0.5]), np.poly([0.5 + 1e-4])])
         ch = Channel(H, field=REAL)
         with pytest.raises(DecompositionError):
-            reducible_decompose(ch, tol=1e-2, residual_tol=1e-10)
+            reducible_decompose(ch, tol=1e-2)
 
 
 class TestFactorMatrices:

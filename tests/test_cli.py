@@ -65,6 +65,15 @@ class TestAnalyze:
         assert "identifiable up to scale" in out
         assert "CONSISTENT" in out
 
+    def test_output_file_holds_the_report(self, chan_file, tmp_path, capsys):
+        argv = ["analyze", chan_file, "--M", "20"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        out = tmp_path / "report.txt"
+        assert main(argv + ["-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == want
+
     def test_gaussian_complex_report(self, chan_file, capsys):
         rc = main(["analyze", chan_file, "--model", "gaussian", "--field", "complex",
                    "--M", "12"])
@@ -265,6 +274,27 @@ class TestCrb:
 
     def test_bad_constraint_spec(self, chan_file, capsys):
         assert main(["crb", chan_file, "--constraint", "nope"]) == 2
+
+
+class TestRankTol:
+    # --rank-tol is the relative eigenvalue threshold of the bounded flag:
+    # at 1e-1 the tangent-restricted FIMs of the random channel count as
+    # singular, while the minimal (pseudo-inverse) bound stays bounded
+    @pytest.mark.parametrize("rank_tol, bounded", [(None, 1), ("1e-1", 0)])
+    def test_crb_and_sweep_known_honour_rank_tol(self, chan_file, tmp_path,
+                                                 rank_tol, bounded):
+        flag = [] if rank_tol is None else ["--rank-tol", rank_tol]
+        crb_out, sweep_out = tmp_path / "crb.csv", tmp_path / "sweep.csv"
+        assert main(["crb", chan_file, "--M", "20", "--constraint", "norm",
+                     "--constraint", "known:0", "--constraint", "minimal",
+                     "-o", str(crb_out)] + flag) == 0
+        assert main(["sweep-known", chan_file, "--M", "20",
+                     "-o", str(sweep_out)] + flag) == 0
+        _, _, rows = _read_csv(crb_out)
+        assert {r[0]: int(r[2]) for r in rows} == {"norm": bounded, "known:0": bounded,
+                                                    "minimal": 1}
+        _, _, rows = _read_csv(sweep_out)
+        assert {int(r[3]) for r in rows} == {bounded}
 
 
 class TestSweepKnown:

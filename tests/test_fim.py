@@ -14,8 +14,6 @@ from blindcrb.channel import (
 )
 from blindcrb.crb import gaussian_blind_crb, minimal_crb
 from blindcrb.fim import (
-    DETERMINISTIC,
-    GAUSSIAN,
     FimResult,
     GaussianModelConfig,
     MomentStack,
@@ -30,7 +28,7 @@ from blindcrb.fim import (
     gaussian_fim_generic,
     gaussian_moment_stack,
     phase_direction,
-    realified_singularities,
+    realified_counts,
     schur_reduce,
 )
 from blindcrb.linalg import range_basis
@@ -143,7 +141,7 @@ class TestDeterministicFim:
         assert fim.layout.names == ("A", "h")
         assert fim.layout.block("A").length == 23
         assert fim.layout.block("h").length == 8
-        assert fim.field == REAL and fim.model == DETERMINISTIC
+        assert fim.field == REAL
 
     def test_noise_decoupled_from_signal_parameters(self, rng):
         # extended FIM over (A, h, sigma_v^2): the cross block vanishes
@@ -357,7 +355,7 @@ class TestGaussianFim:
     def test_full_fim_nullity_one_for_clean_complex_channel(self, rng):
         ch = random_channel(rng, 2, 4, COMPLEX)
         fim = gaussian_fim(ch, GaussianModelConfig(M=8)).realified()
-        rep = analyze_singularities(fim, [("phase", phase_direction(ch.h, pad_noise=True))])
+        rep = analyze_singularities(fim, [("phase", np.append(phase_direction(ch.h), 0.0))])
         assert rep.nullity == 1 and rep.matches[0][2]
 
     def test_real_channel_regular(self, rng, chan_random):
@@ -404,8 +402,7 @@ class TestGaussianFim:
             ch = random_channel(rng, m, 3, field)
         cfg = GaussianModelConfig(1.3, 0.6, M)
         model = gaussian_fim(ch, cfg)
-        oracle = gaussian_fim_generic(gaussian_moment_stack(ch, cfg), layout=model.layout,
-                                      model=GAUSSIAN)
+        oracle = gaussian_fim_generic(gaussian_moment_stack(ch, cfg), layout=model.layout)
         scale = np.linalg.norm(oracle.J)
         assert np.linalg.norm(model.J - oracle.J) <= 1e-12 * scale
         if field == COMPLEX:
@@ -475,17 +472,15 @@ class TestSchurReduce:
         A = rng.standard_normal((3, 3))
         B = rng.standard_normal((2, 2))
         J = np.block([[A @ A.T, np.zeros((3, 2))], [np.zeros((2, 3)), B @ B.T + np.eye(2)]])
-        layout = ParamLayout((ParamBlock("x", "generic", 3, REAL),
-                              ParamBlock("y", "generic", 2, REAL)))
-        fim = FimResult(J, layout, REAL, "generic")
+        layout = ParamLayout((ParamBlock("x", 3, REAL), ParamBlock("y", 2, REAL)))
+        fim = FimResult(J, layout, REAL)
         np.testing.assert_allclose(schur_reduce(fim, "x"), A @ A.T, atol=1e-12)
 
     def test_singular_nuisance_named(self, rng):
         J = np.block([[np.eye(2), np.zeros((2, 2))],
                       [np.zeros((2, 2)), np.diag([1.0, 0.0])]])
-        layout = ParamLayout((ParamBlock("keep", "generic", 2, REAL),
-                              ParamBlock("bad", "generic", 2, REAL)))
-        fim = FimResult(J, layout, REAL, "generic")
+        layout = ParamLayout((ParamBlock("keep", 2, REAL), ParamBlock("bad", 2, REAL)))
+        fim = FimResult(J, layout, REAL)
         with pytest.raises(SingularBlockError, match="bad"):
             schur_reduce(fim, "keep")
 
@@ -531,20 +526,19 @@ class TestSingularityAnalysis:
         ch = channel_with_common_roots(rng, 2, 3, roots, COMPLEX)[0] if roots \
             else random_channel(rng, 2, 4, COMPLEX)
         fim = deterministic_fim(ch, random_burst(rng, M + ch.N - 1, COMPLEX), 0.4, M)
-        got = realified_singularities(fim)
+        got = realified_counts(fim)
         want = analyze_singularities(fim.realified())
         assert (got.rank, got.nullity) == (want.rank, want.nullity)
         np.testing.assert_allclose(got.eigenvalues, want.eigenvalues,
                                    rtol=0, atol=1e-12 * want.eigenvalues.max())
-        assert subspace_distance(got.null_basis, want.null_basis) < 1e-8
 
     def test_realified_counts_refuse_a_cross_matrix(self, rng):
         ch = random_channel(rng, 2, 3, COMPLEX)
         fim = gaussian_fim(ch, GaussianModelConfig(1.0, 0.5, 6))
         with pytest.raises(ValueError, match="cross"):
-            realified_singularities(fim)
+            realified_counts(fim)
         real = fim.realified()
-        assert realified_singularities(real).nullity == analyze_singularities(real).nullity
+        assert realified_counts(real).nullity == analyze_singularities(real).nullity
 
     def test_rank_plus_nullity(self, rng, chan_random):
         A = random_burst(rng, 23, REAL)
@@ -555,14 +549,14 @@ class TestSingularityAnalysis:
 
 class TestFimValidation:
     def test_rejects_non_hermitian(self):
-        layout = ParamLayout((ParamBlock("x", "generic", 2, REAL),))
+        layout = ParamLayout((ParamBlock("x", 2, REAL),))
         with pytest.raises(ValueError, match="Hermitian"):
-            FimResult(np.array([[1.0, 5.0], [0.0, 1.0]]), layout, REAL, "generic")
+            FimResult(np.array([[1.0, 5.0], [0.0, 1.0]]), layout, REAL)
 
     def test_rejects_indefinite(self):
-        layout = ParamLayout((ParamBlock("x", "generic", 2, REAL),))
+        layout = ParamLayout((ParamBlock("x", 2, REAL),))
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            FimResult(np.diag([1.0, -1.0]), layout, REAL, "generic")
+            FimResult(np.diag([1.0, -1.0]), layout, REAL)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from blindcrb import simulate
 from blindcrb.channel import COMPLEX, REAL, block_toeplitz, commutativity_op, symbol_hankel
 from blindcrb.crb import minimal_crb
 from blindcrb.fim import (
-    DEFAULT_RANK_TOL,
     DETERMINISTIC,
     GAUSSIAN,
     GaussianModelConfig,
@@ -19,6 +18,7 @@ from blindcrb.fim import (
     deterministic_reduced_fim,
     gaussian_fim,
 )
+from blindcrb.linalg import DEFAULT_RANK_TOL
 from blindcrb.simulate import (
     ADJUST_LIN,
     ADJUST_LS,
