@@ -298,7 +298,10 @@ def commutativity_op(A, m, N, M=None):
     ``A`` is a symbol vector of length ``M + N - 1``.
     """
     Ap = symbol_hankel(A, N, M)
-    return np.kron(Ap, np.eye(m))
+    out = np.zeros((Ap.shape[0], m, N, m), dtype=np.result_type(Ap, np.float64))
+    diag = np.arange(m)
+    out[:, diag, :, diag] = Ap       # out[r, l, c, l] = A'[r, c]
+    return out.reshape(Ap.shape[0] * m, N * m)
 
 
 def realify_channel(ch: Channel) -> Channel:

@@ -56,16 +56,17 @@ from .fim import (
     DETERMINISTIC,
     GAUSSIAN,
     GaussianModelConfig,
+    SingularityReport,
     analyze_singularities,
     channel_block,
     deterministic_fim,
+    deterministic_joint_counts,
     deterministic_reduced_fim,
     gaussian_fim,
     phase_direction,
-    realified_counts,
 )
 from .identifiability import deterministic_verdict, gaussian_verdict, verdict_vs_fim
-from .linalg import DEFAULT_RANK_TOL, realify_vector
+from .linalg import DEFAULT_RANK_TOL, eigenvalue_rank, realify_vector
 from .simulate import (
     ExperimentConfig,
     experiment_symbols,
@@ -190,16 +191,17 @@ def cmd_analyze(args):
 
     fim, A = _model_fim(ch, args)
     if args.model == DETERMINISTIC:
-        full = deterministic_fim(ch, A, args.sigma_v2, args.M)
+        rep_full = deterministic_joint_counts(ch, A, args.M, tol=args.rank_tol)
         predicted = [("scale", realify_vector(ch.h))]
         verdict = deterministic_verdict(dec, args.M)
     else:
-        fim = full = fim.realified()
+        fim = fim.realified()
+        rank, nullity = eigenvalue_rank(fim.eigenvalues, args.rank_tol)
+        rep_full = SingularityReport(rank, nullity, None, fim.eigenvalues, tol=args.rank_tol)
         predicted = []
         verdict = gaussian_verdict(dec, GaussianModelConfig(args.sigma_a2, args.sigma_v2, args.M))
     if ch.field == COMPLEX:
         predicted.append(("phase", phase_direction(ch.h)))
-    rep_full = realified_counts(full, tol=args.rank_tol)
     rep_red = analyze_singularities(channel_block(fim), predicted, tol=args.rank_tol)
     out.append(f"model {args.model}: full FIM dim={rep_full.rank + rep_full.nullity} "
                f"rank={rep_full.rank} nullity={rep_full.nullity}")

@@ -17,7 +17,10 @@ Three constructions live here:
   ``[T(h) | A_op]`` and a rank reveal on its banded triangular factor under
   the SVD rule ``max(shape) eps`` give the same reduction as Grams of
   orthogonally transformed rows, also linear in M; that rank flags a
-  rank-deficient ``T(h)``;
+  rank-deficient ``T(h)``. The joint FIM's rank and nullity are counted by
+  inertia from the same structured blocks, linear in M, without forming it
+  (:func:`deterministic_joint_counts`); the dense :func:`deterministic_fim`
+  is the reference;
 * the Gaussian-symbol model over ``theta = [h; sigma_v^2]``
   (:func:`gaussian_fim`), in the channel's own field; a complex channel's FIM
   also carries the cross matrix ``J_cross``. Its covariance slabs are column
@@ -26,11 +29,8 @@ Three constructions live here:
   ``O(ny^3 + (mN)^2 M^2)`` work, with no ``(p, ny, ny)`` slab tensor.
 
 Complex-model results convert to the stacked real representation with
-:meth:`FimResult.realified`; :func:`realified_counts` counts the rank of a
-complex FIM with no cross matrix in stacked-real coordinates from the
-eigenvalues a :class:`FimResult` keeps from its validation, without forming
-that ``2n x 2n`` copy; blocks keep their names so Schur reductions can be
-phrased representation-independently (``schur_reduce(fim, keep="h")``).
+:meth:`FimResult.realified`; blocks keep their names so Schur reductions can
+be phrased representation-independently (``schur_reduce(fim, keep="h")``).
 :func:`channel_block` is the one path from a model FIM to its stacked-real
 channel block with the other blocks reduced out.
 
@@ -63,8 +63,8 @@ from .channel import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
+    bordered_band_rank,
     cholesky_solve,
-    eigenvalue_rank,
     hermitian_nullity,
     principal_angle,
     realify_fim,
@@ -83,6 +83,7 @@ __all__ = [
     "gaussian_fim_generic",
     "gaussian_moment_stack",
     "deterministic_fim",
+    "deterministic_joint_counts",
     "deterministic_reduced_fim",
     "gaussian_fim",
     "gaussian_real_param_derivs",
@@ -90,7 +91,6 @@ __all__ = [
     "channel_block",
     "SingularityReport",
     "analyze_singularities",
-    "realified_counts",
     "phase_direction",
 ]
 
@@ -163,7 +163,8 @@ class FimResult:
     complex Gaussian model, where it is nonzero); ``warnings`` carries
     structural flags such as a rank-deficient convolution operator.
     ``eigenvalues`` (read-only, ascending) are those of ``J`` computed when
-    it was validated; :func:`realified_counts` reads its rank from them.
+    it was validated; a rank count can read them instead of decomposing
+    ``J`` again.
     """
 
     J: np.ndarray
@@ -347,6 +348,11 @@ def deterministic_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
     The same Gram expression serves real and complex models; in the complex
     case the cross-information matrix vanishes (circular noise), so the
     complex FIM alone determines the real representation.
+
+    This dense Gram is the reference: ``fim-check`` compares it with the
+    Monte Carlo score covariance, and the tests check the structured
+    :func:`deterministic_joint_counts` and :func:`deterministic_reduced_fim`
+    against it.
     """
     if sigma_v2 <= 0:
         raise ValueError("sigma_v2 must be positive")
@@ -363,6 +369,51 @@ def deterministic_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
         ("h", ch.m * ch.N, field),
     )
     return FimResult(J, layout, field)
+
+
+def _structured_operands(ch: Channel, A, M):
+    """``(field, H, A_op, band)`` of the deterministic model in one dtype:
+    the taps, the symbol operator and ``T(h)^H T(h)`` in band storage."""
+    A, M = _burst_values(A, ch, M)
+    field = _model_field(ch, A)
+    dtype = np.complex128 if field == COMPLEX else np.float64
+    H = ch.coeffs.astype(dtype)
+    return field, H, commutativity_op(A, ch.m, ch.N, M).astype(dtype), toeplitz_gram_band(H, M)
+
+
+def deterministic_joint_counts(ch: Channel, A, M=None, tol=DEFAULT_RANK_TOL):
+    """Rank and nullity of the realified joint FIM of :func:`deterministic_fim`,
+    counted by inertia without forming that FIM.
+
+    The FIM is ``G / sigma_v^2`` with ``G = D^H D`` and ``D = [T(h) | A_op]``;
+    a relative count does not see ``sigma_v^2``. Its blocks come from the
+    structured kernels: ``B = T(h)^H T(h)`` (:func:`toeplitz_gram_band`),
+    ``X = T(h)^H A_op`` (:func:`toeplitz_adjoint`) and ``C = A_op^H A_op``.
+    :func:`~blindcrb.linalg.bordered_band_rank` counts the eigenvalues of
+    ``G`` at or below ``tol lambda_max`` from Sylvester's law of inertia with
+    Haynsworth additivity at one shift ``t``:
+
+    ``#eig(G) <= t  =  #eig(B) <= t  +  #eig(S(t)) <= 0``,
+    ``S(t) = C - t I - X^H (B - t I)^-1 X`` (``mN x mN``).
+
+    ``lambda_max`` is bracketed by the largest diagonal entry of ``G`` and
+    its Gershgorin bound, and the count is taken at both ends. The dense
+    eigenvalue count of the assembled ``G`` decides when the two counts
+    differ, or when an eigenvalue of ``B`` lies near ``t`` or one of ``S``
+    near 0, where ``B - t I`` or the count is ill-conditioned. Cost
+    ``O(M N^2 + M m (mN)^2 + (mN)^3)``, linear in M, when ``B - t I`` has a
+    banded Cholesky factor; when ``T(h)`` is rank deficient (reducible
+    channels, very short bursts), counting the eigenvalues of ``B`` adds an
+    ``O(M^2 N)`` band reduction.
+
+    Returns a :class:`SingularityReport` with no null basis and no
+    eigenvalues. Counts are in realified coordinates: a complex model's
+    eigenvalues each appear twice there, so its rank and nullity are doubled.
+    """
+    field, H, Aop, band = _structured_operands(ch, A, M)
+    rank, nullity = bordered_band_rank(band, toeplitz_adjoint(H, Aop), Aop.conj().T @ Aop, tol)
+    k = 2 if field == COMPLEX else 1
+    return SingularityReport(k * rank, k * nullity, None, None, tol=tol)
 
 
 def deterministic_reduced_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
@@ -398,12 +449,7 @@ def deterministic_reduced_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
     """
     if sigma_v2 <= 0:
         raise ValueError("sigma_v2 must be positive")
-    A, M = _burst_values(A, ch, M)
-    field = _model_field(ch, A)
-    dtype = np.complex128 if field == COMPLEX else np.float64
-    H = ch.coeffs.astype(dtype)
-    Aop = commutativity_op(A, ch.m, ch.N, M).astype(dtype)
-    band = toeplitz_gram_band(H, M)
+    field, H, Aop, band = _structured_operands(ch, A, M)
     X = cholesky_solve(band, toeplitz_adjoint(H, Aop), banded=True)
     warnings = ()
     if X is not None:
@@ -604,8 +650,9 @@ def channel_block(fim: FimResult) -> np.ndarray:
 class SingularityReport:
     """Numerical rank structure of a FIM plus matches to predicted null vectors.
 
-    ``null_basis`` is ``None`` in a report counted from eigenvalues alone
-    (:func:`realified_counts`).
+    ``null_basis`` is ``None`` in a report that only counts; ``eigenvalues``
+    is ``None`` too when the count took no eigendecomposition
+    (:func:`deterministic_joint_counts`).
     """
 
     rank: int
@@ -640,27 +687,6 @@ def analyze_singularities(fim, predicted=(), tol=DEFAULT_RANK_TOL):
         ang = principal_angle(np.asarray(vec), basis)
         matches.append((name, float(ang), bool(ang < _MATCH_TOL)))
     return SingularityReport(rank, nullity, basis, w, tuple(matches), tol)
-
-
-def realified_counts(fim: FimResult, tol=DEFAULT_RANK_TOL) -> SingularityReport:
-    """Rank and nullity of ``fim.realified()``, counted on ``fim`` from the
-    eigenvalues it kept when it was validated: no second eigendecomposition,
-    and no null basis (``null_basis`` is ``None``).
-
-    A complex FIM with no cross matrix realifies to ``2 [[Re J, -Im J],
-    [Im J, Re J]]``, whose eigenvalues are those of ``2 J``, each twice (a
-    complex null vector ``v`` gives the real null vectors of ``v`` and
-    ``j v``), so rank and nullity come back doubled. A real FIM is counted as
-    it is.
-    """
-    rank, nullity = eigenvalue_rank(fim.eigenvalues, tol)
-    if fim.field == REAL:
-        return SingularityReport(rank, nullity, None, fim.eigenvalues, tol=tol)
-    if fim.cross is not None or any(b.field != COMPLEX for b in fim.layout.blocks):
-        raise ValueError("only a complex FIM with complex blocks and no cross "
-                         "matrix realifies to doubled eigenvalues")
-    return SingularityReport(2 * rank, 2 * nullity, None,
-                             np.repeat(2.0 * fim.eigenvalues, 2), tol=tol)
 
 
 def phase_direction(h):

@@ -31,6 +31,7 @@ __all__ = [
     "cholesky_solve",
     "triangular_rank_reveal",
     "eigenvalue_rank",
+    "bordered_band_rank",
     "hermitian_nullity",
     "realify_vector",
     "realify_fim",
@@ -41,6 +42,11 @@ _EPS = np.finfo(np.float64).eps
 
 # relative eigenvalue threshold for Fisher-information rank decisions
 DEFAULT_RANK_TOL = 1e-8
+
+# half-width, relative to the shift t of an inertia count, of the windows
+# around t (for an eigenvalue of B) and around 0 (for one of S) inside which
+# that count is ill-conditioned and the dense count decides
+_INERTIA_WINDOW = 1e-2
 
 
 def _as_matrix(A, name="A"):
@@ -127,6 +133,17 @@ def cholesky_solve(gram, rhs, banded=False):
     return x
 
 
+def _band_abs_row_sums(band):
+    """Row sums of ``|G|`` for a Hermitian ``G`` in upper band storage whose
+    unused corner entries are zero: the Gershgorin radii plus the diagonal."""
+    A = np.abs(band)
+    w, n = A.shape[0] - 1, A.shape[1]
+    rowsum = A.sum(axis=0)                    # diagonal and the column above it
+    for d in range(1, w + 1):
+        rowsum[:n - d] += A[w - d, d:]        # and the row right of it
+    return rowsum
+
+
 def triangular_rank_reveal(R, k, gram, rows=None):
     """Numerical rank of an upper-triangular ``R`` of nullity below ``k``,
     with its ``k`` smallest singular values and left singular vectors.
@@ -153,12 +170,8 @@ def triangular_rank_reveal(R, k, gram, rows=None):
     """
     R = np.array(_as_matrix(R, "R"), order="F")
     kd, n = R.shape[0] - 1, R.shape[1]
-    G = np.abs(_as_matrix(gram, "gram"))
-    w = G.shape[0] - 1
-    rowsum = G.sum(axis=0)                    # diagonal and the column above it
-    for d in range(1, w + 1):
-        rowsum[:n - d] += G[w - d, d:]        # and the row right of it
-    s_lo, s_hi = np.sqrt(G[w].max()), np.sqrt(rowsum.max())
+    G = _as_matrix(gram, "gram")
+    s_lo, s_hi = np.sqrt(np.abs(G[-1]).max()), np.sqrt(_band_abs_row_sums(G).max())
     if s_lo == 0.0:
         raise ValueError("R is zero")
     floor = _EPS * s_lo
@@ -248,6 +261,81 @@ def eigenvalue_rank(w, tol=DEFAULT_RANK_TOL):
         return 0, w.size
     nullity = int(np.count_nonzero(w <= tol * wmax))
     return w.size - nullity, nullity
+
+
+def bordered_band_rank(band, X, C, tol=DEFAULT_RANK_TOL):
+    """(rank, nullity) of the Hermitian PSD ``G = [[B, X], [X^H, C]]`` under
+    the rule of :func:`eigenvalue_rank`, counted by inertia without forming
+    ``G`` unless the count is ill-conditioned.
+
+    ``B`` (order ``n1``, bandwidth ``kd``) is in LAPACK's upper band storage
+    with zero unused corners; ``X`` is ``n1 x n2`` and ``C`` is ``n2 x n2``.
+    At a shift ``t``, ``#eig(G) <= t = #eig(B) <= t + #eig(S(t)) <= 0`` with
+    ``S(t) = C - t I - X^H (B - t I)^-1 X`` (Sylvester, Haynsworth). The
+    count is taken at ``t = tol lo`` and ``t = tol hi``, ``lo`` the largest
+    diagonal entry and ``hi`` the Gershgorin bound. When ``B - (t + w) I``
+    has a banded Cholesky factor at the larger shift, ``#eig(B) <= t`` is 0
+    and ``S = C - t I - Z^H Z``, ``Z = U^-H X`` from the factor ``U`` of
+    ``B - t I``; otherwise :func:`scipy.linalg.eigvals_banded` counts it and
+    a banded LU solve forms ``S``. The dense count of the assembled ``G``
+    decides when the two counts differ, or when an eigenvalue of ``B`` lies
+    within ``w`` of ``t`` or one of ``S`` within ``w`` of 0;
+    ``w = 1e-2 t + (n1 + n2) eps hi``. Cost ``O(n1 kd (kd + n2) + n1 n2^2 +
+    n2^3)``; ``eigvals_banded`` adds an ``O(n1^2 kd)`` band reduction.
+    """
+    kd, n1, n2 = band.shape[0] - 1, band.shape[1], C.shape[0]
+    n = n1 + n2
+    lo = max(band[kd].real.max(), C.diagonal().real.max())
+    absX = np.abs(X)
+    hi = max((_band_abs_row_sums(band) + absX.sum(axis=1)).max(),
+             (np.abs(C).sum(axis=1) + absX.sum(axis=0)).max())
+    shifts = (tol * lo, tol * hi)
+    windows = [_INERTIA_WINDOW * t + n * _EPS * hi for t in shifts]
+    pbtrf, tbtrs, gbsv = sla.get_lapack_funcs(("pbtrf", "tbtrs", "gbsv"), (band, X))
+    top = shifts[1] + windows[1]
+    shifted = band.copy()
+    shifted[kd] -= top
+    ev = None                        # B > top I: no eigenvalue of B counts
+    if pbtrf(shifted)[1] != 0:
+        ev = sla.eigvals_banded(band, select="v", select_range=(-np.inf, top))
+        # B in gbsv's general band storage: kd rows of fill-in, then the
+        # upper band, then the lower band by symmetry
+        ab = np.zeros((3 * kd + 1, n1), dtype=band.dtype)
+        ab[kd:2 * kd + 1] = band
+        for d in range(1, kd + 1):
+            ab[2 * kd + d, :n1 - d] = band[kd - d, d:].conj()
+    counts = []
+    for t, w in zip(shifts, windows):
+        if ev is None:
+            shifted[kd] = band[kd] - t
+            U, info = pbtrf(shifted)
+            if info != 0:
+                break
+            Z, _ = tbtrs(U, X, trans="C")
+            below, S = 0, C - Z.conj().T @ Z
+        else:
+            if np.any(np.abs(ev - t) <= w):
+                break
+            ab[2 * kd] = band[kd] - t
+            _, _, Y, info = gbsv(kd, kd, ab, X)
+            if info != 0:
+                break
+            S = C - X.conj().T @ Y
+            below, S = int(np.count_nonzero(ev < t)), 0.5 * (S + S.conj().T)
+        S.flat[::n2 + 1] -= t
+        s = np.linalg.eigvalsh(S)
+        if np.any(np.abs(s) <= w):
+            break
+        counts.append(below + int(np.count_nonzero(s < 0)))
+    if len(counts) == 2 and counts[0] == counts[1]:
+        return n - counts[0], counts[0]
+    G = np.zeros((n, n), dtype=np.result_type(band, X, C))
+    for d in range(kd + 1):
+        i = np.arange(n1 - d)
+        G[i, i + d] = band[kd - d, d:]
+        G[i + d, i] = band[kd - d, d:].conj()
+    G[:n1, n1:], G[n1:, :n1], G[n1:, n1:] = X, X.conj().T, C
+    return eigenvalue_rank(np.linalg.eigvalsh(G), tol)
 
 
 def hermitian_nullity(J, tol=DEFAULT_RANK_TOL):

@@ -9,9 +9,17 @@ import numpy as np
 
 from blindcrb.channel import COMPLEX, REAL, Channel, commutativity_op
 from blindcrb.crb import _fim_matrix
-from blindcrb.fim import MomentStack, _burst_values, _model_field
+from blindcrb.fim import (
+    DEFAULT_RANK_TOL,
+    FimResult,
+    MomentStack,
+    SingularityReport,
+    _burst_values,
+    _model_field,
+)
 from blindcrb.linalg import (
     _check_fim_pair,
+    eigenvalue_rank,
     numerical_rank,
     projector,
     pseudo_inverse,
@@ -26,6 +34,7 @@ __all__ = [
     "deterministic_moment_stack",
     "deterministic_null_directions",
     "constrained_crb_projector_form",
+    "realified_counts",
 ]
 
 
@@ -154,3 +163,24 @@ def constrained_crb_projector_form(J, A_theta):
     inner = 0.5 * (inner + inner.conj().T)
     out = A @ pseudo_inverse(inner) @ A.conj().T
     return 0.5 * (out + out.conj().T)
+
+
+def realified_counts(fim: FimResult, tol=DEFAULT_RANK_TOL) -> SingularityReport:
+    """Rank and nullity of ``fim.realified()``, counted on ``fim`` from the
+    eigenvalues it kept when it was validated: no second eigendecomposition,
+    and no null basis (``null_basis`` is ``None``).
+
+    A complex FIM with no cross matrix realifies to ``2 [[Re J, -Im J],
+    [Im J, Re J]]``, whose eigenvalues are those of ``2 J``, each twice (a
+    complex null vector ``v`` gives the real null vectors of ``v`` and
+    ``j v``), so rank and nullity come back doubled. A real FIM is counted as
+    it is.
+    """
+    rank, nullity = eigenvalue_rank(fim.eigenvalues, tol)
+    if fim.field == REAL:
+        return SingularityReport(rank, nullity, None, fim.eigenvalues, tol=tol)
+    if fim.cross is not None or any(b.field != COMPLEX for b in fim.layout.blocks):
+        raise ValueError("only a complex FIM with complex blocks and no cross "
+                         "matrix realifies to doubled eigenvalues")
+    return SingularityReport(2 * rank, 2 * nullity, None,
+                             np.repeat(2.0 * fim.eigenvalues, 2), tol=tol)

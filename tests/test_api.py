@@ -15,6 +15,7 @@ from blindcrb import channel, cli, crb, fim, identifiability, linalg, simulate
 from blindcrb.channel import COMPLEX, REAL
 
 from conftest import channel_with_common_roots, random_channel
+from oracles import realified_counts
 
 _MODULES = [importlib.import_module(f"blindcrb.{info.name}")
             for info in pkgutil.iter_modules(blindcrb.__path__)]
@@ -217,8 +218,9 @@ def _near_common(rng, field):
 @pytest.mark.parametrize("kind", ["irreducible", "common-root", "near-common"])
 @pytest.mark.parametrize("M", [4, 20])
 def test_joint_counts_use_the_kept_eigenvalues(field, kind, M):
-    # analyze counts the joint FIM from the eigenvalues kept at validation;
-    # the counts equal those of a fresh eigendecomposition
+    # the inertia count of the joint FIM equals the count from the
+    # eigenvalues the dense FIM kept at validation, and that of a fresh
+    # eigendecomposition of its realified form
     rng = np.random.default_rng(15)
     if kind == "irreducible":
         ch = random_channel(rng, 2, 4, field)
@@ -228,12 +230,32 @@ def test_joint_counts_use_the_kept_eigenvalues(field, kind, M):
         ch = _near_common(rng, field)
     A = simulate.experiment_symbols(simulate.ExperimentConfig(channel=ch, M=M, seed=3))
     joint = fim.deterministic_fim(ch, A, 1.0, M)
-    got = fim.realified_counts(joint)
+    got = fim.deterministic_joint_counts(ch, A, M)
     want = fim.analyze_singularities(joint.realified())
+    kept = realified_counts(joint)
     assert (got.rank, got.nullity, got.tol) == (want.rank, want.nullity, want.tol)
-    assert got.null_basis is None
-    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues,
-                               rtol=0, atol=1e-12 * want.eigenvalues.max())
+    assert (kept.rank, kept.nullity) == (want.rank, want.nullity)
+    assert got.null_basis is None and got.eigenvalues is None
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_deterministic_analyze_does_not_form_the_joint_fim(monkeypatch, tmp_path, capsys, field):
+    # analyze counts the joint FIM by inertia: the dense deterministic_fim is
+    # the reference of that count, so the count must not share its path
+    ch = random_channel(np.random.default_rng(17), 2, 4, field)
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(channel.channel_to_json(ch)))
+    argv = ["analyze", str(path), "--M", "200"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze formed the dense joint FIM")
+
+    monkeypatch.setattr(fim, "deterministic_fim", refuse)
+    monkeypatch.setattr(cli, "deterministic_fim", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

@@ -21,6 +21,7 @@ from blindcrb.channel import (
     realify_channel,
     reducible_decompose,
     subchannel_zeros,
+    symbol_hankel,
     taps_from_stacked,
     tc_matrix,
     ti_matrix,
@@ -149,6 +150,17 @@ class TestCommutativity:
             lhs = ch.toeplitz(M) @ A
             rhs = commutativity_op(A, m, N, M) @ ch.h
             assert np.linalg.norm(lhs - rhs) < 1e-10 * max(1.0, np.linalg.norm(lhs))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, np.complex128])
+    def test_equals_the_kronecker_form(self, rng, dtype):
+        # A_op = A' (x) I_m exactly, in the dtype np.kron gives
+        for m, N, M in [(1, 4, 20), (2, 4, 20), (3, 2, 7), (2, 4, 200)]:
+            A = 10 * random_burst(rng, M + N - 1, COMPLEX if dtype == np.complex128 else REAL)
+            A = A.astype(dtype)
+            got = commutativity_op(A, m, N, M)
+            want = np.kron(symbol_hankel(A, N, M), np.eye(m))
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_single_tap_column(self, rng):
         m, N, M = 2, 1, 4

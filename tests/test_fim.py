@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from blindcrb.channel import (
     COMPLEX,
@@ -22,19 +23,24 @@ from blindcrb.fim import (
     SingularBlockError,
     analyze_singularities,
     deterministic_fim,
+    deterministic_joint_counts,
     deterministic_reduced_fim,
     channel_block,
     gaussian_fim,
     gaussian_fim_generic,
     gaussian_moment_stack,
     phase_direction,
-    realified_counts,
     schur_reduce,
 )
 from blindcrb.linalg import range_basis
 
 from conftest import channel_with_common_roots, random_burst, random_channel
-from oracles import deterministic_moment_stack, deterministic_null_directions, subspace_distance
+from oracles import (
+    deterministic_moment_stack,
+    deterministic_null_directions,
+    realified_counts,
+    subspace_distance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +551,34 @@ class TestSingularityAnalysis:
         fim = deterministic_fim(chan_random, A, 1.0, 20)
         rep = analyze_singularities(fim)
         assert rep.rank + rep.nullity == fim.dim
+
+
+class TestDeterministicJointCounts:
+    @given(
+        field=st.sampled_from([REAL, COMPLEX]),
+        m=st.sampled_from([1, 2, 3]),
+        kind=st.sampled_from(["irreducible", "common-1", "common-2", "common-3",
+                              "near-common", "near-unit", "conj-recip"]),
+        log_delta=st.floats(-9.0, -3.0),
+        burst=st.sampled_from(["1", "2", "N-1", "20", "200"]),
+        tol=st.sampled_from([1e-12, 1e-8, 1e-4, 1e-1]),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_count_equals_the_dense_count(self, field, m, kind, log_delta, burst, tol, seed):
+        if kind == "near-common":
+            kind = f"near-common-{10.0 ** log_delta!r}"
+        ch = _hard_channel(np.random.default_rng(seed), kind, m, field)
+        M = {"1": 1, "2": 2, "N-1": ch.N - 1, "20": 20, "200": 200}[burst]
+        A = random_burst(np.random.default_rng(seed), M + ch.N - 1, field)
+        J = deterministic_fim(ch, A, 1.0, M).realified()
+        w = J.eigenvalues
+        # within roundoff of its threshold a count is not a property of the
+        # matrix: the dense count itself can go either way there
+        assume(not np.any(np.abs(w - tol * w.max()) <= w.size * np.finfo(float).eps * w.max()))
+        want = analyze_singularities(J, tol=tol)
+        got = deterministic_joint_counts(ch, A, M, tol)
+        assert (got.rank, got.nullity, got.tol) == (want.rank, want.nullity, tol)
 
 
 class TestFimValidation:

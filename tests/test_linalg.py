@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from blindcrb import linalg
 from blindcrb.channel import block_toeplitz, toeplitz_gram_band, toeplitz_staircase_qr
 from blindcrb.linalg import (
+    bordered_band_rank,
     cholesky_solve,
     complement_projector,
+    eigenvalue_rank,
     min_norm_solve,
     null_space_basis,
     numerical_rank,
@@ -21,7 +23,7 @@ from blindcrb.linalg import (
     triangular_rank_reveal,
 )
 
-from conftest import upper_band
+from conftest import from_upper_band, random_burst, upper_band
 from oracles import (
     SingularFimError,
     complexify_vector,
@@ -244,6 +246,42 @@ class TestTriangularRankReveal:
         assert first[0] == again[0]
         np.testing.assert_array_equal(first[1], again[1])
         np.testing.assert_array_equal(first[2], again[2])
+
+
+def _bordered(band, X, C):
+    """The dense ``[[B, X], [X^H, C]]`` of a Hermitian ``B`` in upper band storage."""
+    U = from_upper_band(band)
+    B = U + U.conj().T - np.diag(U.diagonal())
+    return np.block([[B, X], [X.conj().T, C]])
+
+
+class TestBorderedBandRank:
+    def test_zero_matrix_is_all_null(self):
+        assert bordered_band_rank(np.zeros((2, 5)), np.zeros((5, 3)), np.zeros((3, 3))) == (0, 8)
+
+    def test_eigenvalue_on_the_threshold_counts_as_null(self):
+        # diag(1, 1e-8, 0.5 | 1e-8): two eigenvalues sit exactly on tol lambda_max,
+        # inside the windows, so the dense rule (<= threshold) decides
+        band = np.array([[1.0, 1e-8, 0.5]])
+        got = bordered_band_rank(band, np.zeros((3, 1)), np.array([[1e-8]]), tol=1e-8)
+        assert got == (2, 2)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-4, 1e-1])
+    def test_equals_the_dense_count(self, rng, complex_, tol):
+        # G = D^H D with D = [T | E]: B = T^H T banded, singular when the
+        # taps share a root; E's last column lies in the range of T
+        field = "complex" if complex_ else "real"
+        for taps in (random_burst(rng, 8, field).reshape(2, 4),
+                     np.array([np.convolve(random_burst(rng, 2, field), [1.0, -0.5])
+                               for _ in range(2)])):
+            T = block_toeplitz(taps, 30)
+            E = random_burst(rng, T.shape[0] * 4, field).reshape(-1, 4)
+            E[:, -1] = T @ random_burst(rng, T.shape[1], field)
+            band = toeplitz_gram_band(taps, 30)
+            X, C = T.conj().T @ E, E.conj().T @ E
+            want = eigenvalue_rank(np.linalg.eigvalsh(_bordered(band, X, C)), tol)
+            assert bordered_band_rank(band, X, C, tol) == want
 
 
 def _consistent_pair(rng, n, psd=True):
