@@ -190,20 +190,34 @@ def toeplitz_adjoint(taps, Y):
     return out
 
 
+@lru_cache(maxsize=32)
+def _gram_band_map(M, N):
+    """Read-only 0/1 matrix ``W`` with ``band.ravel() = W @ R.ravel()`` for
+    the band of :func:`toeplitz_gram_band`: entry ``(N - 1 - d, j)`` sums
+    ``R[k, k + d]`` over ``0 <= j - d - k < M``."""
+    n = M + N - 1
+    W = np.zeros((N, n, N, N))
+    for d in range(N):
+        for k in range(N - d):
+            W[N - 1 - d, d + k:d + k + M, k, k + d] = 1.0
+    W = W.reshape(N * n, N * N)
+    W.flags.writeable = False
+    return W
+
+
 def toeplitz_gram_band(taps, M):
     """``T_M(h)^H T_M(h)`` in LAPACK's upper band storage, ``(N, M + N - 1)``.
 
     The Gram is Hermitian banded with bandwidth N - 1: its d-th
     superdiagonal is the d-th diagonal of ``R = H^H H`` convolved with M
-    ones, and sits in row ``N - 1 - d``.
+    ones, and sits in row ``N - 1 - d``. That linear map from ``R`` is one
+    0/1 matrix per ``(M, N)``, cached, so a call is one small product
+    (a complex ``R`` goes through it as its real and imaginary parts).
     """
     N = taps.shape[1]
-    R = taps.conj().T @ taps
-    band = np.zeros((N, M + N - 1), dtype=R.dtype)
-    box = np.ones(M)
-    for d in range(N):
-        band[N - 1 - d, d:] = np.convolve(np.diagonal(R, d), box)
-    return band
+    R = np.asarray(taps.conj().T @ taps, dtype=np.result_type(taps, np.float64))
+    parts = R.reshape(N * N).view(np.float64).reshape(N * N, -1)
+    return (_gram_band_map(M, N) @ parts).view(R.dtype).reshape(N, M + N - 1)
 
 
 # time steps per staircase QR step: wide enough that the LAPACK call, not

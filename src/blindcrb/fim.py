@@ -83,6 +83,7 @@ __all__ = [
     "gaussian_fim_generic",
     "gaussian_moment_stack",
     "deterministic_fim",
+    "deterministic_joint_operator",
     "deterministic_joint_counts",
     "deterministic_reduced_fim",
     "gaussian_fim",
@@ -358,17 +359,26 @@ def deterministic_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
         raise ValueError("sigma_v2 must be positive")
     A, M = _burst_values(A, ch, M)
     field = _model_field(ch, A)
-    T = ch.toeplitz(M)
-    Aop = commutativity_op(A, ch.m, ch.N, M)
-    D = np.hstack([T, Aop])
-    if field == COMPLEX:
-        D = D.astype(np.complex128)
+    D = deterministic_joint_operator(ch, A, M)
     J = D.conj().T @ D / sigma_v2
     layout = _layout(
         ("A", M + ch.N - 1, field),
         ("h", ch.m * ch.N, field),
     )
     return FimResult(J, layout, field)
+
+
+def deterministic_joint_operator(ch: Channel, A, M=None):
+    """``D = [T(h) | A_op]`` in the model's dtype (complex when the channel or
+    the symbols are), with ``T(h) A = A_op h``.
+
+    ``D`` is the Jacobian of the mean ``T(h) A`` in ``(A, h)``: the joint
+    FIM is ``D^H D / sigma_v^2`` (:func:`deterministic_fim`), and a trial's
+    score is ``D^H v / sigma_v^2`` for its noise ``v``.
+    """
+    A, M = _burst_values(A, ch, M)
+    dtype = np.complex128 if _model_field(ch, A) == COMPLEX else np.float64
+    return np.hstack([ch.toeplitz(M), commutativity_op(A, ch.m, ch.N, M)], dtype=dtype)
 
 
 def _structured_operands(ch: Channel, A, M):

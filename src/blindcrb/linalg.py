@@ -16,6 +16,8 @@ rank counts the eigenvalues above ``tol * lambda_max``
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -103,6 +105,11 @@ def min_norm_solve(A, B):
     return X, int(rank)
 
 
+@lru_cache(maxsize=None)
+def _lapack_funcs(names, dtype):
+    return sla.get_lapack_funcs(names, dtype=dtype)
+
+
 def cholesky_solve(gram, rhs, banded=False):
     """Solve ``G X = rhs`` for a Hermitian positive semidefinite Gram ``G``
     through one Cholesky factor, or return ``None`` if ``G`` is numerically
@@ -115,10 +122,11 @@ def cholesky_solve(gram, rhs, banded=False):
     at or below ``DEFAULT_RANK_TOL`` times its largest, the relative
     eigenvalue rule of :func:`hermitian_nullity`: a numerically singular Gram
     can still factor, and a solve through that factor adds an arbitrary
-    null-space part. Callers then take :func:`min_norm_solve`.
+    null-space part. Callers then take :func:`min_norm_solve`. The LAPACK
+    handles are looked up once per routine pair and dtype.
     """
     names = ("pbtrf", "pbtrs") if banded else ("potrf", "potrs")
-    trf, trs = sla.get_lapack_funcs(names, (gram, rhs))
+    trf, trs = _lapack_funcs(names, np.result_type(gram, rhs))
     c, info = trf(gram, lower=0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {names[0]}")

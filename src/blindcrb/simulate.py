@@ -4,10 +4,14 @@ scale/phase adjustment rules, and MSE-vs-CRB experiments.
 Randomness is counter-based and fully determined by ``(seed, stream)``:
 every logical draw owns a Philox stream, so trials are reproducible
 bit-for-bit regardless of execution order or parallel scheduling. The
-trial loops (score covariance, MSE experiments) re-key one private
-generator per loop to each draw's stream instead of building a Philox per
-draw; a re-keyed generator yields bitwise the draws of a fresh
-:func:`stream_rng`, so the stream map below is unchanged.
+trial loops (score covariance, MSE experiments) draw all trials of one
+stream purpose into one ``(trials, k, size)`` buffer of raw standard
+normals, through one generator whose fresh state changes only its key from
+trial to trial, and scale that buffer into noise or symbols in one step;
+each trial's draws are bitwise those of a fresh :func:`stream_rng`, so the
+stream map below is unchanged. The scores of all trials are then formed
+as matrix products, and an MSE experiment draws its noise and
+initialization normals once for all of its SNR points.
 
 Stream map (documented contract):
 
@@ -24,7 +28,7 @@ independent with half the total variance each, so ``E[v v^T] = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,10 +38,7 @@ from .channel import (
     REAL,
     Channel,
     block_toeplitz,
-    commutativity_op,
-    symbol_hankel,
     taps_from_stacked,
-    toeplitz_adjoint,
     toeplitz_gram_band,
 )
 from .crb import minimal_crb
@@ -45,6 +46,7 @@ from .fim import (
     DETERMINISTIC,
     GAUSSIAN,
     GaussianModelConfig,
+    deterministic_joint_operator,
     deterministic_reduced_fim,
     gaussian_real_param_derivs,
 )
@@ -118,6 +120,28 @@ def _trial_stream(trial, purpose):
     return 1 + 4 * trial + purpose
 
 
+def _trial_normals(rng, cfg, purpose, size):
+    """Raw standard normals of one stream purpose for every trial of ``cfg``.
+
+    ``out[t]`` is bitwise ``stream_rng(cfg.seed, 1 + 4 t + purpose)
+    .standard_normal((k, size))``, with ``k = 2`` rows (real and imaginary
+    parts) for a complex channel and 1 for a real one: ``rng`` is re-keyed
+    once, and each trial then only swaps the key of that fresh state and
+    draws into its row.
+    """
+    keys = np.empty((cfg.trials, 2), dtype=np.uint64)
+    keys[:] = _stream_key(cfg.seed, 0)
+    keys[:, 1] = _trial_stream(np.arange(cfg.trials, dtype=np.uint64), purpose)
+    bitgen = _rekey(rng, cfg.seed, _trial_stream(0, purpose)).bit_generator
+    state = bitgen.state
+    out = np.empty((cfg.trials, 2 if cfg.field == COMPLEX else 1, size))
+    for t in range(cfg.trials):
+        state["state"]["key"] = keys[t]
+        bitgen.state = state
+        rng.standard_normal(out=out[t])
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines a Monte Carlo run.
@@ -158,21 +182,25 @@ class ExperimentConfig:
         return GaussianModelConfig(self.sigma_a2, self.sigma_v2, self.M)
 
 
-def _draw_gaussian_vector(rng, size, scale2, complex_field):
+def _scale_normals(g, scale2, complex_field):
+    """Zero-mean Gaussian draws of variance ``scale2`` from raw normals ``g``
+    of shape ``(..., k, size)``; complex draws are circular, with half the
+    variance in each part."""
     if complex_field:
-        g = rng.standard_normal((2, size))
-        return np.sqrt(scale2 / 2.0) * (g[0] + 1j * g[1])
-    return np.sqrt(scale2) * rng.standard_normal(size)
+        z = g[..., 0, :] + 1j * g[..., 1, :]
+        z *= np.sqrt(scale2 / 2.0)        # in place: one trial-sized temporary fewer
+        return z
+    return np.sqrt(scale2) * g[..., 0, :]
+
+
+def _draw_gaussian_vector(rng, size, scale2, complex_field):
+    g = rng.standard_normal((2 if complex_field else 1, size))
+    return _scale_normals(g, scale2, complex_field)
 
 
 def _symbol_draw(rng, cfg):
     n = cfg.M + cfg.channel.N - 1
     return _draw_gaussian_vector(rng, n, cfg.sigma_a2, cfg.field == COMPLEX)
-
-
-def _noise_draw(rng, cfg):
-    ny = cfg.M * cfg.channel.m
-    return _draw_gaussian_vector(rng, ny, cfg.sigma_v2, cfg.field == COMPLEX)
 
 
 def experiment_symbols(cfg: ExperimentConfig, trial=0):
@@ -190,7 +218,8 @@ def experiment_symbols(cfg: ExperimentConfig, trial=0):
 
 def draw_noise(cfg: ExperimentConfig, trial):
     """Observation noise of one trial: white, circular when complex."""
-    return _noise_draw(stream_rng(cfg.seed, _trial_stream(trial, _PURPOSE_NOISE)), cfg)
+    rng = stream_rng(cfg.seed, _trial_stream(trial, _PURPOSE_NOISE))
+    return _draw_gaussian_vector(rng, cfg.M * cfg.channel.m, cfg.sigma_v2, cfg.field == COMPLEX)
 
 
 def simulate_burst(cfg: ExperimentConfig, trial=0):
@@ -211,35 +240,36 @@ class McFimEstimate:
     score_mean_se: np.ndarray
 
 
-def _det_score_matrix(cfg, trials):
+def _trial_draws(rng, cfg, purpose, size, scale2):
+    """Draws of one stream purpose for every trial of ``cfg``, one row each."""
+    return _scale_normals(_trial_normals(rng, cfg, purpose, size), scale2, cfg.field == COMPLEX)
+
+
+def _det_score_matrix(cfg):
     ch = cfg.channel
-    T = ch.toeplitz(cfg.M)
-    Aop = commutativity_op(experiment_symbols(cfg), ch.m, ch.N, cfg.M)
-    D = np.hstack([T, Aop])
-    nA = cfg.M + ch.N - 1
-    V = np.empty((trials, T.shape[0]), dtype=complex if cfg.field == COMPLEX else float)
     rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
-    for t in range(trials):
-        V[t] = _noise_draw(_rekey(rng, cfg.seed, _trial_stream(t, _PURPOSE_NOISE)), cfg)
+    A = _symbol_draw(rng, cfg)            # experiment_symbols(cfg)
+    D = deterministic_joint_operator(ch, A, cfg.M)
+    V = _trial_draws(rng, cfg, _PURPOSE_NOISE, D.shape[0], cfg.sigma_v2)
     if cfg.field == REAL:
         return (V @ D) / cfg.sigma_v2
+    nA = cfg.M + ch.N - 1
     U = V @ D.conj()                      # row t = (D^H v_t)^T
     blocks = [U[:, :nA].real, U[:, :nA].imag, U[:, nA:].real, U[:, nA:].imag]
     return 2.0 * np.hstack(blocks) / cfg.sigma_v2
 
 
-def _gaussian_score_matrix(cfg, trials):
+def _gaussian_score_matrix(cfg):
     ch = cfg.channel
     C, slabs = gaussian_real_param_derivs(ch, cfg.gaussian_config)
     Ci = sla.cho_solve(sla.cho_factor(C), np.eye(C.shape[0], dtype=C.dtype))
     P = Ci @ slabs @ Ci
     offset = np.einsum("ij,aji->a", Ci, slabs).real
     T = ch.toeplitz(cfg.M)
-    Y = np.empty((trials, T.shape[0]), dtype=complex if cfg.field == COMPLEX else float)
     rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
-    for t in range(trials):
-        A = _symbol_draw(_rekey(rng, cfg.seed, _trial_stream(t, _PURPOSE_SYMBOLS)), cfg)
-        Y[t] = T @ A + _noise_draw(_rekey(rng, cfg.seed, _trial_stream(t, _PURPOSE_NOISE)), cfg)
+    # row t: the burst T A_t + V_t of trial t
+    Y = _trial_draws(rng, cfg, _PURPOSE_NOISE, T.shape[0], cfg.sigma_v2)
+    Y += _trial_draws(rng, cfg, _PURPOSE_SYMBOLS, T.shape[1], cfg.sigma_a2) @ T.T
     quad = np.einsum("ti,aij,tj->ta", Y.conj(), P, Y).real
     if cfg.field == COMPLEX:
         return quad - offset
@@ -256,9 +286,9 @@ def score_covariance_fim(cfg: ExperimentConfig) -> McFimEstimate:
     outer products.
     """
     if cfg.model == DETERMINISTIC:
-        S = _det_score_matrix(cfg, cfg.trials)
+        S = _det_score_matrix(cfg)
     else:
-        S = _gaussian_score_matrix(cfg, cfg.trials)
+        S = _gaussian_score_matrix(cfg)
     T = cfg.trials
     prods = np.einsum("ta,tb->tab", S, S)
     J_hat = prods.mean(axis=0)
@@ -323,9 +353,15 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
     if the sweep budget runs out first, the best iterate is returned with
     ``converged=False``.
 
-    Neither step forms ``T(h)`` or ``A_op``: the symbol step solves the
-    banded ``T(h)^H T(h)`` (bandwidth N - 1) and the channel step one N x N
-    Gram with m right-hand sides, ``A_op^H A_op = (A'^H A') (x) I_m``.
+    Neither step forms ``T(h)`` or ``A_op``. Formed once per call, since
+    ``Y`` is fixed: the data operator ``Q`` with ``T(h)^H y = Q conj(h)``,
+    ``Q[s, i m + l] = Yr[s - i, l]`` for the blocks ``Yr`` of ``Y``, and the
+    index of the symbol Hankel ``A'``. Formed once per sweep: the symbol
+    step's right-hand side ``Q conj(h)`` (one product) and the banded
+    ``T(h)^H T(h)`` (bandwidth N - 1, from ``H^H H`` through
+    :func:`~blindcrb.channel.toeplitz_gram_band`); and the channel step's
+    N x N Gram ``A'^H A'`` with m right-hand sides,
+    ``A_op^H A_op = (A'^H A') (x) I_m``.
 
     Convergence is local: the iteration settles into the cost basin selected
     by ``init``, and an initialization far from (or orthogonal to) the true
@@ -342,11 +378,16 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
         raise ValueError(f"init must have length m*N = {m * N}")
     h = h / np.linalg.norm(h)
     Yr = Y.reshape(M, m)                  # row r = block r of Y
+    Q = np.zeros((M + N - 1, N, m), dtype=Y.dtype)
+    for i in range(N):
+        Q[i:i + M, i] = Yr
+    Q = Q.reshape(M + N - 1, N * m)
+    hankel = np.arange(M)[:, None] + np.arange(N)     # A'[r, c] = A[r + c]
     history = []
     A = None
     for sweep in range(sweeps):
-        A = _symbol_step(taps_from_stacked(h, m), Yr)
-        Ap = symbol_hankel(A, N, M)
+        A = _symbol_step(taps_from_stacked(h, m), Yr, Q @ h.conj())
+        Ap = A[hankel]
         X = _channel_step(Ap, Yr)
         resid = np.linalg.norm(Yr - Ap @ X)
         h = X.ravel()
@@ -357,18 +398,17 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
     return AlternatingLsResult(h, A, float(history[-1]), tuple(history), False, sweeps)
 
 
-def _symbol_step(H, Yr):
-    """Least-squares symbols ``argmin_A ||Y - T(h) A||`` for taps ``H`` (m x N).
+def _symbol_step(H, Yr, rhs):
+    """Least-squares symbols ``argmin_A ||Y - T(h) A||`` for taps ``H`` (m x N)
+    and ``rhs = T(h)^H Y``.
 
-    The normal equations use the banded ``T(h)^H T(h)`` and the tap sums of
-    ``T(h)^H Y``; a numerically singular Gram (see
-    :func:`~blindcrb.linalg.cholesky_solve`) takes the minimum-norm
-    solution, and only that fallback builds a dense ``T(h)``.
+    The normal equations use the banded ``T(h)^H T(h)``; a numerically
+    singular Gram (see :func:`~blindcrb.linalg.cholesky_solve`) takes the
+    minimum-norm solution, and only that fallback builds a dense ``T(h)``.
     """
     M = Yr.shape[0]
-    Y = Yr.ravel()
-    A = cholesky_solve(toeplitz_gram_band(H, M), toeplitz_adjoint(H, Y), banded=True)
-    return A if A is not None else min_norm_solve(block_toeplitz(H, M), Y)[0]
+    A = cholesky_solve(toeplitz_gram_band(H, M), rhs, banded=True)
+    return A if A is not None else min_norm_solve(block_toeplitz(H, M), Yr.ravel())[0]
 
 
 def _channel_step(Ap, Yr):
@@ -428,26 +468,26 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list):
         raise ValueError("MSE experiments are defined for the deterministic model")
     ch = cfg.channel
     h0 = ch.h
-    A = experiment_symbols(cfg)
+    rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
+    A = _symbol_draw(rng, cfg)            # experiment_symbols(cfg)
     TA = ch.toeplitz(cfg.M) @ A
     # the reduced FIM scales as 1/sigma_v^2: build it once at unit noise
     reduced = deterministic_reduced_fim(ch, A, 1.0, cfg.M)
-    rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
+    # the noise and init streams do not depend on the SNR: draw them once
+    noise = _trial_normals(rng, cfg, _PURPOSE_NOISE, TA.size)
+    perts = _trial_draws(rng, cfg, _PURPOSE_INIT, h0.size, 1.0)
     rows = []
     for snr_db in snr_db_list:
         sv2 = snr_to_sigma_v2(ch, cfg.sigma_a2, snr_db)
-        cfg_snr = replace(cfg, sigma_v2=sv2)
         crb_trace = minimal_crb(reduced.J / sv2).trace
+        Ys = TA + _scale_normals(noise, sv2, cfg.field == COMPLEX)    # simulate_burst per trial
         sq = {r: np.empty(cfg.trials) for r in _ADJUSTMENTS}
         nonconv = 0
         sweeps = 0
         for t in range(cfg.trials):
-            # simulate_burst(cfg_snr, t), with the fixed T(h) A formed once
-            Y = TA + _noise_draw(_rekey(rng, cfg.seed, _trial_stream(t, _PURPOSE_NOISE)), cfg_snr)
-            pert = _draw_gaussian_vector(_rekey(rng, cfg.seed, _trial_stream(t, _PURPOSE_INIT)),
-                                         h0.size, 1.0, cfg.field == COMPLEX)
+            pert = perts[t]
             init = h0 + cfg.init_scale * np.linalg.norm(h0) * pert / np.linalg.norm(pert)
-            est = alternating_ls_estimator(Y, ch.m, ch.N, init, sweeps=cfg.ls_sweeps)
+            est = alternating_ls_estimator(Ys[t], ch.m, ch.N, init, sweeps=cfg.ls_sweeps)
             sweeps += est.sweeps
             if not est.converged:
                 nonconv += 1

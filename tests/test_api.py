@@ -6,6 +6,7 @@ import json
 import pathlib
 import pkgutil
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,9 +108,48 @@ def test_als_builds_no_dense_operators(monkeypatch):
 
     for mod in (channel, simulate):
         monkeypatch.setattr(mod, "block_toeplitz", refuse)
-        monkeypatch.setattr(mod, "commutativity_op", refuse)
+        monkeypatch.setattr(mod, "commutativity_op", refuse, raising=False)
     res = simulate.alternating_ls_estimator(Y, ch.m, ch.N, ch.h, sweeps=20)
     assert res.residual < np.linalg.norm(Y)
+
+
+def test_als_forms_its_data_operator_once(monkeypatch):
+    # T(h)^H y = Q conj(h) with Q built from Y once per call: no sweep goes
+    # through the tap-sum adjoint
+    ch = random_channel(np.random.default_rng(12), 2, 4, COMPLEX)
+    cfg = simulate.ExperimentConfig(channel=ch, M=30, sigma_v2=0.01, seed=4)
+    Y = simulate.simulate_burst(cfg)
+    want = simulate.alternating_ls_estimator(Y, ch.m, ch.N, ch.h, sweeps=20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ALS sweep applied T(h)^H by tap sums")
+
+    for mod in (channel, simulate):
+        monkeypatch.setattr(mod, "toeplitz_adjoint", refuse, raising=False)
+    got = simulate.alternating_ls_estimator(Y, ch.m, ch.N, ch.h, sweeps=20)
+    np.testing.assert_array_equal(got.h, want.h)
+    assert got.sweeps == want.sweeps
+
+
+@pytest.mark.parametrize("loop", ["deterministic", "gaussian", "mse"])
+def test_trial_loops_build_one_generator(monkeypatch, loop):
+    # the trial loops re-key one generator for all of their draws instead
+    # of building a stream_rng per trial or per SNR point
+    ch = random_channel(np.random.default_rng(14), 2, 2, REAL)
+    cfg = simulate.ExperimentConfig(channel=ch, M=4, trials=500, sigma_v2=0.3, seed=9)
+    calls = []
+
+    def counted(seed, stream):
+        calls.append(stream)
+        return stream_rng(seed, stream)
+
+    stream_rng = simulate.stream_rng
+    monkeypatch.setattr(simulate, "stream_rng", counted)
+    if loop == "mse":
+        simulate.mse_vs_crb_experiment(replace(cfg, trials=5, ls_sweeps=10), [10.0, 20.0])
+    else:
+        simulate.score_covariance_fim(replace(cfg, model=loop))
+    assert len(calls) <= 1
 
 
 def test_reduced_fim_builds_no_dense_operators(monkeypatch):

@@ -91,6 +91,19 @@ class TestToeplitzOperator:
         np.testing.assert_array_equal(T[:2, :4], chan_random.coeffs)
         assert np.all(T[:2, 4:] == 0)
 
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    def test_gram_band_matches_dense_gram(self, field, m, N):
+        rng = np.random.default_rng(20 + 5 * m + N)
+        ch = random_channel(rng, m, N, field)
+        for M in sorted({1, 2, N - 1, 20, 200} - {0}):
+            T = block_toeplitz(ch.coeffs, M)
+            want = upper_band(T.conj().T @ T, N - 1)
+            got = toeplitz_gram_band(ch.coeffs, M)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
 
 class TestStaircaseQr:
     @pytest.mark.parametrize("m, N, M", [(2, 4, 20), (2, 4, 32), (2, 4, 33), (3, 3, 70),

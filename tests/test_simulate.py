@@ -70,23 +70,56 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_trial_loops_draw_the_fresh_generator_streams(self, monkeypatch, field):
-        # the trial loops re-key one generator; building a fresh stream_rng
-        # per draw instead must give bitwise the same results
+        # the trial loops draw each stream purpose of all trials into one
+        # buffer; row t must be bitwise the draw of the public per-trial
+        # drawers, which build a fresh stream_rng
         ch = random_channel(np.random.default_rng(7), 2, 2, field)
         det = _cfg(ch, M=4, trials=200, sigma_v2=0.3)
         gauss = replace(det, model=GAUSSIAN)
         mse = replace(det, trials=4, ls_sweeps=20)
+        complex_field = field == COMPLEX
+        drawn = []
+        trial_normals = simulate._trial_normals
 
-        def run():
-            return (score_covariance_fim(det).J_hat, score_covariance_fim(gauss).J_hat,
-                    mse_vs_crb_experiment(mse, [20.0]))
+        def recording(rng, cfg, purpose, size):
+            out = trial_normals(rng, cfg, purpose, size)
+            drawn.append((purpose, out))
+            return out
 
-        got = run()
-        monkeypatch.setattr(simulate, "_rekey", lambda rng, seed, stream: stream_rng(seed, stream))
-        want = run()
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        assert got[2] == want[2]
+        def draws(purpose, scale2):
+            (g,) = [out for p, out in drawn if p == purpose]
+            return simulate._scale_normals(g, scale2, complex_field)
+
+        monkeypatch.setattr(simulate, "_trial_normals", recording)
+        score_covariance_fim(det)
+        noise = draws(0, det.sigma_v2)
+        drawn.clear()
+        S = simulate._gaussian_score_matrix(gauss)
+        symbols, gauss_noise = draws(1, gauss.sigma_a2), draws(0, gauss.sigma_v2)
+        drawn.clear()
+        rows = mse_vs_crb_experiment(mse, [20.0])
+        mse_noise = draws(0, rows[0].sigma_v2)
+        perts = draws(2, 1.0)
+        for t in (0, 1, det.trials - 1):
+            np.testing.assert_array_equal(noise[t], draw_noise(det, t))
+            np.testing.assert_array_equal(gauss_noise[t], draw_noise(gauss, t))
+            np.testing.assert_array_equal(symbols[t], experiment_symbols(gauss, t))
+        for t in (0, 1, mse.trials - 1):
+            np.testing.assert_array_equal(
+                mse_noise[t], draw_noise(replace(mse, sigma_v2=rows[0].sigma_v2), t))
+            np.testing.assert_array_equal(perts[t], simulate._draw_gaussian_vector(
+                stream_rng(mse.seed, 1 + 4 * t + 2), ch.h.size, 1.0, complex_field))
+        # each Gaussian score row is the per-trial formula on simulate_burst
+        C, slabs = simulate.gaussian_real_param_derivs(ch, gauss.gaussian_config)
+        Ci = np.linalg.inv(C)
+        P = [Ci @ G @ Ci for G in slabs]
+        offset = np.array([np.trace(Ci @ G).real for G in slabs])
+        for t in (0, 1, gauss.trials - 1):
+            y = simulate_burst(gauss, t)
+            quad = np.array([np.vdot(y, Pa @ y).real for Pa in P])
+            want = (quad - offset) * (1.0 if complex_field else 0.5)
+            scale = np.linalg.norm(quad) + np.linalg.norm(offset)
+            assert np.linalg.norm(S[t] - want) <= 1e-12 * scale
 
     def test_bursts_bit_identical(self, chan_random):
         cfg = _cfg(chan_random)
@@ -273,7 +306,7 @@ class TestAlternatingLs:
         Y = rng.standard_normal(T.shape[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = simulate._symbol_step(ch.coeffs, Y.reshape(M, ch.m))
+            got = simulate._symbol_step(ch.coeffs, Y.reshape(M, ch.m), T.T @ Y)
         np.testing.assert_allclose(got, np.linalg.lstsq(T, Y, rcond=None)[0], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -334,7 +367,7 @@ class TestStructuredAls:
         got, want = np.asarray(got), np.asarray(want)
         assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("M", [4, 30])
+    @pytest.mark.parametrize("M", [4, 30, 100])
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_matches_dense_sweep(self, field, m, M):
