@@ -22,7 +22,6 @@ from .channel import (
     commutativity_op,
     realify_channel,
     subchannel_zeros,
-    common_zeros,
     reducible_decompose,
     tc_matrix,
     ti_matrix,
@@ -33,10 +32,8 @@ from .channel import (
     example_channel,
 )
 from .crb import (
-    ConstraintSet,
     CrbResult,
     constrained_crb,
-    gaussian_blind_crb,
     known_coeff_constraint,
     linear_constraint,
     minimal_crb,
@@ -69,8 +66,6 @@ from .identifiability import (
 )
 from .linalg import (
     null_space_basis,
-    projector,
-    complement_projector,
     pseudo_inverse,
     realify_fim,
     realify_vector,

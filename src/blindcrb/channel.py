@@ -48,7 +48,6 @@ __all__ = [
     "poly_roots",
     "poly_from_roots",
     "subchannel_zeros",
-    "common_zeros",
     "reducible_decompose",
     "tc_matrix",
     "ti_matrix",
@@ -370,18 +369,14 @@ def subchannel_zeros(ch: Channel):
     return [poly_roots(ch.coeffs[l]) for l in range(ch.m)]
 
 
-def common_zeros(ch: Channel, tol=DEFAULT_ZERO_TOL):
-    """Roots shared by every subchannel, clustered at absolute tolerance ``tol``.
+def _cluster_common(per, tol):
+    """Roots shared by every per-subchannel root array of ``per``, clustered
+    at absolute tolerance ``tol``.
 
     Multiplicities are respected: a double common root must appear (within
     ``tol``) twice in every subchannel. For a monochannel every root is
     common. Returned values average the matched cluster.
     """
-    return _cluster_common(subchannel_zeros(ch), tol)
-
-
-def _cluster_common(per, tol):
-    """:func:`common_zeros` from the per-subchannel root arrays ``per``."""
     if len(per) == 1:
         return per[0]
     out = []

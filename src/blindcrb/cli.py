@@ -229,15 +229,12 @@ def cmd_analyze(args):
 
 def _per_coefficient_diag(crb, n_coeffs, field):
     d = np.real(np.diag(crb))
-    if field == COMPLEX and d.size == 2 * n_coeffs:
-        return d[:n_coeffs] + d[n_coeffs:]
-    return d[:n_coeffs]
+    return d[:n_coeffs] + d[n_coeffs:] if field == COMPLEX else d
 
 
 def cmd_crb(args):
     ch = _resolve_field(load_channel(args.channel), args.field)
-    fim, _ = _model_fim(ch, args)
-    Jred = channel_block(fim)
+    Jred = channel_block(_model_fim(ch, args)[0])
     n = ch.m * ch.N
     dec = None
     if any(spec.startswith("reducible") for spec in args.constraint):
@@ -250,22 +247,11 @@ def cmd_crb(args):
     rows = []
     for spec in args.constraint:
         try:
-            cs = parse_constraint(spec, ch.h, ch.field, dec=dec, linear_loader=load_linear)
+            K = parse_constraint(spec, ch.h, ch.field, dec=dec, linear_loader=load_linear)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if cs is None:
-            res = minimal_crb(Jred)
-        elif cs.kind.startswith("reducible") and ch.field == COMPLEX:
-            # reducible constraints act on the native complex FIM; the others
-            # on a complex channel act on its realified form
-            if args.model != DETERMINISTIC:
-                print("error: reducible constraints on a complex channel are "
-                      "supported for the deterministic model only", file=sys.stderr)
-                return 2
-            res = constrained_crb(fim.J, cs, tol=args.rank_tol)
-        else:
-            res = constrained_crb(Jred, cs, tol=args.rank_tol)
+        res = minimal_crb(Jred) if K is None else constrained_crb(Jred, K, tol=args.rank_tol)
         diag = _per_coefficient_diag(res.crb, n, ch.field)
         rows.append([spec, _fmt(res.trace, 12), int(res.bounded)]
                     + [_fmt(v, 9) for v in diag])
@@ -289,8 +275,8 @@ def cmd_sweep_known(args):
     n = ch.m * ch.N
     rows = []
     for i in range(n):
-        cs = parse_constraint(f"known:{i}", ch.h, ch.field)
-        res = constrained_crb(Jred, cs, tol=args.rank_tol)
+        K = parse_constraint(f"known:{i}", ch.h, ch.field)
+        res = constrained_crb(Jred, K, tol=args.rank_tol)
         rows.append([i, _fmt(abs(ch.h[i]), 9), _fmt(res.trace, 12),
                      int(res.bounded), _fmt(baseline, 12)])
     header = ["coef_index", "coef_abs", "trace", "bounded", "minimal_trace"]

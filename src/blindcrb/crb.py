@@ -1,10 +1,15 @@
-"""Constraint sets, tangent spaces, and constrained Cramer-Rao bounds.
+"""Constraint Jacobians and constrained Cramer-Rao bounds.
 
-A constraint is represented purely by its Jacobian ``d K^T / d theta``
-evaluated at the true parameter: the bound depends on the constraint set
-only through the tangent space there, so the nonlinear constraint function
-itself is never stored. The tangent space is the orthogonal complement of
-the Jacobian's column span; the constrained CRB restricted to it is
+A constraint is its Jacobian ``d K^T / d theta`` evaluated at the true
+parameter, an ``n x k`` array with one column per scalar constraint: the
+bound depends on the constraint set only through the tangent space there,
+so the nonlinear constraint function itself is never stored. Every Jacobian
+is in the stacked real coordinates ``[Re h; Im h]`` of a complex channel
+(the channel's own coordinates for a real one), and every bound is taken on
+the channel block of the realified FIM
+(:func:`~blindcrb.fim.channel_block`). The tangent space is the orthogonal
+complement of the Jacobian's column span; the constrained CRB restricted to
+it is
 
     ``CRB_C = V (V^H J V)^{-1} V^H``
 
@@ -12,10 +17,6 @@ for any orthonormal tangent basis ``V``. Singular FIMs are the point of this
 module: with a minimal number of independent constraints whose Jacobian
 spans the FIM null space, the bound collapses to the pseudo-inverse of the
 FIM, which minimizes the trace over all minimal constraint choices.
-
-Constraints on complex channels are expressed in the stacked real
-coordinates ``[Re h; Im h]`` except for the reducible-channel constraints,
-which act directly in the complex domain.
 
 Unboundedness (the tangent-restricted FIM being singular) is reported as a
 flag, never an exception: constraint sweeps legitimately hit unbounded cells.
@@ -27,20 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, ReducibleDecomposition, ti_matrix, tc_matrix, COMPLEX, REAL
-from .fim import FimResult, GaussianModelConfig, channel_block, gaussian_fim
+from .channel import ReducibleDecomposition, ti_matrix, tc_matrix, COMPLEX, REAL
+from .fim import FimResult
 from .linalg import (
     DEFAULT_RANK_TOL,
     hermitian_nullity,
     null_space_basis,
-    complement_projector,
-    numerical_rank,
     pseudo_inverse,
     realify_vector,
 )
 
 __all__ = [
-    "ConstraintSet",
     "CrbResult",
     "norm_constraint",
     "phase_constraint",
@@ -49,45 +47,14 @@ __all__ = [
     "reducible_constraints",
     "constrained_crb",
     "minimal_crb",
-    "gaussian_blind_crb",
     "parse_constraint",
     "CONSTRAINT_GRAMMAR",
 ]
 
 
 @dataclass(frozen=True)
-class ConstraintSet:
-    """Constraint Jacobian at the true parameter.
-
-    ``jacobian`` is ``n x k`` (one column per scalar constraint); the tangent
-    space is the orthogonal complement of its columns
-    (:meth:`tangent_spanning`).
-    """
-
-    jacobian: np.ndarray
-    kind: str = "custom"
-    notes: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "jacobian", np.atleast_2d(np.asarray(self.jacobian)))
-
-    @property
-    def n_constraints(self):
-        return self.jacobian.shape[1]
-
-    @property
-    def dim(self):
-        return self.jacobian.shape[0]
-
-    def tangent_spanning(self):
-        """Orthonormal basis of the tangent space: the numerical null space
-        of ``jacobian^H`` (:func:`~blindcrb.linalg.null_space_basis`)."""
-        return null_space_basis(self.jacobian.conj().T)
-
-
-@dataclass(frozen=True)
 class CrbResult:
-    """A constrained CRB matrix with provenance.
+    """A constrained CRB matrix, its trace, and whether it is bounded.
 
     ``bounded`` is False when the tangent-restricted FIM is singular, i.e.
     the constraints fail to regularize the problem; the matrix then reports
@@ -97,17 +64,14 @@ class CrbResult:
     crb: np.ndarray
     trace: float
     bounded: bool
-    kind: str
-    notes: tuple = ()
 
 
-def norm_constraint(h0, field=None) -> ConstraintSet:
+def norm_constraint(h0, field=None):
     """Fixed-norm constraint ``h^H h = h0^H h0`` at the true channel ``h0``.
 
     Real field: single Jacobian column ``2 h0``. Complex field: the norm
     column ``2 [Re h0; Im h0]`` plus the phase column ``[-Im h0; Re h0]``
-    (fixing the norm alone leaves a continuous phase ambiguity), both in
-    stacked real coordinates.
+    (fixing the norm alone leaves a continuous phase ambiguity).
     """
     h0 = np.asarray(h0).ravel()
     if np.linalg.norm(h0) == 0.0:
@@ -115,27 +79,25 @@ def norm_constraint(h0, field=None) -> ConstraintSet:
     if field is None:
         field = COMPLEX if np.iscomplexobj(h0) else REAL
     if field == REAL:
-        return ConstraintSet((2.0 * h0.real)[:, None], kind="norm")
+        return (2.0 * h0.real)[:, None]
     hr = realify_vector(h0.astype(complex))
     hs2 = np.concatenate([-h0.imag, h0.real])
-    return ConstraintSet(np.column_stack([2.0 * hr, hs2]), kind="norm+phase")
+    return np.column_stack([2.0 * hr, hs2])
 
 
-def phase_constraint(h0) -> ConstraintSet:
-    """Phase-only constraint ``h_s2(h0)^T h_R = 0`` in stacked real coordinates."""
+def phase_constraint(h0):
+    """Phase-only constraint ``h_s2(h0)^T h_R = 0``: Jacobian ``[-Im h0; Re h0]``."""
     h0 = np.asarray(h0, dtype=complex).ravel()
     if np.linalg.norm(h0) == 0.0:
         raise ValueError("phase constraint undefined for a zero channel")
-    hs2 = np.concatenate([-h0.imag, h0.real])
-    return ConstraintSet(hs2[:, None], kind="phase")
+    return np.concatenate([-h0.imag, h0.real])[:, None]
 
 
-def known_coeff_constraint(h0, i, field=None) -> ConstraintSet:
+def known_coeff_constraint(h0, i, field=None):
     """Constraint that stacked coefficient ``i`` of the channel is known.
 
     Real field: Jacobian ``e_i``. Complex field: the two real coordinate
-    directions of the coefficient, ``e_i`` and ``e_{n+i}`` in ``[Re; Im]``
-    stacking.
+    directions of the coefficient, ``e_i`` and ``e_{n+i}``.
     """
     h0 = np.asarray(h0).ravel()
     n = h0.size
@@ -146,83 +108,85 @@ def known_coeff_constraint(h0, i, field=None) -> ConstraintSet:
     if field == REAL:
         K = np.zeros((n, 1))
         K[i, 0] = 1.0
-        return ConstraintSet(K, kind=f"known:{i}")
+        return K
     K = np.zeros((2 * n, 2))
     K[i, 0] = 1.0
     K[n + i, 1] = 1.0
-    return ConstraintSet(K, kind=f"known:{i}")
+    return K
 
 
-def linear_constraint(C, kind="linear") -> ConstraintSet:
+def linear_constraint(C):
     """Linear constraint ``theta^T C = theta_o^T C`` with Jacobian ``C``.
 
-    Dependent (rank-deficient) columns are allowed; the result carries a
-    note, and the tangent space simply ignores the redundancy.
+    Dependent (rank-deficient) columns are allowed: the tangent space simply
+    ignores the redundancy.
     """
     C = np.atleast_2d(np.asarray(C))
     if C.ndim != 2:
         raise ValueError("constraint matrix must be 2-D")
-    notes = ()
-    if numerical_rank(C) < C.shape[1]:
-        notes = ("dependent-constraints",)
-    return ConstraintSet(C, kind=kind, notes=notes)
+    return C
 
 
-def reducible_constraints(dec: ReducibleDecomposition, variant="ti") -> ConstraintSet:
+def reducible_constraints(dec: ReducibleDecomposition, variant="ti"):
     """Constraints that pin the common-factor indeterminacies of a reducible channel.
 
     ``variant="ti"`` uses the minimal set ``T_I^H h = T_I^H h0`` (one scalar
     constraint per common-factor coefficient, Jacobian ``T_I``).
     ``variant="projector"`` forces the estimate to stay reducible with the
     true common factor, ``P^perp_{T_c} h = 0``, plus the norm pin
-    ``h0^H h = h0^H h0`` (rank ``m (N_c - 1) + 1`` in total); its tangent
-    space is ``range(T_c)`` minus the channel direction, and the bound equals
-    the pseudo-inverse of ``P_{T_c} J P_{T_c}`` (the rank-deficient spanning
-    matrix ``P_{T_c}`` gives the same value through the projector bound
-    form). Both variants act in the channel's own (complex or real)
-    coordinates. The trace ordering between the two is instance dependent;
-    the projector variant is typically, but not always, the smaller one.
+    ``h0^H h = h0^H h0`` (rank ``m (N_c - 1) + 1`` in total): Jacobian
+    ``[null(T_c^H), h0]``. Its tangent space is ``range(T_c)`` minus the
+    channel direction, and the bound equals the pseudo-inverse of
+    ``P_{T_c} J P_{T_c}``. The trace ordering between the two variants is
+    instance dependent; the projector variant is typically, but not always,
+    the smaller one.
+
+    Both Jacobians are complex-linear on a complex channel: each complex
+    column ``k`` pins ``Re(k^H h)`` and ``Im(k^H h)``, so the ``n x c``
+    complex ``K`` is returned realified, ``[[Re K, -Im K], [Im K, Re K]]``
+    (``2n x 2c``).
     """
     if variant == "ti":
-        return ConstraintSet(ti_matrix(dec), kind="reducible-ti")
-    if variant == "projector":
+        K = ti_matrix(dec)
+    elif variant == "projector":
         Tc = tc_matrix(dec)
-        h0 = Tc @ dec.irreducible_part.h
-        K = np.column_stack([complement_projector(Tc), h0])
-        return ConstraintSet(K, kind="reducible-proj", notes=("dependent-constraints",))
-    raise ValueError(f"unknown reducible-constraint variant {variant!r}")
+        K = np.column_stack([null_space_basis(Tc.conj().T), Tc @ dec.irreducible_part.h])
+    else:
+        raise ValueError(f"unknown reducible-constraint variant {variant!r}")
+    if dec.irreducible_part.field == REAL:
+        return K
+    return np.block([[K.real, -K.imag], [K.imag, K.real]])
 
 
 def _fim_matrix(J):
     return J.J if isinstance(J, FimResult) else np.asarray(J)
 
 
-def constrained_crb(J, cs: ConstraintSet, tol=DEFAULT_RANK_TOL) -> CrbResult:
-    """Constrained CRB ``V (V^H J V)^{-1} V^H`` on the tangent space of ``cs``.
+def constrained_crb(J, K, tol=DEFAULT_RANK_TOL) -> CrbResult:
+    """Constrained CRB ``V (V^H J V)^{-1} V^H`` on the tangent space of the
+    constraint Jacobian ``K`` (``n x k``).
 
-    ``V`` is the orthonormal basis :meth:`ConstraintSet.tangent_spanning`.
-    When the restricted FIM ``V^H J V`` is singular, counted at the relative
-    eigenvalue threshold ``tol``, the constraints do not regularize the
-    problem; the result is flagged ``bounded=False`` and the matrix is the
-    pseudo-inverse form (finite on the identifiable subspace).
+    ``V`` is the orthonormal basis :func:`~blindcrb.linalg.null_space_basis`
+    of ``K^H``. When the restricted FIM ``V^H J V`` is singular, counted at
+    the relative eigenvalue threshold ``tol``, the constraints do not
+    regularize the problem; the result is flagged ``bounded=False`` and the
+    matrix is the pseudo-inverse form (finite on the identifiable subspace).
     """
     Jm = _fim_matrix(J)
-    if Jm.shape[0] != cs.dim:
+    K = np.asarray(K)
+    if K.ndim != 2 or K.shape[0] != Jm.shape[0]:
         raise ValueError(
-            f"constraint dimension {cs.dim} does not match FIM dimension {Jm.shape[0]}"
+            f"constraint Jacobian shape {K.shape} does not match FIM dimension {Jm.shape[0]}"
         )
-    V = cs.tangent_spanning()
+    V = null_space_basis(K.conj().T)
     if V.shape[1] == 0:
-        crb = np.zeros_like(Jm)
-        return CrbResult(crb, 0.0, True, cs.kind, cs.notes)
+        return CrbResult(np.zeros_like(Jm), 0.0, True)
     F = V.conj().T @ Jm @ V
     F = 0.5 * (F + F.conj().T)
     _, nullity, _, _ = hermitian_nullity(F, tol=tol)
-    bounded = nullity == 0
     crb = V @ pseudo_inverse(F) @ V.conj().T
     crb = 0.5 * (crb + crb.conj().T)
-    notes = cs.notes if bounded else cs.notes + ("unbounded-directions",)
-    return CrbResult(crb, float(np.trace(crb).real), bounded, cs.kind, notes)
+    return CrbResult(crb, float(np.trace(crb).real), nullity == 0)
 
 
 def minimal_crb(J) -> CrbResult:
@@ -235,36 +199,7 @@ def minimal_crb(J) -> CrbResult:
     Jm = _fim_matrix(J)
     crb = pseudo_inverse(Jm)
     crb = 0.5 * (crb + crb.conj().T)
-    return CrbResult(crb, float(np.trace(crb).real), True, "minimal")
-
-
-def gaussian_blind_crb(ch: Channel, cfg: GaussianModelConfig) -> CrbResult:
-    """Blind channel CRB under the Gaussian symbol model.
-
-    Both fields reduce the noise variance out of the (realified) FIM with
-    :func:`~blindcrb.fim.channel_block` and take the pseudo-inverse.
-
-    Complex channel: this equals the bound under the single phase constraint
-    on ``h_R`` whenever the channel is identifiable (its reduced FIM is
-    exactly 1-singular). Channels with extra singularities (conjugate
-    reciprocal zeros) come back ``bounded=False`` with the phase-constrained
-    bound and a note.
-
-    Real channel: no regularization is needed; the bound is the inverse of
-    the noise-reduced FIM (flagged unbounded if it is singular).
-    """
-    cplx = ch.field == COMPLEX
-    Jred = channel_block(gaussian_fim(ch, cfg))
-    _, nullity, _, _ = hermitian_nullity(Jred)
-    # the phase direction is the one expected singularity of complex data
-    notes = () if nullity == int(cplx) else (f"extra-singular:nullity={nullity}",)
-    if cplx:
-        res = constrained_crb(Jred, phase_constraint(ch.h))
-        if notes or not res.bounded:
-            return CrbResult(res.crb, res.trace, False, "phase", res.notes + notes)
-    crb = pseudo_inverse(Jred)
-    crb = 0.5 * (crb + crb.T)
-    return CrbResult(crb, float(np.trace(crb)), not notes, "phase" if cplx else "none", notes)
+    return CrbResult(crb, float(np.trace(crb).real), True)
 
 
 CONSTRAINT_GRAMMAR = (
@@ -274,13 +209,13 @@ CONSTRAINT_GRAMMAR = (
 
 
 def parse_constraint(spec, h0, field, dec=None, linear_loader=None):
-    """Build a constraint from its CLI mini-grammar spelling.
+    """The constraint Jacobian of a CLI mini-grammar spelling.
 
     ``spec`` is one of ``norm``, ``phase``, ``norm+phase``, ``known:IDX``
     (0-based stacked coefficient index), ``linear:FILE`` (JSON array of
     Jacobian columns), ``reducible-ti``, ``reducible-proj``, ``minimal``.
     ``minimal`` returns None: it is handled by the caller as the
-    pseudo-inverse bound rather than an explicit constraint set.
+    pseudo-inverse bound rather than an explicit constraint.
     """
     if spec == "minimal":
         return None

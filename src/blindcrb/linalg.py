@@ -3,9 +3,9 @@
 Everything in this module works on plain NumPy arrays and treats the
 real/complex distinction as semantic: real inputs stay real, complex inputs
 stay complex, and nothing silently promotes. The routines here back the rest
-of the package: Moore-Penrose pseudo-inverses, orthogonal projectors,
-null-space bases, and the mapping between a complex parameter vector and its
-stacked real representation ``theta_R = [Re(theta); Im(theta)]``.
+of the package: Moore-Penrose pseudo-inverses, null-space bases, rank
+counts, and the mapping between a complex parameter vector and its stacked
+real representation ``theta_R = [Re(theta); Im(theta)]``.
 
 Two rank rules live here, each written once. An SVD rank counts the singular
 values above ``max(rows, cols) * eps * sigma_max``, the usual cutoff; it has
@@ -24,10 +24,7 @@ import scipy.linalg as sla
 __all__ = [
     "DEFAULT_RANK_TOL",
     "pseudo_inverse",
-    "projector",
-    "complement_projector",
     "null_space_basis",
-    "range_basis",
     "numerical_rank",
     "min_norm_solve",
     "cholesky_solve",
@@ -211,32 +208,6 @@ def triangular_rank_reveal(R, k, gram, rows=None):
         s_max = np.sqrt(sla.eigvals_banded(gram, select="i", select_range=(n - 1, n - 1))[0])
     rank = n - k + _svd_rank(s, shape, s_max)
     return rank, s[::-1], U[:, ::-1]
-
-
-def projector(X):
-    """Orthogonal projector ``P = X (X^H X)^+ X^H`` onto ``range(X)``.
-
-    ``X`` may be rank deficient; the pseudo-inverse handles collinear
-    columns. The result is Hermitian and idempotent up to roundoff.
-    """
-    X = _as_matrix(X, "X")
-    if X.shape[1] < 1:
-        raise ValueError("X must have at least one column")
-    Q = range_basis(X)
-    return Q @ Q.conj().T
-
-
-def complement_projector(X):
-    """Projector onto the orthogonal complement of ``range(X)``: ``I - P_X``."""
-    P = projector(X)
-    return np.eye(P.shape[0], dtype=P.dtype) - P
-
-
-def range_basis(X):
-    """Orthonormal basis of ``range(X)`` (columns), from the SVD rank rule."""
-    X = _as_matrix(X, "X")
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
-    return U[:, :_svd_rank(s, X.shape)]
 
 
 def null_space_basis(A):

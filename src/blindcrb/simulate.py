@@ -283,16 +283,22 @@ def score_covariance_fim(cfg: ExperimentConfig) -> McFimEstimate:
     evaluated on simulated bursts; their outer-product average converges to
     the analytic FIM (in the stacked real representation for complex
     models). Standard errors come from the sample variance of the per-trial
-    outer products.
+    outer products, taken from the moments ``S^T S`` and ``(S o S)^T (S o S)``
+    of the trials x p score matrix ``S``, so no per-trial outer product is
+    formed.
     """
     if cfg.model == DETERMINISTIC:
         S = _det_score_matrix(cfg)
     else:
         S = _gaussian_score_matrix(cfg)
     T = cfg.trials
-    prods = np.einsum("ta,tb->tab", S, S)
-    J_hat = prods.mean(axis=0)
-    se = prods.std(axis=0, ddof=1) / np.sqrt(T) if T > 1 else np.full_like(J_hat, np.inf)
+    J_hat = S.T @ S / T
+    if T > 1:
+        S2 = S * S
+        var = (S2.T @ S2 / T - J_hat * J_hat) * (T / (T - 1))
+        se = np.sqrt(np.maximum(var, 0.0) / T)
+    else:
+        se = np.full_like(J_hat, np.inf)
     mean = S.mean(axis=0)
     mean_se = S.std(axis=0, ddof=1) / np.sqrt(T) if T > 1 else np.full(S.shape[1], np.inf)
     return McFimEstimate(J_hat, T, se, mean, mean_se)

@@ -19,14 +19,16 @@ from blindcrb.fim import (
 )
 from blindcrb.linalg import (
     _check_fim_pair,
+    _svd_rank,
     eigenvalue_rank,
     numerical_rank,
-    projector,
     pseudo_inverse,
 )
 
 __all__ = [
     "SingularFimError",
+    "range_basis",
+    "projector",
     "real_complex_map",
     "complexify_vector",
     "trace_crb_complex",
@@ -35,11 +37,29 @@ __all__ = [
     "deterministic_null_directions",
     "constrained_crb_projector_form",
     "realified_counts",
+    "score_moments_tensor",
 ]
 
 
 class SingularFimError(np.linalg.LinAlgError):
     """Raised when a Fisher-information-like matrix that must be inverted is singular."""
+
+
+def range_basis(X):
+    """Orthonormal basis of ``range(X)`` (columns), from the SVD rank rule."""
+    X = np.asarray(X)
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    return U[:, :_svd_rank(s, X.shape)]
+
+
+def projector(X):
+    """Orthogonal projector ``P = X (X^H X)^+ X^H`` onto ``range(X)``.
+
+    ``X`` may be rank deficient; the result is Hermitian and idempotent up
+    to roundoff.
+    """
+    Q = range_basis(X)
+    return Q @ Q.conj().T
 
 
 def real_complex_map(n):
@@ -184,3 +204,14 @@ def realified_counts(fim: FimResult, tol=DEFAULT_RANK_TOL) -> SingularityReport:
                          "matrix realifies to doubled eigenvalues")
     return SingularityReport(2 * rank, 2 * nullity, None,
                              np.repeat(2.0 * fim.eigenvalues, 2), tol=tol)
+
+
+def score_moments_tensor(S):
+    """``(J_hat, std_err)`` of a trials x p score matrix ``S`` from the
+    ``(trials, p, p)`` tensor of per-trial outer products: its mean, and its
+    two-pass sample standard deviation (``ddof=1``) over ``sqrt(trials)``."""
+    T = S.shape[0]
+    prods = np.einsum("ta,tb->tab", S, S)
+    J_hat = prods.mean(axis=0)
+    se = prods.std(axis=0, ddof=1) / np.sqrt(T) if T > 1 else np.full_like(J_hat, np.inf)
+    return J_hat, se

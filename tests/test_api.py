@@ -152,6 +152,19 @@ def test_trial_loops_build_one_generator(monkeypatch, loop):
     assert len(calls) <= 1
 
 
+def _refuse_dense_svd(monkeypatch, M):
+    """Make ``np.linalg.svd`` refuse any matrix with both sides at least the
+    burst length ``M``: the SVD range basis of a dense ``T(h)``."""
+    svd = np.linalg.svd
+
+    def guarded(a, *args, **kwargs):
+        if min(np.shape(a)) >= M:
+            raise AssertionError(f"an SVD of a {np.shape(a)} matrix was taken")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", guarded)
+
+
 def test_reduced_fim_builds_no_dense_operators(monkeypatch):
     # on an irreducible channel the reduced FIM takes the banded fast path:
     # no dense T(h) (block_toeplitz), no SVD range basis of it and no
@@ -164,9 +177,9 @@ def test_reduced_fim_builds_no_dense_operators(monkeypatch):
         raise AssertionError("the reduced FIM formed a dense operator or took the fallback")
 
     monkeypatch.setattr(channel, "block_toeplitz", refuse)
-    for name in ("range_basis", "min_norm_solve"):
-        monkeypatch.setattr(linalg, name, refuse)
-        monkeypatch.setattr(fim, name, refuse, raising=False)
+    monkeypatch.setattr(linalg, "min_norm_solve", refuse)
+    monkeypatch.setattr(fim, "min_norm_solve", refuse, raising=False)
+    _refuse_dense_svd(monkeypatch, 40)
     got = fim.deterministic_reduced_fim(ch, A, 0.3, 40)
     np.testing.assert_array_equal(got.J, want.J)
     assert got.warnings == ()
@@ -203,7 +216,7 @@ def test_reduced_fim_fallback_is_structured(monkeypatch, kind, M, field):
 
     monkeypatch.setattr(channel, "block_toeplitz", refuse)
     monkeypatch.setattr(linalg, "min_norm_solve", refuse)
-    monkeypatch.setattr(linalg, "range_basis", refuse)
+    _refuse_dense_svd(monkeypatch, M)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     monkeypatch.setattr(fim, "cholesky_solve", cholesky)
     got = fim.deterministic_reduced_fim(ch, A, 0.3, M)
@@ -306,7 +319,7 @@ def test_constrained_crb_takes_one_tangent_basis(monkeypatch, field):
     ch = random_channel(np.random.default_rng(16), 2, 4, field)
     A = simulate.experiment_symbols(simulate.ExperimentConfig(channel=ch, M=12, seed=2))
     J = fim.channel_block(fim.deterministic_reduced_fim(ch, A, 0.5, 12))
-    cs = crb.norm_constraint(ch.h)
+    K = crb.norm_constraint(ch.h)
     calls = []
     svd = np.linalg.svd
 
@@ -315,7 +328,7 @@ def test_constrained_crb_takes_one_tangent_basis(monkeypatch, field):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    res = crb.constrained_crb(J, cs)
+    res = crb.constrained_crb(J, K)
     assert res.bounded
     assert len(calls) == 2, calls
 

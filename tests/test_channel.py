@@ -12,7 +12,6 @@ from blindcrb.channel import (
     block_toeplitz,
     channel_from_json,
     channel_to_json,
-    common_zeros,
     commutativity_op,
     conjugate_reciprocal_pairs,
     example_channel,
@@ -28,7 +27,6 @@ from blindcrb.channel import (
     toeplitz_gram_band,
     toeplitz_staircase_qr,
 )
-from blindcrb.linalg import projector
 
 from conftest import (
     channel_with_common_roots,
@@ -38,6 +36,7 @@ from conftest import (
     random_channel,
     upper_band,
 )
+from oracles import projector
 
 
 class TestChannelType:
@@ -234,16 +233,27 @@ class TestRealify:
 class TestZeros:
     def test_constructed_common_root(self):
         ch = Channel(np.array([[1.0, -0.5], [1.0, -0.5]]), field=REAL)
-        cz = common_zeros(ch)
+        cz = reducible_decompose(ch).roots
         assert cz.size == 1
         assert abs(cz[0] - 0.5) < 1e-10
 
+    def test_common_root_multiplicity(self):
+        # a root double in both subchannels is common twice; double in one
+        # and single in the other, once
+        both = Channel(np.array([np.poly([0.5, 0.5, -0.3]), np.poly([0.5, 0.5, 0.7])]),
+                       field=REAL)
+        np.testing.assert_allclose(np.sort(reducible_decompose(both).roots.real),
+                                   [0.5, 0.5], atol=1e-6)
+        one = Channel(np.array([np.poly([0.5j, 0.5j, -0.3]), np.poly([0.5j, 0.2, 0.7])]),
+                      field=COMPLEX)
+        np.testing.assert_allclose(reducible_decompose(one).roots, [0.5j], atol=1e-6)
+
     def test_distinct_roots_no_common(self):
         ch = Channel(np.array([[1.0, -0.5], [1.0, -2.0]]), field=REAL)
-        assert common_zeros(ch).size == 0
+        assert reducible_decompose(ch).roots.size == 0
 
     def test_random_channel_irreducible(self, chan_random):
-        assert common_zeros(chan_random).size == 0
+        assert reducible_decompose(chan_random).roots.size == 0
 
     def test_single_tap_gives_no_roots(self):
         ch = Channel(np.array([[1.0], [2.0]]), field=REAL)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from blindcrb import cli
 from blindcrb.cli import main
 from blindcrb.channel import (
     COMPLEX,
@@ -16,12 +17,22 @@ from blindcrb.channel import (
     example_channel,
     load_channel,
     reducible_decompose,
+    tc_matrix,
+    ti_matrix,
 )
-from blindcrb.crb import constrained_crb, reducible_constraints
-from blindcrb.fim import analyze_singularities, deterministic_fim, deterministic_reduced_fim
+from blindcrb.crb import constrained_crb, parse_constraint, reducible_constraints
+from blindcrb.fim import (
+    GaussianModelConfig,
+    analyze_singularities,
+    channel_block,
+    deterministic_fim,
+    deterministic_reduced_fim,
+    gaussian_fim,
+)
 from blindcrb.simulate import ExperimentConfig, experiment_symbols
 
 from conftest import channel_with_common_roots
+from oracles import projector
 
 
 @pytest.fixture
@@ -228,31 +239,79 @@ class TestCrb:
         assert traces["reducible-ti"] == pytest.approx(traces["minimal"], rel=1e-8)
 
     def test_reducible_constraints_on_complex_channel(self, tmp_path):
-        # reducible rows use the native complex reduced FIM of the stream-0 burst
-        rng = np.random.default_rng(11)
-        HI = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        coeffs = np.array([np.convolve(r, np.poly([0.5 - 0.3j])) for r in HI])
-        p = tmp_path / "red.json"
-        p.write_text(json.dumps(channel_to_json(Channel(coeffs, name="red"))))
+        # oracle: the native complex bound, T_I and [P_perp(T_c), h0] as
+        # complex Jacobians on the complex reduced FIM of the stream-0 burst;
+        # the CLI rows take the realified Jacobians on the realified FIM.
+        # Common factors of length 2 and 3, one of them a conjugate-reciprocal
+        # pair, at bursts that leave the rows unbounded (M=4) and bounded.
+        z0 = 0.6 * np.exp(1.1j)
+        for roots in ([0.5 - 0.3j], [0.5 - 0.3j, -0.4 + 0.2j], [z0, 1 / np.conj(z0)]):
+            ch, _, _ = channel_with_common_roots(np.random.default_rng(11), 2, 3, roots,
+                                                 COMPLEX, name="red")
+            p = tmp_path / "red.json"
+            p.write_text(json.dumps(channel_to_json(ch)))
+            ch = load_channel(str(p))
+            dec = reducible_decompose(ch)
+            assert dec.N_c == len(roots) + 1
+            Tc, n = tc_matrix(dec), ch.m * ch.N
+            native = {"reducible-ti": ti_matrix(dec),
+                      "reducible-proj": np.column_stack([np.eye(n) - projector(Tc),
+                                                         Tc @ dec.irreducible_part.h])}
+            for M in (4, 20, 200):
+                self._check_reducible_rows(tmp_path, p, ch, dec, native, M)
+
+    @staticmethod
+    def _check_reducible_rows(tmp_path, p, ch, dec, native, M):
         out = tmp_path / "crb.csv"
-        rc = main(["crb", str(p), "--M", "20", "--seed", "3", "--sigma-v2", "0.5",
+        rc = main(["crb", str(p), "--M", str(M), "--seed", "3", "--sigma-v2", "0.5",
                    "-o", str(out), "--constraint", "reducible-ti",
                    "--constraint", "reducible-proj"])
         assert rc == 0
         _, _, rows = _read_csv(out)
-        ch = load_channel(str(p))
-        dec = reducible_decompose(ch)
-        assert dec.N_c == 2
-        A = experiment_symbols(ExperimentConfig(channel=ch, M=20, seed=3))
-        J = deterministic_reduced_fim(ch, A, 0.5, 20).J
-        assert [r[0] for r in rows] == ["reducible-ti", "reducible-proj"]
-        for row, kind in zip(rows, ("ti", "projector")):
-            res = constrained_crb(J, reducible_constraints(dec, kind))
-            assert int(row[2]) == int(res.bounded) == 1
-            assert float(row[1]) == pytest.approx(res.trace, rel=1e-10)
+        assert [r[0] for r in rows] == list(native)
+        fim = deterministic_reduced_fim(
+            ch, experiment_symbols(ExperimentConfig(channel=ch, M=M, seed=3)), 0.5, M)
+        n = ch.m * ch.N
+        for row, (spec, K) in zip(rows, native.items()):
+            want = constrained_crb(fim.J, K)
+            want_diag = np.real(np.diag(want.crb))
+            got = constrained_crb(channel_block(fim), parse_constraint(spec, ch.h, COMPLEX, dec))
+            got_diag = np.real(np.diag(got.crb))
+            assert int(row[2]) == int(got.bounded) == int(want.bounded)
+            assert got.trace == pytest.approx(want.trace, rel=1e-10)
+            np.testing.assert_allclose(got_diag[:n] + got_diag[n:], want_diag, rtol=1e-10)
+            assert float(row[1]) == pytest.approx(want.trace, rel=1e-10)
             # the CSV keeps 9 significant digits per coefficient
-            np.testing.assert_allclose([float(x) for x in row[3:]],
-                                       np.real(np.diag(res.crb)), rtol=1e-8)
+            np.testing.assert_allclose([float(x) for x in row[3:]], want_diag, rtol=1e-8)
+
+    @pytest.mark.parametrize("model", ["deterministic", "gaussian"])
+    def test_every_row_takes_the_realified_channel_block(self, tmp_path, monkeypatch, model):
+        # one bound call per row, and on a complex channel each takes the
+        # real 2n x 2n channel block, reducible rows included
+        ch, _, _ = channel_with_common_roots(np.random.default_rng(5), 2, 3, [0.5 - 0.3j],
+                                             COMPLEX, name="red")
+        n = ch.m * ch.N
+        p, lin = tmp_path / "red.json", tmp_path / "lin.json"
+        p.write_text(json.dumps(channel_to_json(ch)))
+        lin.write_text(json.dumps(np.eye(2 * n)[:, :3].tolist()))
+        specs = ["minimal", "norm", "phase", "norm+phase", "known:1", f"linear:{lin}",
+                 "reducible-ti", "reducible-proj"]
+        seen = []
+
+        def recording(bound):
+            def wrapped(J, *args, **kwargs):
+                seen.append(J)
+                return bound(J, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "constrained_crb", recording(cli.constrained_crb))
+        monkeypatch.setattr(cli, "minimal_crb", recording(cli.minimal_crb))
+        argv = ["crb", str(p), "--model", model, "--M", "10", "-o", str(tmp_path / "crb.csv")]
+        assert main(argv + [a for spec in specs for a in ("--constraint", spec)]) == 0
+        assert len(seen) == len(specs)
+        for J in seen:
+            assert isinstance(J, np.ndarray) and J.dtype == np.float64
+            assert J.shape == (2 * n, 2 * n)
 
     def test_reducible_decomposition_failure_reported(self, tmp_path, capsys):
         # the subchannels share a zero only up to a 3e-7 offset: it clusters as
@@ -267,10 +326,22 @@ class TestCrb:
         assert main(["crb", str(p), "--constraint", "minimal",
                      "-o", str(tmp_path / "crb.csv")]) == 0
 
-    def test_reducible_complex_gaussian_rejected(self, chan_file):
-        rc = main(["crb", chan_file, "--model", "gaussian", "--field", "complex",
-                   "--M", "10", "--constraint", "reducible-ti"])
-        assert rc == 2
+    def test_reducible_complex_gaussian_row(self, tmp_path):
+        # a reducible row on a complex channel under the Gaussian model is the
+        # bound of its realified Jacobian on the Gaussian channel block
+        ch, _, _ = channel_with_common_roots(np.random.default_rng(7), 2, 3, [0.5 - 0.3j],
+                                             COMPLEX, name="red")
+        p, out = tmp_path / "red.json", tmp_path / "crb.csv"
+        p.write_text(json.dumps(channel_to_json(ch)))
+        rc = main(["crb", str(p), "--model", "gaussian", "--M", "10",
+                   "--constraint", "reducible-ti", "-o", str(out)])
+        assert rc == 0
+        _, _, rows = _read_csv(out)
+        Jred = channel_block(gaussian_fim(ch, GaussianModelConfig(M=10)))
+        want = constrained_crb(Jred, reducible_constraints(reducible_decompose(ch), "ti"))
+        assert int(rows[0][2]) == int(want.bounded) == 1
+        assert float(rows[0][1]) == pytest.approx(want.trace, rel=1e-10)
+        assert np.isfinite(want.trace)
 
     def test_bad_constraint_spec(self, chan_file, capsys):
         assert main(["crb", chan_file, "--constraint", "nope"]) == 2

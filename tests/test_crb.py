@@ -5,9 +5,7 @@ import pytest
 
 from blindcrb.channel import COMPLEX, REAL, Channel, reducible_decompose
 from blindcrb.crb import (
-    ConstraintSet,
     constrained_crb,
-    gaussian_blind_crb,
     known_coeff_constraint,
     linear_constraint,
     minimal_crb,
@@ -18,14 +16,20 @@ from blindcrb.crb import (
 )
 from blindcrb.fim import (
     GaussianModelConfig,
+    channel_block,
     deterministic_reduced_fim,
     gaussian_fim,
     schur_reduce,
 )
-from blindcrb.linalg import null_space_basis, projector, pseudo_inverse, realify_vector
+from blindcrb.linalg import (
+    hermitian_nullity,
+    null_space_basis,
+    pseudo_inverse,
+    realify_vector,
+)
 
 from conftest import channel_with_common_roots, random_burst, random_channel
-from oracles import constrained_crb_projector_form
+from oracles import constrained_crb_projector_form, projector
 
 
 def _rank_deficient_psd(rng, n, rank):
@@ -39,35 +43,36 @@ def _random_orthogonal(rng, k):
 
 class TestConstraintBuilders:
     def test_norm_real_gradient(self):
-        cs = norm_constraint(np.array([1.0, 0.0]))
-        np.testing.assert_allclose(cs.jacobian, [[2.0], [0.0]])
-        assert cs.kind == "norm"
+        K = norm_constraint(np.array([1.0, 0.0]))
+        assert K.shape == (2, 1)
+        np.testing.assert_allclose(K, [[2.0], [0.0]])
 
     def test_norm_complex_scalar_columns(self):
-        cs = norm_constraint(np.array([1.0 + 0.0j]))
-        np.testing.assert_allclose(cs.jacobian, [[2.0, 0.0], [0.0, 1.0]])
-        assert cs.kind == "norm+phase"
+        K = norm_constraint(np.array([1.0 + 0.0j]))
+        assert K.shape == (2, 2)
+        np.testing.assert_allclose(K, [[2.0, 0.0], [0.0, 1.0]])
 
     def test_norm_tangent_orthogonality(self, chan_random):
         h = chan_random.coeffs.astype(complex).ravel(order="F")
-        cs = norm_constraint(h, field=COMPLEX)
-        V = cs.tangent_spanning()
-        assert np.linalg.norm(V.conj().T @ cs.jacobian) < 1e-10
+        K = norm_constraint(h, field=COMPLEX)
+        V = null_space_basis(K.conj().T)
+        assert V.shape == (K.shape[0], K.shape[0] - 2)
+        assert np.linalg.norm(V.conj().T @ K) < 1e-10
 
     def test_norm_rejects_zero(self):
         with pytest.raises(ValueError):
             norm_constraint(np.zeros(3))
 
     def test_known_coeff_real(self):
-        cs = known_coeff_constraint(np.ones(3), 0, REAL)
-        np.testing.assert_allclose(cs.jacobian.ravel(), [1.0, 0.0, 0.0])
+        K = known_coeff_constraint(np.ones(3), 0, REAL)
+        np.testing.assert_allclose(K, [[1.0], [0.0], [0.0]])
 
     def test_known_coeff_complex_two_columns(self):
-        cs = known_coeff_constraint(np.ones(2, dtype=complex), 1, COMPLEX)
-        K = np.zeros((4, 2))
-        K[1, 0] = 1.0
-        K[3, 1] = 1.0
-        np.testing.assert_allclose(cs.jacobian, K)
+        want = np.zeros((4, 2))
+        want[1, 0] = 1.0
+        want[3, 1] = 1.0
+        np.testing.assert_allclose(known_coeff_constraint(np.ones(2, dtype=complex), 1, COMPLEX),
+                                   want)
 
     def test_known_coeff_out_of_range(self):
         with pytest.raises(IndexError):
@@ -79,18 +84,23 @@ class TestConstraintBuilders:
         assert res.trace == pytest.approx(0.0, abs=1e-12)
         assert res.bounded
 
-    def test_linear_dependent_columns_flagged(self, rng):
+    def test_linear_dependent_columns_ignored(self, rng):
+        # a redundant column leaves the tangent space, and so the bound, as
+        # the independent column alone gives it
+        J = _rank_deficient_psd(rng, 4, 3)
         c = rng.standard_normal(4)
-        cs = linear_constraint(np.column_stack([c, 2 * c]))
-        assert "dependent-constraints" in cs.notes
+        res_dep = constrained_crb(J, linear_constraint(np.column_stack([c, 2 * c])))
+        res_one = constrained_crb(J, linear_constraint(c[:, None]))
+        assert res_dep.bounded and res_one.bounded
+        np.testing.assert_allclose(res_dep.crb, res_one.crb,
+                                   atol=1e-10 * np.linalg.norm(res_one.crb))
 
 
 class TestConstrainedCrb:
     def test_unconstrained_limit_is_inverse(self, rng):
         X = rng.standard_normal((4, 4))
         J = X @ X.T + 4 * np.eye(4)
-        cs = ConstraintSet(np.zeros((4, 0)))
-        res = constrained_crb(J, cs)
+        res = constrained_crb(J, np.zeros((4, 0)))
         np.testing.assert_allclose(res.crb, np.linalg.inv(J), atol=1e-10)
         assert res.bounded
 
@@ -108,19 +118,17 @@ class TestConstrainedCrb:
         null = null_space_basis(J)
         rng_basis = null_space_basis(null.T)   # orthogonal complement = range(J)
         K = rng_basis[:, :2]
-        res = constrained_crb(J, ConstraintSet(K, kind="bad"))
+        res = constrained_crb(J, K)
         assert not res.bounded
-        assert "unbounded-directions" in res.notes
 
     def test_three_formula_equivalence(self, rng):
         # orthonormal-basis form == spanning-matrix form == projector form
         for _ in range(3):
             J = _rank_deficient_psd(rng, 6, 4) + 0.0
             K = rng.standard_normal((6, 2))
-            cs = ConstraintSet(K)
-            res = constrained_crb(J, cs)
+            res = constrained_crb(J, K)
             assert res.bounded
-            V = cs.tangent_spanning()
+            V = null_space_basis(K.T)
             k = V.shape[1]
             mixed = V @ np.hstack([np.eye(k), rng.standard_normal((k, 2))])
             via_A = constrained_crb_projector_form(J, mixed)
@@ -147,13 +155,15 @@ class TestConstrainedCrb:
         J = _rank_deficient_psd(rng, 6, 4)
         K = rng.standard_normal((6, 2))
         Q = _random_orthogonal(rng, K.shape[1])
-        res1 = constrained_crb(J, ConstraintSet(K))
-        res2 = constrained_crb(J, ConstraintSet(K @ Q))
+        res1 = constrained_crb(J, K)
+        res2 = constrained_crb(J, K @ Q)
         np.testing.assert_allclose(res1.crb, res2.crb, atol=1e-10 * np.linalg.norm(res1.crb))
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
-            constrained_crb(np.eye(4), ConstraintSet(np.ones((3, 1))))
+            constrained_crb(np.eye(4), np.ones((3, 1)))
+        with pytest.raises(ValueError):
+            constrained_crb(np.eye(4), np.ones(4))
 
 
 class TestMinimality:
@@ -175,7 +185,7 @@ class TestMinimality:
         checked = 0
         while checked < 50:
             K = rng.standard_normal((6, 2))
-            res = constrained_crb(J, ConstraintSet(K))
+            res = constrained_crb(J, K)
             if not res.bounded:
                 continue
             assert res.trace >= base - 1e-9 * base
@@ -186,10 +196,10 @@ class TestMinimality:
         base = minimal_crb(J).trace
         null = null_space_basis(J)
         mix = rng.standard_normal((2, 2)) + 2 * np.eye(2)
-        res_eq = constrained_crb(J, ConstraintSet(null @ mix))
+        res_eq = constrained_crb(J, null @ mix)
         assert res_eq.trace == pytest.approx(base, rel=1e-9)
         # a generic minimal constraint set is strictly worse
-        res_neq = constrained_crb(J, ConstraintSet(rng.standard_normal((6, 2))))
+        res_neq = constrained_crb(J, rng.standard_normal((6, 2)))
         assert res_neq.bounded and res_neq.trace > base * (1 + 1e-6)
 
 
@@ -234,24 +244,44 @@ class TestDeterministicBlindCrb:
             assert res.trace >= base - 1e-9 * base
 
 
+def _realified_operator(P):
+    """``[[Re P, -Im P], [Im P, Re P]]``: complex-linear ``P`` acting on
+    stacked real coordinates."""
+    return np.block([[P.real, -P.imag], [P.imag, P.real]])
+
+
 class TestReducibleConstraints:
     def test_ti_constraint_count_is_common_factor_length(self, rng):
+        # one complex constraint per common-factor coefficient, two real
+        # columns each
         ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5, -0.3], COMPLEX)
         dec = reducible_decompose(ch)
-        cs = reducible_constraints(dec, "ti")
-        assert cs.n_constraints == dec.N_c == 3
+        K = reducible_constraints(dec, "ti")
+        assert dec.N_c == 3
+        assert K.shape == (2 * ch.m * ch.N, 2 * dec.N_c)
 
     def test_trivial_factor_single_column_is_channel(self, chan_random):
         dec = reducible_decompose(chan_random)
-        cs = reducible_constraints(dec, "ti")
-        assert cs.n_constraints == 1
-        np.testing.assert_allclose(cs.jacobian.ravel(), chan_random.h)
+        K = reducible_constraints(dec, "ti")
+        assert K.shape == (chan_random.m * chan_random.N, 1)
+        np.testing.assert_allclose(K.ravel(), chan_random.h)
+
+    def test_realified_jacobian_keeps_the_complex_tangent_space(self, rng):
+        # null(K_R^T) is the realified null(K^H) of the complex Jacobian
+        from blindcrb.channel import ti_matrix
+
+        ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5, -0.3], COMPLEX)
+        dec = reducible_decompose(ch)
+        V = null_space_basis(ti_matrix(dec).conj().T)
+        VR = null_space_basis(reducible_constraints(dec, "ti").T)
+        want = projector(_realified_operator(V))
+        assert np.linalg.norm(projector(VR) - want, ord=2) < 1e-10
 
     def test_ti_constraint_gives_pinv(self, rng):
         ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5], COMPLEX)
         dec = reducible_decompose(ch)
         A = random_burst(rng, ch.N + 19, COMPLEX)
-        J = deterministic_reduced_fim(ch, A, 1.0, 20).J
+        J = channel_block(deterministic_reduced_fim(ch, A, 1.0, 20))
         res = constrained_crb(J, reducible_constraints(dec, "ti"))
         want = pseudo_inverse(J)
         assert res.bounded
@@ -263,15 +293,15 @@ class TestReducibleConstraints:
         ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5], COMPLEX)
         dec = reducible_decompose(ch)
         A = random_burst(rng, ch.N + 19, COMPLEX)
-        J = deterministic_reduced_fim(ch, A, 1.0, 20).J
-        cs = reducible_constraints(dec, "projector")
-        # m (N_c - 1) + 1 independent constraints
-        assert np.linalg.matrix_rank(cs.jacobian) == ch.m * (dec.N_c - 1) + 1
-        res = constrained_crb(J, cs)
+        J = channel_block(deterministic_reduced_fim(ch, A, 1.0, 20))
+        K = reducible_constraints(dec, "projector")
+        # m (N_c - 1) + 1 independent complex constraints, two real columns each
+        assert np.linalg.matrix_rank(K) == 2 * (ch.m * (dec.N_c - 1) + 1)
+        res = constrained_crb(J, K)
         assert res.bounded
         # equals the projector-sandwich pseudo-inverse, also reachable with
         # the rank-deficient spanning matrix P_{T_c} through the bound form
-        P = projector(tc_matrix(dec))
+        P = _realified_operator(projector(tc_matrix(dec)))
         want = pseudo_inverse(P @ J @ P)
         np.testing.assert_allclose(res.crb, want, atol=1e-8 * np.linalg.norm(want))
         via_form = constrained_crb_projector_form(J, P)
@@ -285,39 +315,42 @@ class TestReducibleConstraints:
         ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5], COMPLEX)
         dec = reducible_decompose(ch)
         A = random_burst(rng, ch.N + 19, COMPLEX)
-        J = deterministic_reduced_fim(ch, A, 1.0, 20).J
+        J = channel_block(deterministic_reduced_fim(ch, A, 1.0, 20))
         res_ti = constrained_crb(J, reducible_constraints(dec, "ti"))
         res_proj = constrained_crb(J, reducible_constraints(dec, "projector"))
         assert res_proj.trace <= res_ti.trace + 1e-9 * res_ti.trace
 
 
 class TestGaussianBlindCrb:
+    # the Gaussian blind bound is the pseudo-inverse of the channel block of
+    # the Gaussian FIM, and on a complex channel also its phase row
     def test_complex_paths_agree(self, rng):
         ch = random_channel(rng, 2, 3, COMPLEX)
         cfg = GaussianModelConfig(M=6)
-        res = gaussian_blind_crb(ch, cfg)
-        assert res.bounded and res.kind == "phase"
-        fim = gaussian_fim(ch, cfg).realified()
-        Jred = schur_reduce(fim, "h")
+        res = minimal_crb(channel_block(gaussian_fim(ch, cfg)))
+        Jred = schur_reduce(gaussian_fim(ch, cfg).realified(), "h")
+        assert hermitian_nullity(Jred)[1] == 1
         via_constraint = constrained_crb(Jred, phase_constraint(ch.h))
+        assert via_constraint.bounded
         np.testing.assert_allclose(res.crb, via_constraint.crb,
                                    atol=1e-9 * np.linalg.norm(res.crb))
 
     def test_real_channel_unconstrained_inverse(self, rng, chan_random):
         cfg = GaussianModelConfig(M=8)
-        res = gaussian_blind_crb(chan_random, cfg)
-        fim = gaussian_fim(chan_random, cfg)
-        Jred = schur_reduce(fim, "h")
-        assert res.bounded and res.kind == "none"
+        res = minimal_crb(channel_block(gaussian_fim(chan_random, cfg)))
+        Jred = schur_reduce(gaussian_fim(chan_random, cfg), "h")
+        assert hermitian_nullity(Jred)[1] == 0
         np.testing.assert_allclose(res.crb, np.linalg.inv(Jred),
                                    atol=1e-9 * np.linalg.norm(res.crb))
 
     def test_conjugate_reciprocal_pair_unbounded(self, rng):
+        # the pair adds a null direction beyond the phase: the phase row is
+        # unbounded
         ch, _, _ = channel_with_common_roots(rng, 2, 3, [0.5 + 0.5j, 1.0 / (0.5 - 0.5j)],
                                              COMPLEX)
-        res = gaussian_blind_crb(ch, GaussianModelConfig(M=12))
-        assert not res.bounded
-        assert any(n.startswith("extra-singular") for n in res.notes)
+        Jred = channel_block(gaussian_fim(ch, GaussianModelConfig(M=12)))
+        assert hermitian_nullity(Jred)[1] > 1
+        assert not constrained_crb(Jred, phase_constraint(ch.h)).bounded
 
 
 class TestParseConstraint:
@@ -325,8 +358,9 @@ class TestParseConstraint:
         assert parse_constraint("minimal", np.ones(3), REAL) is None
 
     def test_known_parses_index(self):
-        cs = parse_constraint("known:2", np.ones(4), REAL)
-        assert cs.kind == "known:2"
+        K = parse_constraint("known:2", np.ones(4), REAL)
+        np.testing.assert_array_equal(K, known_coeff_constraint(np.ones(4), 2, REAL))
+        assert K[2, 0] == 1.0
 
     def test_unknown_spec_raises(self):
         with pytest.raises(ValueError, match="grammar"):

@@ -10,13 +10,11 @@ from blindcrb.channel import block_toeplitz, toeplitz_gram_band, toeplitz_stairc
 from blindcrb.linalg import (
     bordered_band_rank,
     cholesky_solve,
-    complement_projector,
     eigenvalue_rank,
     min_norm_solve,
     null_space_basis,
     numerical_rank,
     principal_angle,
-    projector,
     pseudo_inverse,
     realify_fim,
     realify_vector,
@@ -27,6 +25,7 @@ from conftest import from_upper_band, random_burst, upper_band
 from oracles import (
     SingularFimError,
     complexify_vector,
+    projector,
     real_complex_map,
     subspace_distance,
     trace_crb_complex,
@@ -86,6 +85,7 @@ class TestPseudoInverse:
 
 
 class TestProjector:
+    # the oracles' projector, the reference for span comparisons in the suite
     def test_unit_vector(self):
         e1 = np.array([[1.0], [0.0], [0.0]])
         np.testing.assert_allclose(projector(e1), np.diag([1.0, 0.0, 0.0]), atol=1e-14)
@@ -103,9 +103,11 @@ class TestProjector:
         assert np.linalg.norm(P @ X - X) < 1e-10 * np.linalg.norm(X)
 
     def test_complement_sums_to_identity(self, rng):
+        # the null space of X^H spans the orthogonal complement of range(X)
         X = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         P = projector(X)
-        Pp = complement_projector(X)
+        Q = null_space_basis(X.conj().T)
+        Pp = Q @ Q.conj().T
         np.testing.assert_allclose(P + Pp, np.eye(5), atol=1e-13)
         assert np.linalg.norm(P @ Pp) < 1e-12
 

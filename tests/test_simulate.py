@@ -37,6 +37,7 @@ from blindcrb.simulate import (
 )
 
 from conftest import channel_with_common_roots, random_burst, random_channel
+from oracles import score_moments_tensor
 
 
 def _cfg(ch, **kw):
@@ -196,6 +197,27 @@ class TestScoreCovariance:
         assert tr_rel < 0.1
         z = np.abs(est.J_hat - J) / np.where(est.std_err > 0, est.std_err, np.inf)
         assert z.max() < 5.0
+
+    @pytest.mark.parametrize("model, field", [(DETERMINISTIC, REAL), (DETERMINISTIC, COMPLEX),
+                                              (GAUSSIAN, REAL), (GAUSSIAN, COMPLEX)])
+    @pytest.mark.parametrize("trials", [2, 3, 500])
+    def test_moments_match_outer_product_tensor(self, model, field, trials):
+        # J_hat and the standard errors from the score moments equal the mean
+        # and two-pass standard deviation of the per-trial outer products
+        ch = random_channel(np.random.default_rng(17), 2, 2, field)
+        cfg = _cfg(ch, model=model, M=4, trials=trials, sigma_v2=0.6)
+        scores = (simulate._det_score_matrix if model == DETERMINISTIC
+                  else simulate._gaussian_score_matrix)(cfg)
+        want_J, want_se = score_moments_tensor(scores)
+        est = score_covariance_fim(cfg)
+        np.testing.assert_allclose(est.J_hat, want_J, rtol=0,
+                                   atol=1e-12 * np.abs(want_J).max())
+        np.testing.assert_allclose(est.std_err, want_se, rtol=0,
+                                   atol=1e-12 * want_se.max())
+
+    def test_single_trial_has_infinite_std_err(self, rng):
+        est = score_covariance_fim(_cfg(random_channel(rng, 2, 2, REAL), trials=1))
+        assert np.all(np.isinf(est.std_err))
 
     def test_null_direction_has_no_information(self, rng):
         # along the scale direction the empirical quadratic form is zero to
