@@ -191,15 +191,15 @@ def toeplitz_adjoint(taps, Y):
 
 @lru_cache(maxsize=32)
 def _gram_band_map(M, N):
-    """Read-only 0/1 matrix ``W`` with ``band.ravel() = W @ R.ravel()`` for
+    """Read-only 0/1 matrix ``W`` with ``band.T.ravel() = R.ravel() @ W`` for
     the band of :func:`toeplitz_gram_band`: entry ``(N - 1 - d, j)`` sums
     ``R[k, k + d]`` over ``0 <= j - d - k < M``."""
     n = M + N - 1
-    W = np.zeros((N, n, N, N))
+    W = np.zeros((N, N, n, N))
     for d in range(N):
         for k in range(N - d):
-            W[N - 1 - d, d + k:d + k + M, k, k + d] = 1.0
-    W = W.reshape(N * n, N * N)
+            W[k, k + d, d + k:d + k + M, N - 1 - d] = 1.0
+    W = W.reshape(N * N, n * N)
     W.flags.writeable = False
     return W
 
@@ -212,11 +212,24 @@ def toeplitz_gram_band(taps, M):
     ones, and sits in row ``N - 1 - d``. That linear map from ``R`` is one
     0/1 matrix per ``(M, N)``, cached, so a call is one small product
     (a complex ``R`` goes through it as its real and imaginary parts).
+
+    A stack of ``T`` tap matrices, ``(T, m, N)``, gives the ``T`` Grams end
+    to end, ``(N, T (M + N - 1))``: one block-diagonal band whose blocks do
+    not couple (the unused corner of each block is zero), from one product.
+    The band is in Fortran order, as LAPACK reads it.
     """
-    N = taps.shape[1]
-    R = np.asarray(taps.conj().T @ taps, dtype=np.result_type(taps, np.float64))
-    parts = R.reshape(N * N).view(np.float64).reshape(N * N, -1)
-    return (_gram_band_map(M, N) @ parts).view(R.dtype).reshape(N, M + N - 1)
+    N = taps.shape[-1]
+    R = np.asarray(taps.conj().swapaxes(-1, -2) @ taps, dtype=np.result_type(taps, np.float64))
+    R = R.reshape(-1, N * N)
+    T = R.shape[0]
+    if np.iscomplexobj(R):
+        # rows 2t and 2t + 1: the real and imaginary parts of R_t
+        parts = R.view(np.float64).reshape(T, N * N, 2).transpose(0, 2, 1).reshape(2 * T, -1)
+        out = (parts @ _gram_band_map(M, N)).reshape(T, 2, -1)
+        band = out[:, 0] + 1j * out[:, 1]
+    else:
+        band = R @ _gram_band_map(M, N)
+    return band.reshape(-1, N).T
 
 
 # time steps per staircase QR step: wide enough that the LAPACK call, not

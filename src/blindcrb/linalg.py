@@ -107,6 +107,14 @@ def _lapack_funcs(names, dtype):
     return sla.get_lapack_funcs(names, dtype=dtype)
 
 
+def _regular_blocks(diag, n):
+    """Per block of ``n`` pivots ``diag`` of a Cholesky factor: True unless
+    the block's smallest squared pivot is at or below ``DEFAULT_RANK_TOL``
+    times its largest."""
+    pivots = np.abs(diag.reshape(-1, n)) ** 2
+    return pivots.min(axis=1) > DEFAULT_RANK_TOL * pivots.max(axis=1)
+
+
 def cholesky_solve(gram, rhs, banded=False):
     """Solve ``G X = rhs`` for a Hermitian positive semidefinite Gram ``G``
     through one Cholesky factor, or return ``None`` if ``G`` is numerically
@@ -121,21 +129,64 @@ def cholesky_solve(gram, rhs, banded=False):
     can still factor, and a solve through that factor adds an arbitrary
     null-space part. Callers then take :func:`min_norm_solve`. The LAPACK
     handles are looked up once per routine pair and dtype.
+
+    A block-diagonal stack of ``T`` Grams of order ``n`` is solved by one
+    ``pbtrf`` and one ``pbtrs``: ``G`` banded, ``(b + 1, T n)``, the blocks
+    end to end with zero couplings, and ``rhs`` of shape ``(T, n, k)``. The
+    result is then ``(X, regular)``, ``X`` of shape ``(T, n, k)`` and
+    ``regular[t]`` False where block ``t`` is singular by the rule above
+    (its rows of ``X`` are then meaningless). For ``b`` below LAPACK's block
+    size ``pbtrf`` runs column by column, so the zero couplings add exact
+    zeros and each block gets the factor it would get alone; a factor that
+    fails inside block ``t`` is taken again from block ``t + 1`` on.
     """
-    names = ("pbtrf", "pbtrs") if banded else ("potrf", "potrs")
-    trf, trs = _lapack_funcs(names, np.result_type(gram, rhs))
+    rhs = np.asarray(rhs)
+    if banded:
+        blocks = rhs if rhs.ndim == 3 else rhs.reshape(1, rhs.shape[0], -1)
+        X, regular = _band_block_solve(gram, blocks)
+        if rhs.ndim == 3:
+            return X, regular
+        return X.reshape(rhs.shape) if regular[0] else None
+    trf, trs = _lapack_funcs(("potrf", "potrs"), np.result_type(gram, rhs))
     c, info = trf(gram, lower=0)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {names[0]}")
-    if info > 0:
-        return None
-    pivots = np.abs(c[-1] if banded else np.diagonal(c)) ** 2
-    if pivots.min() <= DEFAULT_RANK_TOL * pivots.max():
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    if info > 0 or not _regular_blocks(np.diagonal(c), c.shape[0])[0]:
         return None
     x, info = trs(c, rhs, lower=0)
     if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of {names[1]}")
+        raise ValueError(f"illegal value in argument {-info} of potrs")
     return x
+
+
+def _band_block_solve(band, rhs):
+    """``(X, regular)`` of :func:`cholesky_solve` for the block-diagonal
+    band ``band`` and the right-hand sides ``rhs`` (T, n, k) of its blocks."""
+    T, n, k = rhs.shape
+    kd = band.shape[0] - 1
+    if band.shape[1] != T * n:
+        raise ValueError(f"band has {band.shape[1]} columns, not {T} blocks of {n}")
+    trf, trs = _lapack_funcs(("pbtrf", "pbtrs"), np.result_type(band, rhs))
+    regular = np.ones(T, dtype=bool)
+    factor, info = trf(band, lower=0)
+    start = 0
+    while info > 0:
+        # the factor stopped in block t: the columns left of it are final, an
+        # identity factor stands in for t, and the factor restarts after it
+        t = (start + info - 1) // n
+        regular[t] = False
+        factor[:, t * n:(t + 1) * n] = 0.0
+        factor[kd, t * n:(t + 1) * n] = 1.0
+        start, info = (t + 1) * n, 0
+        if start < T * n:
+            factor[:, start:], info = trf(band[:, start:], lower=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of pbtrf")
+    regular &= _regular_blocks(factor[kd], n)
+    x, info = trs(factor, rhs.reshape(T * n, k), lower=0)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of pbtrs")
+    return x.reshape(T, n, k), regular
 
 
 def _band_abs_row_sums(band):

@@ -11,7 +11,8 @@ trial to trial, and scale that buffer into noise or symbols in one step;
 each trial's draws are bitwise those of a fresh :func:`stream_rng`, so the
 stream map below is unchanged. The scores of all trials are then formed
 as matrix products, and an MSE experiment draws its noise and
-initialization normals once for all of its SNR points.
+initialization normals once for all of its SNR points and runs the
+estimator on every trial of every point in lockstep.
 
 Stream map (documented contract):
 
@@ -67,6 +68,8 @@ __all__ = [
     "adjust_estimate",
     "AlternatingLsResult",
     "alternating_ls_estimator",
+    "AlternatingLsBatch",
+    "alternating_ls_batch",
     "MseRow",
     "mse_vs_crb_experiment",
     "snr_to_sigma_v2",
@@ -349,6 +352,19 @@ class AlternatingLsResult:
     sweeps: int
 
 
+@dataclass(frozen=True)
+class AlternatingLsBatch:
+    """Results of :func:`alternating_ls_batch`, one row per trial: trial
+    ``t`` ran ``sweeps[t]`` sweeps with residuals ``history[t, :sweeps[t]]``
+    (NaN beyond), and ended on channel ``h[t]`` and symbols ``A[t]``."""
+
+    h: np.ndarray
+    A: np.ndarray
+    history: np.ndarray
+    converged: np.ndarray
+    sweeps: np.ndarray
+
+
 def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
     """Alternating least squares in (A | h) and (h | A) for ``Y = T(h) A + V``.
 
@@ -356,18 +372,13 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
     renormalizes the channel iterate (the scale freedom is absorbed by the
     symbol update, so the end-of-sweep residual is monotone non-increasing).
     Stops early when the relative residual improvement drops below ``rtol``;
-    if the sweep budget runs out first, the best iterate is returned with
-    ``converged=False``.
+    if the sweep budget runs out first, the last iterate is returned with
+    ``converged=False`` (by that monotonicity, it has the smallest residual).
 
-    Neither step forms ``T(h)`` or ``A_op``. Formed once per call, since
-    ``Y`` is fixed: the data operator ``Q`` with ``T(h)^H y = Q conj(h)``,
-    ``Q[s, i m + l] = Yr[s - i, l]`` for the blocks ``Yr`` of ``Y``, and the
-    index of the symbol Hankel ``A'``. Formed once per sweep: the symbol
-    step's right-hand side ``Q conj(h)`` (one product) and the banded
-    ``T(h)^H T(h)`` (bandwidth N - 1, from ``H^H H`` through
-    :func:`~blindcrb.channel.toeplitz_gram_band`); and the channel step's
-    N x N Gram ``A'^H A'`` with m right-hand sides,
-    ``A_op^H A_op = (A'^H A') (x) I_m``.
+    This is the per-burst form of :func:`alternating_ls_batch`, which runs
+    many bursts in lockstep, and the reference it is tested against: both
+    take the same steps and differ only in roundoff, as here the channel
+    step factors its N x N Gram densely and each norm is that of one vector.
 
     Convergence is local: the iteration settles into the cost basin selected
     by ``init``, and an initialization far from (or orthogonal to) the true
@@ -384,17 +395,17 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
         raise ValueError(f"init must have length m*N = {m * N}")
     h = h / np.linalg.norm(h)
     Yr = Y.reshape(M, m)                  # row r = block r of Y
-    Q = np.zeros((M + N - 1, N, m), dtype=Y.dtype)
-    for i in range(N):
-        Q[i:i + M, i] = Yr
-    Q = Q.reshape(M + N - 1, N * m)
+    Q = _data_operator(Yr[None], N)[0]
     hankel = np.arange(M)[:, None] + np.arange(N)     # A'[r, c] = A[r + c]
     history = []
     A = None
     for sweep in range(sweeps):
-        A = _symbol_step(taps_from_stacked(h, m), Yr, Q @ h.conj())
+        A = _symbol_step(taps_from_stacked(h, m)[None], Yr[None], (Q @ h.conj())[None])[0]
         Ap = A[hankel]
-        X = _channel_step(Ap, Yr)
+        Aph = Ap.conj().T
+        X = cholesky_solve(Aph @ Ap, Aph @ Yr)
+        if X is None:
+            X = min_norm_solve(Ap, Yr)[0]
         resid = np.linalg.norm(Yr - Ap @ X)
         h = X.ravel()
         h = h / np.linalg.norm(h)
@@ -404,30 +415,120 @@ def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
     return AlternatingLsResult(h, A, float(history[-1]), tuple(history), False, sweeps)
 
 
-def _symbol_step(H, Yr, rhs):
-    """Least-squares symbols ``argmin_A ||Y - T(h) A||`` for taps ``H`` (m x N)
-    and ``rhs = T(h)^H Y``.
+def _data_operator(Yr, N):
+    """``Q[t]`` with ``T(h)^H y_t = Q[t] conj(h)`` for the blocks ``Yr[t]`` of
+    each burst ``y_t``: ``Q[t, s, i m + l] = Yr[t, s - i, l]``."""
+    T, M, m = Yr.shape
+    Q = np.zeros((T, M + N - 1, N, m), dtype=Yr.dtype)
+    for i in range(N):
+        Q[:, i:i + M, i] = Yr
+    return Q.reshape(T, M + N - 1, N * m)
 
-    The normal equations use the banded ``T(h)^H T(h)``; a numerically
-    singular Gram (see :func:`~blindcrb.linalg.cholesky_solve`) takes the
-    minimum-norm solution, and only that fallback builds a dense ``T(h)``.
+
+def alternating_ls_batch(Ys, m, N, inits, sweeps=30, rtol=1e-12):
+    """:func:`alternating_ls_estimator` on every burst ``Ys[t]`` (rows of a
+    ``T x M m`` array) from ``inits[t]``, all trials in lockstep; returns an
+    :class:`AlternatingLsBatch`.
+
+    The trials still running share each call of a sweep, and each keeps its
+    own stopping rule: a trial that stops leaves the live set, and the live
+    arrays are compacted only when that set shrinks. Real bursts in a
+    complex stack run in complex arithmetic.
+
+    Neither step forms ``T(h)`` or ``A_op``. Formed once per call: each
+    trial's data operator ``Q`` with ``T(h)^H y = Q conj(h)``,
+    ``Q[s, i m + l] = Yr[s - i, l]`` for the blocks ``Yr`` of ``y``, and the
+    index of the symbol Hankel ``A'``. Formed once per sweep for all live
+    trials: the symbol step's right-hand sides ``Q conj(h)`` (one batched
+    product), the banded ``T(h)^H T(h)`` end to end in one block-diagonal
+    band (bandwidth N - 1, from ``H^H H`` through
+    :func:`~blindcrb.channel.toeplitz_gram_band`), solved by one banded
+    Cholesky; and the channel step's N x N Grams ``A'^H A'``, with m
+    right-hand sides each (``A_op^H A_op = (A'^H A') (x) I_m``), stacked as
+    one more band and solved the same way.
     """
-    M = Yr.shape[0]
-    A = cholesky_solve(toeplitz_gram_band(H, M), rhs, banded=True)
-    return A if A is not None else min_norm_solve(block_toeplitz(H, M), Yr.ravel())[0]
+    Ys = np.asarray(Ys)
+    T, size = Ys.shape
+    if size % m:
+        raise ValueError("observation length is not a multiple of m")
+    if sweeps < 1:
+        raise ValueError("sweeps must be >= 1")
+    M = size // m
+    dtype = complex if np.iscomplexobj(Ys) else float
+    h = np.asarray(inits).astype(dtype)
+    if h.shape != (T, m * N):
+        raise ValueError(f"inits must have shape (T, m*N) = ({T}, {m * N})")
+    h = h / np.linalg.norm(h, axis=1, keepdims=True)
+    Yr = Ys.reshape(T, M, m)              # row r of Yr[t] = block r of Ys[t]
+    Q = _data_operator(Yr, N)
+    hankel = np.arange(M)[:, None] + np.arange(N)     # A'[r, c] = A[r + c]
+    history = np.full((T, sweeps), np.nan)
+    h_out, A_out = np.empty_like(h), np.empty((T, M + N - 1), dtype=dtype)
+    stopped, converged = np.full(T, sweeps), np.zeros(T, dtype=bool)
+    live = np.arange(T)
+    for sweep in range(sweeps):
+        if not live.size:
+            break
+        taps = h.reshape(-1, N, m).swapaxes(1, 2)
+        A = _symbol_step(taps, Yr, (Q @ h.conj()[..., None])[..., 0])
+        Ap = A[:, hankel]
+        X = _channel_step(Ap, Yr)
+        resid = np.linalg.norm(Yr - Ap @ X, axis=(1, 2))
+        h = X.reshape(live.size, -1)
+        h = h / np.linalg.norm(h, axis=1, keepdims=True)
+        history[live, sweep] = resid
+        done = np.zeros(live.size, dtype=bool)
+        if sweep > 0:
+            prev = history[live, sweep - 1]
+            done = prev - resid <= rtol * np.maximum(prev, 1.0)
+        stop = done | (sweep + 1 == sweeps)
+        if stop.any():
+            ended = live[stop]
+            h_out[ended], A_out[ended] = h[stop], A[stop]
+            stopped[ended], converged[ended] = sweep + 1, done[stop]
+            keep = ~stop
+            live, h, Yr, Q = live[keep], h[keep], Yr[keep], Q[keep]
+    return AlternatingLsBatch(h_out, A_out, history, converged, stopped)
+
+
+def _symbol_step(taps, Yr, rhs):
+    """Least-squares symbols ``argmin_A ||y_t - T(h_t) A||`` of each trial,
+    for taps ``taps[t]`` (m x N), blocks ``Yr[t]`` of ``y_t`` and
+    ``rhs[t] = T(h_t)^H y_t``.
+
+    The normal equations use the banded ``T(h_t)^H T(h_t)`` of all trials,
+    end to end in one band; a trial whose Gram is numerically singular (see
+    :func:`~blindcrb.linalg.cholesky_solve`) takes the minimum-norm
+    solution, and only that fallback builds a dense ``T(h_t)``.
+    """
+    M = Yr.shape[1]
+    A, regular = cholesky_solve(toeplitz_gram_band(taps, M), rhs[..., None], banded=True)
+    A = A[..., 0]
+    for t in np.flatnonzero(~regular):
+        A[t] = min_norm_solve(block_toeplitz(taps[t], M), Yr[t].ravel())[0]
+    return A
 
 
 def _channel_step(Ap, Yr):
-    """Least-squares taps ``X = H^T`` (N x m) for the symbol Hankel ``Ap``.
+    """Least-squares taps ``X_t = H_t^T`` (N x m) of each trial for its
+    symbol Hankel ``Ap[t]``.
 
     ``A_op = A' (x) I_m`` makes ``A_op h = vec(A' X)`` row by row, so the
     channel step is one N x N Gram ``A'^H A'`` with the m columns of
     ``A'^H Yr`` as right-hand sides. ``G (x) I_m`` has the pivots of ``G``,
-    each m times, so the singular-Gram rule reads the same on ``G``.
+    each m times, so the singular-Gram rule reads the same on ``G``. The
+    Grams of all trials go end to end into one band of bandwidth N - 1.
     """
-    Aph = Ap.conj().T
-    X = cholesky_solve(Aph @ Ap, Aph @ Yr)
-    return X if X is not None else min_norm_solve(Ap, Yr)[0]
+    T, _, N = Ap.shape
+    Aph = Ap.conj().swapaxes(1, 2)
+    G = Aph @ Ap
+    band = np.zeros((T, N, N), dtype=G.dtype)        # band[t, j, N - 1 - d] = G[t, j - d, j]
+    for d in range(N):
+        band[:, d:, N - 1 - d] = np.diagonal(G, d, axis1=1, axis2=2)
+    X, regular = cholesky_solve(band.reshape(-1, N).T, Aph @ Yr, banded=True)
+    for t in np.flatnonzero(~regular):
+        X[t] = min_norm_solve(Ap[t], Yr[t])[0]
+    return X
 
 
 def snr_to_sigma_v2(ch: Channel, sigma_a2, snr_db):
@@ -482,29 +583,28 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list):
     # the noise and init streams do not depend on the SNR: draw them once
     noise = _trial_normals(rng, cfg, _PURPOSE_NOISE, TA.size)
     perts = _trial_draws(rng, cfg, _PURPOSE_INIT, h0.size, 1.0)
+    inits = h0 + cfg.init_scale * np.linalg.norm(h0) * perts \
+        / np.linalg.norm(perts, axis=1, keepdims=True)
+    sv2s = [snr_to_sigma_v2(ch, cfg.sigma_a2, snr_db) for snr_db in snr_db_list]
+    # every trial of every SNR point in one lockstep ALS run
+    Ys = np.empty((len(sv2s), cfg.trials, TA.size), dtype=TA.dtype)
+    for p, sv2 in enumerate(sv2s):
+        Ys[p] = TA + _scale_normals(noise, sv2, cfg.field == COMPLEX)   # simulate_burst per trial
+    ests = alternating_ls_batch(Ys.reshape(-1, TA.size), ch.m, ch.N,
+                                np.tile(inits, (len(sv2s), 1)), sweeps=cfg.ls_sweeps)
     rows = []
-    for snr_db in snr_db_list:
-        sv2 = snr_to_sigma_v2(ch, cfg.sigma_a2, snr_db)
+    for p, (snr_db, sv2) in enumerate(zip(snr_db_list, sv2s)):
         crb_trace = minimal_crb(reduced.J / sv2).trace
-        Ys = TA + _scale_normals(noise, sv2, cfg.field == COMPLEX)    # simulate_burst per trial
-        sq = {r: np.empty(cfg.trials) for r in _ADJUSTMENTS}
-        nonconv = 0
-        sweeps = 0
-        for t in range(cfg.trials):
-            pert = perts[t]
-            init = h0 + cfg.init_scale * np.linalg.norm(h0) * pert / np.linalg.norm(pert)
-            est = alternating_ls_estimator(Ys[t], ch.m, ch.N, init, sweeps=cfg.ls_sweeps)
-            sweeps += est.sweeps
-            if not est.converged:
-                nonconv += 1
-            for r in _ADJUSTMENTS:
-                adj = adjust_estimate(est.h, h0, r)
-                sq[r][t] = np.linalg.norm(adj - h0) ** 2
+        point = slice(p * cfg.trials, (p + 1) * cfg.trials)
+        sq = {r: np.array([np.linalg.norm(adjust_estimate(h, h0, r) - h0) ** 2
+                           for h in ests.h[point]]) for r in _ADJUSTMENTS}
         mse = {r: float(sq[r].mean()) for r in _ADJUSTMENTS}
         se = {
             r: float(sq[r].std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else float("inf")
             for r in _ADJUSTMENTS
         }
+        nonconv = int(np.count_nonzero(~ests.converged[point]))
+        sweeps_mean = int(ests.sweeps[point].sum()) / cfg.trials
         rows.append(MseRow(float(snr_db), sv2, crb_trace, cfg.trials, mse, se, nonconv,
-                           sweeps / cfg.trials, reduced.warnings))
+                           sweeps_mean, reduced.warnings))
     return rows

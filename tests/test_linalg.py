@@ -164,6 +164,36 @@ class TestSolves:
         G = D.T @ D
         assert cholesky_solve(G, np.ones(4)) is None
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_cholesky_solve_stack_has_a_verdict_per_block(self, rng, complex_):
+        # blocks end to end in one band: regular ones, ones whose factor fails
+        # (a zero column leaves a zero pivot), one that factors with a squared
+        # pivot ratio near 1e-10, below DEFAULT_RANK_TOL. The regular blocks
+        # get exactly the solution they get alone, wherever the failures sit
+        n, kd = 6, 2
+
+        def block(kind):
+            D = np.triu(np.tril(_random_matrix(rng, n, n, complex_=complex_), kd))
+            if kind == "fails":
+                D[:, 3] = 0.0
+            elif kind == "tiny":
+                D[:, 3] *= 1e-5
+            return upper_band(D.conj().T @ D, kd)
+
+        kinds = ["regular", "fails", "regular", "tiny", "regular", "fails"]
+        bands = [block(k) for k in kinds]
+        rhs = _random_matrix(rng, len(kinds) * n, 2, complex_=complex_).reshape(-1, n, 2)
+        for order in (slice(None), slice(None, None, -1)):
+            ks, bs, bs_rhs = kinds[order], bands[order], rhs[order]
+            X, regular = cholesky_solve(np.hstack(bs), bs_rhs, banded=True)
+            assert list(regular) == [k == "regular" for k in ks]
+            for k, b, r, x in zip(ks, bs, bs_rhs, X):
+                alone = cholesky_solve(b, r, banded=True)
+                if k == "regular":
+                    np.testing.assert_array_equal(x, alone)
+                else:
+                    assert alone is None
+
 
 def _reveal(R, k, rows=None):
     """:func:`triangular_rank_reveal` of a dense upper-triangular ``R``."""

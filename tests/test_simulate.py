@@ -18,7 +18,7 @@ from blindcrb.fim import (
     deterministic_reduced_fim,
     gaussian_fim,
 )
-from blindcrb.linalg import DEFAULT_RANK_TOL
+from blindcrb.linalg import DEFAULT_RANK_TOL, min_norm_solve
 from blindcrb.simulate import (
     ADJUST_LIN,
     ADJUST_LS,
@@ -328,7 +328,7 @@ class TestAlternatingLs:
         Y = rng.standard_normal(T.shape[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = simulate._symbol_step(ch.coeffs, Y.reshape(M, ch.m), T.T @ Y)
+            got = simulate._symbol_step(ch.coeffs[None], Y.reshape(1, M, ch.m), (T.T @ Y)[None])[0]
         np.testing.assert_allclose(got, np.linalg.lstsq(T, Y, rcond=None)[0], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -346,7 +346,7 @@ class TestAlternatingLs:
         Y = random_burst(rng, M * m, field)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            X = simulate._channel_step(symbol_hankel(A, N, M), Y.reshape(M, m))
+            X = simulate._channel_step(symbol_hankel(A, N, M)[None], Y.reshape(1, M, m))[0]
         want = np.linalg.lstsq(commutativity_op(A, m, N, M), Y, rcond=None)[0]
         assert np.linalg.norm(X.ravel() - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -426,6 +426,100 @@ class TestStructuredAls:
         self._assert_rel(got.A, A, 1e-10)
 
 
+class TestAlsBatch:
+    """The lockstep ALS batch against independent per-burst runs."""
+
+    @staticmethod
+    def _trials(batch):
+        """Per trial ``(h, A, history, converged, sweeps)``, as the oracle
+        returns them."""
+        return [(h, A, hist[:s], c, s) for h, A, hist, c, s
+                in zip(batch.h, batch.A, batch.history, batch.converged, batch.sweeps)]
+
+    @staticmethod
+    def _solo(res):
+        return res.h, res.A, res.residual_history, res.converged, res.sweeps
+
+    @staticmethod
+    def _assert_matches(got, want, rtol=1e-12):
+        assert (got[4], got[3]) == (want[4], want[3])
+        for g, w in zip(got[:3], want[:3]):
+            TestStructuredAls._assert_rel(g, w, rtol)
+
+    def test_mixed_batch_matches_solo_runs_and_dense_oracle(self):
+        # real and complex bursts in one complex stack; some trials converge,
+        # at different sweeps, and the others use up the budget
+        rng = np.random.default_rng(0)
+        m, N, M, sweeps = 2, 3, 30, 200
+        Ys, inits = [], []
+        for noise in (0.05, 0.3, 1.0):
+            for field in (REAL, COMPLEX):
+                ch = random_channel(rng, m, N, field)
+                Ys.append(ch.toeplitz(M) @ random_burst(rng, M + N - 1, field)
+                          + noise * random_burst(rng, M * m, field))
+                inits.append(ch.h + 0.05 * random_burst(rng, ch.h.size, field))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = simulate.alternating_ls_batch(np.array(Ys, dtype=complex), m, N,
+                                                  np.array(inits, dtype=complex), sweeps=sweeps)
+        for got, Y, init in zip(self._trials(batch), Ys, inits):
+            solo = alternating_ls_estimator(Y, m, N, init, sweeps=sweeps)
+            self._assert_matches(got, self._solo(solo))
+            self._assert_matches(got, _dense_als_oracle(Y, m, N, init, sweeps))
+        converged = batch.sweeps[batch.converged]
+        assert len(set(converged)) == len(converged) > 1
+        assert not batch.converged.all()
+        assert batch.converged[0::2].any() and batch.converged[1::2].any()   # real and complex
+
+    def test_singular_burst_takes_the_fallback_alone(self, monkeypatch):
+        # a noiseless common-root burst between two regular ones: its symbol
+        # Grams are singular every sweep, so it alone takes the minimum-norm
+        # solution, and the banded factor of its neighbours does not change
+        rng = np.random.default_rng(3)
+        sing, _, _ = channel_with_common_roots(rng, 2, 3, [0.5], REAL)
+        M, N = 20, sing.N
+        regular = [random_channel(rng, 2, N, REAL) for _ in range(2)]
+        Ys = [ch.toeplitz(M) @ rng.standard_normal(M + N - 1) + 0.1 * rng.standard_normal(2 * M)
+              for ch in regular]
+        inits = [ch.h + 0.05 * rng.standard_normal(ch.h.size) for ch in regular]
+        Ys.insert(1, sing.toeplitz(M) @ rng.standard_normal(M + N - 1))
+        inits.insert(1, sing.h)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return min_norm_solve(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "min_norm_solve", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = simulate.alternating_ls_batch(np.array(Ys), 2, N, np.array(inits), sweeps=3)
+            fallbacks = len(calls)
+            pair = simulate.alternating_ls_batch(np.array(Ys[::2]), 2, N, np.array(inits[::2]),
+                                                 sweeps=3)
+            assert len(calls) == fallbacks
+            solos = [alternating_ls_estimator(Y, 2, N, init, sweeps=3)
+                     for Y, init in zip(Ys, inits)]
+        # one symbol-step fallback (a dense T(h)) per sweep, in the batch and
+        # in the singular burst's solo run alone
+        assert fallbacks == batch.sweeps[1] and len(calls) == 2 * fallbacks
+        assert all(shape == (2 * M, M + N - 1) for shape in calls)
+        trials, solos = self._trials(batch), [self._solo(res) for res in solos]
+        for got, solo in zip(trials[::2], solos[::2]):
+            self._assert_matches(got, solo)
+        # the singular burst fits exactly: its residuals are roundoff, and
+        # h and A carry the conditioning of the minimum-norm solves
+        want = _dense_als_oracle(Ys[1], 2, N, inits[1], 3)
+        for got in (trials[1], solos[1]):
+            assert (got[4], got[3]) == (want[4], want[3])
+            TestStructuredAls._assert_rel(got[0], want[0], 1e-10)
+            TestStructuredAls._assert_rel(got[1], want[1], 1e-10)
+            assert max(got[2]) <= 1e-12 * np.linalg.norm(Ys[1])
+        for got, alone in zip(trials[::2], self._trials(pair)):
+            for g, a in zip(got, alone):
+                np.testing.assert_array_equal(g, a)
+
+
 class TestMseExperiment:
     def test_rows_and_reproducibility(self, chan_random):
         cfg = _cfg(chan_random, M=30, trials=20, seed=9)
@@ -466,16 +560,24 @@ class TestMseExperiment:
         clean = mse_vs_crb_experiment(_cfg(chan_random, M=20, trials=3, ls_sweeps=30), [20.0])[0]
         assert clean.warnings == ()
 
-    def test_sweeps_mean_is_the_estimator_mean(self, monkeypatch, chan_random):
+    def test_sweeps_mean_is_the_estimator_mean(self, chan_random):
+        # independent per-burst runs on the experiment's bursts and
+        # initializations (stream 1 + 4 t + 2, real channel) give the sweep
+        # counts behind each row's mean
+        assert chan_random.field == REAL
+        cfg = _cfg(chan_random, M=20, trials=4)
+        snrs = [10.0, 30.0]
+        rows = mse_vs_crb_experiment(cfg, snrs)
+        h0 = chan_random.h
         sweeps = []
-
-        def recording(*args, **kwargs):
-            res = alternating_ls_estimator(*args, **kwargs)
-            sweeps.append(res.sweeps)
-            return res
-
-        monkeypatch.setattr(simulate, "alternating_ls_estimator", recording)
-        rows = mse_vs_crb_experiment(_cfg(chan_random, M=20, trials=4), [10.0, 30.0])
+        for snr in snrs:
+            point = replace(cfg, sigma_v2=snr_to_sigma_v2(chan_random, cfg.sigma_a2, snr))
+            for t in range(cfg.trials):
+                pert = stream_rng(cfg.seed, 1 + 4 * t + 2).standard_normal(h0.size)
+                init = h0 + cfg.init_scale * np.linalg.norm(h0) * pert / np.linalg.norm(pert)
+                est = alternating_ls_estimator(simulate_burst(point, t), chan_random.m,
+                                               chan_random.N, init, sweeps=cfg.ls_sweeps)
+                sweeps.append(est.sweeps)
         assert [r.sweeps_mean for r in rows] == [np.mean(sweeps[:4]), np.mean(sweeps[4:])]
         assert len(set(sweeps)) > 1
 
