@@ -71,10 +71,11 @@ from .linalg import (
     realify_vector,
 )
 from .simulate import (
+    AlternatingLsBatch,
     ExperimentConfig,
     McFimEstimate,
     adjust_estimate,
-    alternating_ls_estimator,
+    alternating_ls_batch,
     mse_vs_crb_experiment,
     score_covariance_fim,
     simulate_burst,

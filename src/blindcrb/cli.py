@@ -30,6 +30,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -346,30 +347,34 @@ def cmd_mse(args):
                          "\"channel\" file path")
 
     def number(key, value, kind):
+        # a count is an integer (2.7 trials are not 2), and every number is
+        # finite: NaN and Infinity are valid JSON here but bad input
         try:
-            return kind(value)
+            x = kind(value)
         except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{args.experiment}: field {key!r} must be a number, "
-                             f"got {value!r}") from None
+            x = None
+        if x is None or isinstance(value, float) and x != value \
+                or isinstance(x, float) and not math.isfinite(x):
+            what = "an integer" if kind is int else "a finite number"
+            raise ValueError(f"{args.experiment}: field {key!r} must be {what}, "
+                             f"got {value!r}")
+        return x
 
     chan_path = spec["channel"]
     if not os.path.isabs(chan_path):
         chan_path = os.path.join(os.path.dirname(os.path.abspath(args.experiment)),
                                  chan_path)
     ch = load_channel(chan_path)
-    cfg = ExperimentConfig(
-        channel=ch,
-        model=spec.get("model", DETERMINISTIC),
-        M=number("M", spec.get("M", 100), int),
-        sigma_a2=number("sigma_a2", spec.get("sigma_a2", 1.0), float),
-        trials=number("trials", spec.get("trials", 200), int),
-        seed=number("seed", spec.get("seed", args.seed), int),
-        ls_sweeps=number("ls_sweeps", spec.get("ls_sweeps", 30), int),
-        init_scale=number("init_scale", spec.get("init_scale", 1e-2), float),
-    )
+    fields = {key: number(key, spec.get(key, default), kind) for key, default, kind in (
+        ("M", 100, int), ("sigma_a2", 1.0, float), ("trials", 200, int),
+        ("seed", args.seed, int), ("ls_sweeps", 30, int), ("init_scale", 1e-2, float))}
+    try:
+        cfg = ExperimentConfig(channel=ch, model=spec.get("model", DETERMINISTIC), **fields)
+    except ValueError as exc:
+        raise ValueError(f"{args.experiment}: {exc}") from None
     snrs = spec.get("snr_db", [10.0, 20.0, 30.0])
-    if not isinstance(snrs, list):
-        raise ValueError(f"{args.experiment}: field 'snr_db' must be a list of numbers, "
+    if not isinstance(snrs, list) or not snrs:
+        raise ValueError(f"{args.experiment}: field 'snr_db' must be a non-empty list of numbers, "
                          f"got {snrs!r}")
     snrs = [number("snr_db", v, float) for v in snrs]
     rows_data = mse_vs_crb_experiment(cfg, snrs)

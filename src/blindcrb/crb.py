@@ -226,7 +226,10 @@ def parse_constraint(spec, h0, field, dec=None, linear_loader=None):
             raise ValueError("phase constraint applies to complex channels only")
         return phase_constraint(h0)
     if spec.startswith("known:"):
-        return known_coeff_constraint(h0, int(spec.split(":", 1)[1]), field)
+        try:
+            return known_coeff_constraint(h0, int(spec.split(":", 1)[1]), field)
+        except IndexError as exc:
+            raise ValueError(f"{spec}: {exc}") from None
     if spec.startswith("linear:"):
         if linear_loader is None:
             raise ValueError("linear constraint file loading not available here")

@@ -460,10 +460,10 @@ def deterministic_reduced_fim(ch: Channel, A, sigma_v2, M=None) -> FimResult:
     if sigma_v2 <= 0:
         raise ValueError("sigma_v2 must be positive")
     field, H, Aop, band = _structured_operands(ch, A, M)
-    X = cholesky_solve(band, toeplitz_adjoint(H, Aop), banded=True)
+    X, regular = cholesky_solve(band, toeplitz_adjoint(H, Aop)[None])
     warnings = ()
-    if X is not None:
-        E = Aop - toeplitz_apply(H, X)
+    if regular[0]:
+        E = Aop - toeplitz_apply(H, X[0])
         J = E.conj().T @ E / sigma_v2
     else:
         R, C1, G2 = toeplitz_staircase_qr(H, Aop)

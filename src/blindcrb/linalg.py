@@ -107,61 +107,30 @@ def _lapack_funcs(names, dtype):
     return sla.get_lapack_funcs(names, dtype=dtype)
 
 
-def _regular_blocks(diag, n):
-    """Per block of ``n`` pivots ``diag`` of a Cholesky factor: True unless
-    the block's smallest squared pivot is at or below ``DEFAULT_RANK_TOL``
-    times its largest."""
-    pivots = np.abs(diag.reshape(-1, n)) ** 2
-    return pivots.min(axis=1) > DEFAULT_RANK_TOL * pivots.max(axis=1)
+def cholesky_solve(band, rhs):
+    """Solve the block-diagonal stack of Hermitian positive semidefinite
+    Grams ``G_t`` in ``band`` against ``rhs`` through one Cholesky factor;
+    returns ``(X, regular)``.
 
+    ``band`` is in LAPACK's upper band storage (superdiagonal ``d`` of a
+    bandwidth-``b`` matrix in row ``b - d``), ``(b + 1, T n)``: the ``T``
+    Grams of order ``n`` end to end with zero couplings. A dense Gram is the
+    band with ``b = n - 1``. ``rhs`` has shape ``(T, n, k)`` and ``X`` has
+    the same shape. One ``pbtrf`` and one ``pbtrs`` are called directly,
+    their LAPACK handles looked up once per dtype.
 
-def cholesky_solve(gram, rhs, banded=False):
-    """Solve ``G X = rhs`` for a Hermitian positive semidefinite Gram ``G``
-    through one Cholesky factor, or return ``None`` if ``G`` is numerically
-    singular.
-
-    ``G`` is dense, or with ``banded`` in LAPACK's upper band storage
-    (superdiagonal ``d`` of a bandwidth-``b`` matrix in row ``b - d``). LAPACK's
-    ``potrf``/``potrs`` (``pbtrf``/``pbtrs``) are called directly. ``G`` counts
-    as singular when the factor fails, or when its smallest squared pivot is
-    at or below ``DEFAULT_RANK_TOL`` times its largest, the relative
-    eigenvalue rule of :func:`hermitian_nullity`: a numerically singular Gram
-    can still factor, and a solve through that factor adds an arbitrary
-    null-space part. Callers then take :func:`min_norm_solve`. The LAPACK
-    handles are looked up once per routine pair and dtype.
-
-    A block-diagonal stack of ``T`` Grams of order ``n`` is solved by one
-    ``pbtrf`` and one ``pbtrs``: ``G`` banded, ``(b + 1, T n)``, the blocks
-    end to end with zero couplings, and ``rhs`` of shape ``(T, n, k)``. The
-    result is then ``(X, regular)``, ``X`` of shape ``(T, n, k)`` and
-    ``regular[t]`` False where block ``t`` is singular by the rule above
-    (its rows of ``X`` are then meaningless). For ``b`` below LAPACK's block
+    ``regular[t]`` is False where ``G_t`` is numerically singular, and the
+    rows of ``X[t]`` are then meaningless: the factor fails inside block
+    ``t``, or its smallest squared pivot there is at or below
+    ``DEFAULT_RANK_TOL`` times its largest, the relative eigenvalue rule of
+    :func:`hermitian_nullity`. A numerically singular Gram can still factor,
+    and a solve through that factor adds an arbitrary null-space part;
+    callers then take :func:`min_norm_solve`. For ``b`` below LAPACK's block
     size ``pbtrf`` runs column by column, so the zero couplings add exact
     zeros and each block gets the factor it would get alone; a factor that
     fails inside block ``t`` is taken again from block ``t + 1`` on.
     """
     rhs = np.asarray(rhs)
-    if banded:
-        blocks = rhs if rhs.ndim == 3 else rhs.reshape(1, rhs.shape[0], -1)
-        X, regular = _band_block_solve(gram, blocks)
-        if rhs.ndim == 3:
-            return X, regular
-        return X.reshape(rhs.shape) if regular[0] else None
-    trf, trs = _lapack_funcs(("potrf", "potrs"), np.result_type(gram, rhs))
-    c, info = trf(gram, lower=0)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of potrf")
-    if info > 0 or not _regular_blocks(np.diagonal(c), c.shape[0])[0]:
-        return None
-    x, info = trs(c, rhs, lower=0)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x
-
-
-def _band_block_solve(band, rhs):
-    """``(X, regular)`` of :func:`cholesky_solve` for the block-diagonal
-    band ``band`` and the right-hand sides ``rhs`` (T, n, k) of its blocks."""
     T, n, k = rhs.shape
     kd = band.shape[0] - 1
     if band.shape[1] != T * n:
@@ -182,7 +151,8 @@ def _band_block_solve(band, rhs):
             factor[:, start:], info = trf(band[:, start:], lower=0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of pbtrf")
-    regular &= _regular_blocks(factor[kd], n)
+    pivots = np.abs(factor[kd].reshape(T, n)) ** 2
+    regular &= pivots.min(axis=1) > DEFAULT_RANK_TOL * pivots.max(axis=1)
     x, info = trs(factor, rhs.reshape(T * n, k), lower=0)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of pbtrs")

@@ -11,8 +11,9 @@ trial to trial, and scale that buffer into noise or symbols in one step;
 each trial's draws are bitwise those of a fresh :func:`stream_rng`, so the
 stream map below is unchanged. The scores of all trials are then formed
 as matrix products, and an MSE experiment draws its noise and
-initialization normals once for all of its SNR points and runs the
-estimator on every trial of every point in lockstep.
+initialization normals once for all of its SNR points and runs every
+trial of every point through the one estimator, :func:`alternating_ls_batch`,
+in lockstep.
 
 Stream map (documented contract):
 
@@ -39,7 +40,6 @@ from .channel import (
     REAL,
     Channel,
     block_toeplitz,
-    taps_from_stacked,
     toeplitz_gram_band,
 )
 from .crb import minimal_crb
@@ -66,8 +66,6 @@ __all__ = [
     "simulate_burst",
     "score_covariance_fim",
     "adjust_estimate",
-    "AlternatingLsResult",
-    "alternating_ls_estimator",
     "AlternatingLsBatch",
     "alternating_ls_batch",
     "MseRow",
@@ -169,12 +167,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in (DETERMINISTIC, GAUSSIAN):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.sigma_a2 <= 0 or self.sigma_v2 < 0:
-            raise ValueError("sigma_a2 must be positive and sigma_v2 nonnegative")
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
+        for name in ("M", "trials", "ls_sweeps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"field {name!r} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.sigma_a2 < np.inf:
+            raise ValueError(f"field 'sigma_a2' must be positive and finite, got {self.sigma_a2}")
+        for name in ("sigma_v2", "init_scale"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"field {name!r} must be nonnegative and finite, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def field(self):
@@ -343,16 +344,6 @@ def adjust_estimate(h_hat, h0, rule):
 
 
 @dataclass(frozen=True)
-class AlternatingLsResult:
-    h: np.ndarray
-    A: np.ndarray
-    residual: float
-    residual_history: tuple
-    converged: bool
-    sweeps: int
-
-
-@dataclass(frozen=True)
 class AlternatingLsBatch:
     """Results of :func:`alternating_ls_batch`, one row per trial: trial
     ``t`` ran ``sweeps[t]`` sweeps with residuals ``history[t, :sweeps[t]]``
@@ -363,56 +354,6 @@ class AlternatingLsBatch:
     history: np.ndarray
     converged: np.ndarray
     sweeps: np.ndarray
-
-
-def alternating_ls_estimator(Y, m, N, init, sweeps=30, rtol=1e-12):
-    """Alternating least squares in (A | h) and (h | A) for ``Y = T(h) A + V``.
-
-    Each sweep solves the two linear least-squares subproblems in turn and
-    renormalizes the channel iterate (the scale freedom is absorbed by the
-    symbol update, so the end-of-sweep residual is monotone non-increasing).
-    Stops early when the relative residual improvement drops below ``rtol``;
-    if the sweep budget runs out first, the last iterate is returned with
-    ``converged=False`` (by that monotonicity, it has the smallest residual).
-
-    This is the per-burst form of :func:`alternating_ls_batch`, which runs
-    many bursts in lockstep, and the reference it is tested against: both
-    take the same steps and differ only in roundoff, as here the channel
-    step factors its N x N Gram densely and each norm is that of one vector.
-
-    Convergence is local: the iteration settles into the cost basin selected
-    by ``init``, and an initialization far from (or orthogonal to) the true
-    channel may converge to a different stationary point. Experiments here
-    initialize near the truth on purpose; they measure local estimation
-    error against the bound, not global behavior of blind algorithms.
-    """
-    Y = np.asarray(Y).ravel()
-    if Y.size % m:
-        raise ValueError("observation length is not a multiple of m")
-    M = Y.size // m
-    h = np.asarray(init).ravel().astype(complex if np.iscomplexobj(Y) else float)
-    if h.size != m * N:
-        raise ValueError(f"init must have length m*N = {m * N}")
-    h = h / np.linalg.norm(h)
-    Yr = Y.reshape(M, m)                  # row r = block r of Y
-    Q = _data_operator(Yr[None], N)[0]
-    hankel = np.arange(M)[:, None] + np.arange(N)     # A'[r, c] = A[r + c]
-    history = []
-    A = None
-    for sweep in range(sweeps):
-        A = _symbol_step(taps_from_stacked(h, m)[None], Yr[None], (Q @ h.conj())[None])[0]
-        Ap = A[hankel]
-        Aph = Ap.conj().T
-        X = cholesky_solve(Aph @ Ap, Aph @ Yr)
-        if X is None:
-            X = min_norm_solve(Ap, Yr)[0]
-        resid = np.linalg.norm(Yr - Ap @ X)
-        h = X.ravel()
-        h = h / np.linalg.norm(h)
-        history.append(float(resid))
-        if sweep > 0 and history[-2] - resid <= rtol * max(history[-2], 1.0):
-            return AlternatingLsResult(h, A, float(resid), tuple(history), True, sweep + 1)
-    return AlternatingLsResult(h, A, float(history[-1]), tuple(history), False, sweeps)
 
 
 def _data_operator(Yr, N):
@@ -426,26 +367,30 @@ def _data_operator(Yr, N):
 
 
 def alternating_ls_batch(Ys, m, N, inits, sweeps=30, rtol=1e-12):
-    """:func:`alternating_ls_estimator` on every burst ``Ys[t]`` (rows of a
-    ``T x M m`` array) from ``inits[t]``, all trials in lockstep; returns an
-    :class:`AlternatingLsBatch`.
+    """Alternating least squares in (A | h) and (h | A) for
+    ``y_t = T(h_t) A_t + v_t``, on every burst ``Ys[t]`` (rows of a ``T x M m``
+    array) from ``inits[t]``; returns an :class:`AlternatingLsBatch`.
 
-    The trials still running share each call of a sweep, and each keeps its
-    own stopping rule: a trial that stops leaves the live set, and the live
-    arrays are compacted only when that set shrinks. Real bursts in a
-    complex stack run in complex arithmetic.
+    Each sweep solves the two linear least-squares subproblems in turn and
+    renormalizes the channel iterate; the symbol update absorbs the scale,
+    so the end-of-sweep residual never increases. A trial stops when its
+    relative residual improvement drops below ``rtol``; if the budget runs
+    out first, its last iterate, which by that monotonicity has the smallest
+    residual, is returned with ``converged=False``. Convergence is local: the
+    iteration settles into the cost basin selected by ``inits[t]``, and a
+    start far from (or orthogonal to) the true channel may reach another
+    stationary point. Experiments here start near the truth on purpose: they
+    measure local estimation error against the bound, not the global
+    behavior of blind algorithms.
 
-    Neither step forms ``T(h)`` or ``A_op``. Formed once per call: each
-    trial's data operator ``Q`` with ``T(h)^H y = Q conj(h)``,
-    ``Q[s, i m + l] = Yr[s - i, l]`` for the blocks ``Yr`` of ``y``, and the
-    index of the symbol Hankel ``A'``. Formed once per sweep for all live
-    trials: the symbol step's right-hand sides ``Q conj(h)`` (one batched
-    product), the banded ``T(h)^H T(h)`` end to end in one block-diagonal
-    band (bandwidth N - 1, from ``H^H H`` through
-    :func:`~blindcrb.channel.toeplitz_gram_band`), solved by one banded
-    Cholesky; and the channel step's N x N Grams ``A'^H A'``, with m
-    right-hand sides each (``A_op^H A_op = (A'^H A') (x) I_m``), stacked as
-    one more band and solved the same way.
+    All trials run in lockstep; one burst is a batch of one. The trials still
+    running share each call of a sweep, and a trial that stops leaves the
+    live set (the arrays are compacted only when it shrinks). Real bursts in
+    a complex stack run in complex arithmetic. Neither step forms ``T(h)`` or
+    ``A_op``: each trial's data operator ``Q`` with ``T(h)^H y = Q conj(h)``
+    and the index of the symbol Hankel ``A'`` are formed once per call, and
+    each step solves the Grams of all live trials, end to end in one band,
+    with one banded Cholesky (:func:`_symbol_step`, :func:`_channel_step`).
     """
     Ys = np.asarray(Ys)
     T, size = Ys.shape
@@ -502,7 +447,7 @@ def _symbol_step(taps, Yr, rhs):
     solution, and only that fallback builds a dense ``T(h_t)``.
     """
     M = Yr.shape[1]
-    A, regular = cholesky_solve(toeplitz_gram_band(taps, M), rhs[..., None], banded=True)
+    A, regular = cholesky_solve(toeplitz_gram_band(taps, M), rhs[..., None])
     A = A[..., 0]
     for t in np.flatnonzero(~regular):
         A[t] = min_norm_solve(block_toeplitz(taps[t], M), Yr[t].ravel())[0]
@@ -525,7 +470,7 @@ def _channel_step(Ap, Yr):
     band = np.zeros((T, N, N), dtype=G.dtype)        # band[t, j, N - 1 - d] = G[t, j - d, j]
     for d in range(N):
         band[:, d:, N - 1 - d] = np.diagonal(G, d, axis1=1, axis2=2)
-    X, regular = cholesky_solve(band.reshape(-1, N).T, Aph @ Yr, banded=True)
+    X, regular = cholesky_solve(band.reshape(-1, N).T, Aph @ Yr)
     for t in np.flatnonzero(~regular):
         X[t] = min_norm_solve(Ap[t], Yr[t])[0]
     return X

@@ -346,6 +346,14 @@ class TestCrb:
     def test_bad_constraint_spec(self, chan_file, capsys):
         assert main(["crb", chan_file, "--constraint", "nope"]) == 2
 
+    @pytest.mark.parametrize("spec", ["known:8", "known:-1"])
+    def test_known_index_out_of_range_is_bad_input(self, chan_file, capsys, spec):
+        # the bundled channel has 8 coefficients: an index outside 0..7 is
+        # bad input (exit 2), not a traceback
+        assert main(["crb", chan_file, "--constraint", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: ") and "out of range" in err
+
 
 class TestRankTol:
     # --rank-tol is the relative eigenvalue threshold of the bounded flag:
@@ -497,6 +505,10 @@ class TestMse:
     @pytest.mark.parametrize("field, value", [
         ("M", None), ("trials", "many"), ("sigma_a2", [1.0]), ("snr_db", 20.0),
         ("snr_db", [20.0, None]),
+        # non-integral counts, non-finite numbers, and values out of range
+        ("trials", 2.7), ("M", 20.5), ("seed", 1.5), ("ls_sweeps", 2.5),
+        ("sigma_a2", float("nan")), ("init_scale", float("inf")),
+        ("snr_db", [float("inf")]), ("ls_sweeps", 0), ("init_scale", -0.1), ("snr_db", []),
     ])
     def test_non_numeric_field_is_bad_input(self, tmp_path, chan_file, capsys,
                                             field, value):

@@ -143,17 +143,18 @@ class TestSolves:
     @pytest.mark.parametrize("complex_", [False, True])
     def test_cholesky_solve_equals_scipy(self, rng, complex_):
         # the LAPACK routines are the ones scipy's wrappers call, so the
-        # solutions are bitwise equal
+        # solutions are bitwise equal: a dense Gram as the full band
+        # (bandwidth n - 1), and a Gram of bandwidth 2
         D = _random_matrix(rng, 9, 5, complex_=complex_)
         G, b = D.conj().T @ D, D.conj().T @ rng.standard_normal((9, 2))
-        np.testing.assert_array_equal(cholesky_solve(G, b), sla.cho_solve(sla.cho_factor(G), b))
-        band = np.zeros((3, 5), dtype=G.dtype)
-        for d in range(3):
-            band[2 - d, d:] = np.diagonal(G, d)
+        for kd in (4, 2):
+            band = upper_band(G, kd)
+            want = sla.cho_solve_banded((sla.cholesky_banded(band), False), b)
+            X, regular = cholesky_solve(band, b[None])
+            np.testing.assert_array_equal(X[0], want)
+            assert list(regular) == [True]
         banded_G = np.triu(np.tril(G, 2), -2)
-        want = sla.cho_solve_banded((sla.cholesky_banded(band), False), b[:, 0])
-        np.testing.assert_array_equal(cholesky_solve(band, b[:, 0], banded=True), want)
-        np.testing.assert_allclose(banded_G @ want, b[:, 0], atol=1e-10)
+        np.testing.assert_allclose(banded_G @ X[0], b, atol=1e-10)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-6])
     def test_cholesky_solve_refuses_singular_gram(self, rng, eps):
@@ -161,8 +162,8 @@ class TestSolves:
         # pivot ratio (~1e-12) is below DEFAULT_RANK_TOL
         D = _random_matrix(rng, 8, 4, rank=3)
         D[:, 3] += eps * rng.standard_normal(8)
-        G = D.T @ D
-        assert cholesky_solve(G, np.ones(4)) is None
+        _, regular = cholesky_solve(upper_band(D.T @ D), np.ones((1, 4, 1)))
+        assert list(regular) == [False]
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_cholesky_solve_stack_has_a_verdict_per_block(self, rng, complex_):
@@ -185,14 +186,13 @@ class TestSolves:
         rhs = _random_matrix(rng, len(kinds) * n, 2, complex_=complex_).reshape(-1, n, 2)
         for order in (slice(None), slice(None, None, -1)):
             ks, bs, bs_rhs = kinds[order], bands[order], rhs[order]
-            X, regular = cholesky_solve(np.hstack(bs), bs_rhs, banded=True)
+            X, regular = cholesky_solve(np.hstack(bs), bs_rhs)
             assert list(regular) == [k == "regular" for k in ks]
             for k, b, r, x in zip(ks, bs, bs_rhs, X):
-                alone = cholesky_solve(b, r, banded=True)
+                alone, alone_regular = cholesky_solve(b, r[None])
+                assert list(alone_regular) == [k == "regular"]
                 if k == "regular":
-                    np.testing.assert_array_equal(x, alone)
-                else:
-                    assert alone is None
+                    np.testing.assert_array_equal(x, alone[0])
 
 
 def _reveal(R, k, rows=None):
