@@ -36,7 +36,6 @@ from .crb import (
     constrained_crb,
     known_coeff_constraint,
     linear_constraint,
-    minimal_crb,
     norm_constraint,
     phase_constraint,
     reducible_constraints,
@@ -66,7 +65,6 @@ from .identifiability import (
 )
 from .linalg import (
     null_space_basis,
-    pseudo_inverse,
     realify_fim,
     realify_vector,
 )

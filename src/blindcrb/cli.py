@@ -50,7 +50,6 @@ from .channel import (
 from .crb import (
     CONSTRAINT_GRAMMAR,
     constrained_crb,
-    minimal_crb,
     parse_constraint,
 )
 from .fim import (
@@ -111,7 +110,7 @@ def _sha256_file(path) -> str:
         return _sha256_bytes(fh.read())
 
 
-def _manifest_lines(command, args_dict, inputs, schema, extra=()):
+def _manifest_lines(command, args_dict, inputs, schema, extra=(), warnings=()):
     # digest the computation-relevant arguments only: the output path and
     # the dispatch callable do not change what is computed
     digestable = {k: v for k, v in args_dict.items()
@@ -126,6 +125,7 @@ def _manifest_lines(command, args_dict, inputs, schema, extra=()):
     for path in inputs:
         lines.append(f"# input={path} sha256={_sha256_file(path)}")
     lines.extend(f"# {line}" for line in extra)
+    lines.extend(f"# warning={w}" for w in dict.fromkeys(warnings))
     lines.append(f"# timestamp={datetime.now(timezone.utc).isoformat()}")
     return lines
 
@@ -217,8 +217,8 @@ def cmd_analyze(args):
                f"predicted nullity {rec.predicted}")
     for reason in verdict.reasons:
         out.append(f"  - {reason}")
-    out.append(f"predicted vs computed: {'CONSISTENT' if rec.passed else 'MISMATCH'} "
-               f"({rec.detail})")
+    outcome = "INDETERMINATE" if rec.predicted < 0 else "CONSISTENT" if rec.passed else "MISMATCH"
+    out.append(f"predicted vs computed: {outcome} ({rec.detail})")
     _write_text(args.output, "\n".join(out) + "\n")
     return 0
 
@@ -235,7 +235,8 @@ def _per_coefficient_diag(crb, n_coeffs, field):
 
 def cmd_crb(args):
     ch = _resolve_field(load_channel(args.channel), args.field)
-    Jred = channel_block(_model_fim(ch, args)[0])
+    fim = _model_fim(ch, args)[0]
+    Jred = channel_block(fim)
     n = ch.m * ch.N
     dec = None
     if any(spec.startswith("reducible") for spec in args.constraint):
@@ -252,14 +253,15 @@ def cmd_crb(args):
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        res = minimal_crb(Jred) if K is None else constrained_crb(Jred, K, tol=args.rank_tol)
+        res = constrained_crb(Jred, K, tol=args.rank_tol)
         diag = _per_coefficient_diag(res.crb, n, ch.field)
         rows.append([spec, _fmt(res.trace, 12), int(res.bounded)]
                     + [_fmt(v, 9) for v in diag])
     header = ["constraint", "trace", "bounded"] + [f"coef{i}" for i in range(n)]
     manifest = _manifest_lines("crb", vars(args), [args.channel], _SCHEMAS["crb"],
                                extra=[f"channel={ch.name} m={ch.m} N={ch.N} "
-                                      f"field={ch.field}", f"seed={args.seed}"])
+                                      f"field={ch.field}", f"seed={args.seed}"],
+                               warnings=fim.warnings)
     _emit_csv(args.output, manifest, header, rows)
     return 0
 
@@ -271,8 +273,9 @@ def cmd_crb(args):
 
 def cmd_sweep_known(args):
     ch = _resolve_field(load_channel(args.channel), args.field)
-    Jred = channel_block(_model_fim(ch, args)[0])
-    baseline = minimal_crb(Jred).trace
+    fim = _model_fim(ch, args)[0]
+    Jred = channel_block(fim)
+    baseline = constrained_crb(Jred).trace
     n = ch.m * ch.N
     rows = []
     for i in range(n):
@@ -283,7 +286,8 @@ def cmd_sweep_known(args):
     header = ["coef_index", "coef_abs", "trace", "bounded", "minimal_trace"]
     manifest = _manifest_lines("sweep-known", vars(args), [args.channel],
                                _SCHEMAS["sweep-known"],
-                               extra=[f"channel={ch.name}", f"seed={args.seed}"])
+                               extra=[f"channel={ch.name}", f"seed={args.seed}"],
+                               warnings=fim.warnings)
     _emit_csv(args.output, manifest, header, rows)
     return 0
 
@@ -378,16 +382,13 @@ def cmd_mse(args):
                          f"got {snrs!r}")
     snrs = [number("snr_db", v, float) for v in snrs]
     rows_data = mse_vs_crb_experiment(cfg, snrs)
-    warn = []
-    total_nonconv = sum(r.nonconverged for r in rows_data)
-    if total_nonconv > 0.5 * cfg.trials * len(snrs):
-        warn.append("warning=estimator non-convergence rate above 50%")
-    for w in dict.fromkeys(w for r in rows_data for w in r.warnings):
-        warn.append(f"warning={w}")
+    warn = [w for r in rows_data for w in r.warnings]
+    if sum(r.nonconverged for r in rows_data) > 0.5 * cfg.trials * len(snrs):
+        warn.insert(0, "estimator non-convergence rate above 50%")
     manifest = _manifest_lines("mse", {**vars(args), **spec},
                                [args.experiment, chan_path], _SCHEMAS["mse"],
-                               extra=[f"channel={ch.name}",
-                                      f"seed={cfg.seed}"] + warn)
+                               extra=[f"channel={ch.name}", f"seed={cfg.seed}"],
+                               warnings=warn)
     header = ["snr_db", "sigma_v2", "crb_trace", "trials", "nonconverged",
               "mse_NO", "se_NO", "mse_LS", "se_LS", "mse_LIN", "se_LIN", "sweeps_mean"]
     rows = []

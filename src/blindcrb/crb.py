@@ -16,7 +16,8 @@ it is
 for any orthonormal tangent basis ``V``. Singular FIMs are the point of this
 module: with a minimal number of independent constraints whose Jacobian
 spans the FIM null space, the bound collapses to the pseudo-inverse of the
-FIM, which minimizes the trace over all minimal constraint choices.
+FIM, which minimizes the trace over all minimal constraint choices; it is
+:func:`constrained_crb` with no Jacobian.
 
 Unboundedness (the tangent-restricted FIM being singular) is reported as a
 flag, never an exception: constraint sweeps legitimately hit unbounded cells.
@@ -46,7 +47,6 @@ __all__ = [
     "linear_constraint",
     "reducible_constraints",
     "constrained_crb",
-    "minimal_crb",
     "parse_constraint",
     "CONSTRAINT_GRAMMAR",
 ]
@@ -162,44 +162,34 @@ def _fim_matrix(J):
     return J.J if isinstance(J, FimResult) else np.asarray(J)
 
 
-def constrained_crb(J, K, tol=DEFAULT_RANK_TOL) -> CrbResult:
-    """Constrained CRB ``V (V^H J V)^{-1} V^H`` on the tangent space of the
-    constraint Jacobian ``K`` (``n x k``).
+def constrained_crb(J, K=None, tol=DEFAULT_RANK_TOL) -> CrbResult:
+    """Constrained CRB ``V (V^H J V)^+ V^H`` on the tangent space of the
+    constraint Jacobian ``K`` (``n x k``); with ``K`` None, the minimal
+    bound ``J^+``, which is always bounded.
 
     ``V`` is the orthonormal basis :func:`~blindcrb.linalg.null_space_basis`
-    of ``K^H``. When the restricted FIM ``V^H J V`` is singular, counted at
-    the relative eigenvalue threshold ``tol``, the constraints do not
-    regularize the problem; the result is flagged ``bounded=False`` and the
-    matrix is the pseudo-inverse form (finite on the identifiable subspace).
+    of ``K^H``. One eigendecomposition of the restricted FIM ``F = V^H J V``
+    (``J`` itself when ``K`` is None) counts its nullity at the relative
+    threshold ``tol`` and gives its pseudo-inverse. A singular ``F`` means
+    the constraints do not regularize the problem: the result is flagged
+    ``bounded=False``, and the matrix is finite on the identifiable subspace.
     """
-    Jm = _fim_matrix(J)
-    K = np.asarray(K)
-    if K.ndim != 2 or K.shape[0] != Jm.shape[0]:
-        raise ValueError(
-            f"constraint Jacobian shape {K.shape} does not match FIM dimension {Jm.shape[0]}"
-        )
-    V = null_space_basis(K.conj().T)
-    if V.shape[1] == 0:
-        return CrbResult(np.zeros_like(Jm), 0.0, True)
-    F = V.conj().T @ Jm @ V
-    F = 0.5 * (F + F.conj().T)
-    _, nullity, _, _ = hermitian_nullity(F, tol=tol)
-    crb = V @ pseudo_inverse(F) @ V.conj().T
+    F = _fim_matrix(J)
+    V = None
+    if K is not None:
+        K = np.asarray(K)
+        if K.ndim != 2 or K.shape[0] != F.shape[0]:
+            raise ValueError(
+                f"constraint Jacobian shape {K.shape} does not match FIM dimension {F.shape[0]}"
+            )
+        V = null_space_basis(K.conj().T)
+        F = V.conj().T @ F @ V
+    _, nullity, w, U = hermitian_nullity(0.5 * (F + F.conj().T), tol=tol)
+    crb = pseudo_inverse(w, U)
+    if V is not None:
+        crb = V @ crb @ V.conj().T
     crb = 0.5 * (crb + crb.conj().T)
-    return CrbResult(crb, float(np.trace(crb).real), nullity == 0)
-
-
-def minimal_crb(J) -> CrbResult:
-    """The minimal constrained CRB: the Moore-Penrose pseudo-inverse of the FIM.
-
-    Among all minimal sets of independent constraints this choice (Jacobian
-    spanning the FIM null space) yields the lowest trace; for a regular FIM
-    it is the plain inverse.
-    """
-    Jm = _fim_matrix(J)
-    crb = pseudo_inverse(Jm)
-    crb = 0.5 * (crb + crb.conj().T)
-    return CrbResult(crb, float(np.trace(crb).real), True)
+    return CrbResult(crb, float(np.trace(crb).real), V is None or nullity == 0)
 
 
 CONSTRAINT_GRAMMAR = (
@@ -214,8 +204,8 @@ def parse_constraint(spec, h0, field, dec=None, linear_loader=None):
     ``spec`` is one of ``norm``, ``phase``, ``norm+phase``, ``known:IDX``
     (0-based stacked coefficient index), ``linear:FILE`` (JSON array of
     Jacobian columns), ``reducible-ti``, ``reducible-proj``, ``minimal``.
-    ``minimal`` returns None: it is handled by the caller as the
-    pseudo-inverse bound rather than an explicit constraint.
+    ``minimal`` returns None, which :func:`constrained_crb` takes as the
+    minimal constraint set: the bound is the pseudo-inverse of the FIM.
     """
     if spec == "minimal":
         return None

@@ -612,7 +612,8 @@ def gaussian_real_param_derivs(ch: Channel, cfg: GaussianModelConfig):
 
 
 def schur_reduce(fim: FimResult, keep):
-    """Reduce a FIM onto one block: ``J11 - J12 J22^{-1} J21``.
+    """Reduce a FIM onto one block: ``J11 - J12 J22^{-1} J21``, inverting
+    ``J22`` through the eigendecomposition that checks it for singularity.
 
     Parameters
     ----------
@@ -634,14 +635,15 @@ def schur_reduce(fim: FimResult, keep):
     J11 = J[np.ix_(idx_keep, idx_keep)]
     J12 = J[np.ix_(idx_keep, idx_out)]
     J22 = J[np.ix_(idx_out, idx_out)]
-    _, nullity, _, _ = hermitian_nullity(J22, tol=DEFAULT_RANK_TOL)
+    _, nullity, w, V = hermitian_nullity(J22, tol=DEFAULT_RANK_TOL)
     if nullity > 0:
         others = [n for n in fim.layout.names if n != keep]
         raise SingularBlockError(
             f"nuisance block(s) {others} have a singular sub-FIM; "
             "cannot Schur-reduce onto " + repr(keep)
         )
-    out = J11 - J12 @ np.linalg.solve(J22, J12.conj().T)
+    X = J12 @ V
+    out = J11 - (X / w) @ X.conj().T
     return 0.5 * (out + out.conj().T)
 
 

@@ -3,13 +3,15 @@
 Everything in this module works on plain NumPy arrays and treats the
 real/complex distinction as semantic: real inputs stay real, complex inputs
 stay complex, and nothing silently promotes. The routines here back the rest
-of the package: Moore-Penrose pseudo-inverses, null-space bases, rank
-counts, and the mapping between a complex parameter vector and its stacked
-real representation ``theta_R = [Re(theta); Im(theta)]``.
+of the package: pseudo-inverses of Hermitian matrices from their
+eigendecomposition, null-space bases, rank counts, and the mapping between a
+complex parameter vector and its stacked real representation
+``theta_R = [Re(theta); Im(theta)]``.
 
 Two rank rules live here, each written once. An SVD rank counts the singular
 values above ``max(rows, cols) * eps * sigma_max``, the usual cutoff; it has
-no per-call knob, and every SVD helper below applies it. A Fisher-information
+no per-call knob, and every SVD helper below applies it, as does
+:func:`pseudo_inverse` to the absolute eigenvalues. A Fisher-information
 rank counts the eigenvalues above ``tol * lambda_max``
 (:func:`eigenvalue_rank`), with ``tol`` defaulting to ``DEFAULT_RANK_TOL``.
 """
@@ -69,20 +71,18 @@ def _svd_rank(s, shape, s_max=None):
     return int(np.count_nonzero(s > max(shape) * _EPS * s_max))
 
 
-def pseudo_inverse(A):
-    """Moore-Penrose pseudo-inverse of a real or complex ``(m, n)`` matrix.
+def pseudo_inverse(w, V):
+    """Moore-Penrose pseudo-inverse of the Hermitian ``F = V diag(w) V^H``
+    from its eigendecomposition (``w`` real, ``V`` unitary).
 
-    Singular values at or below ``max(m, n) * eps * sigma_max`` count as
-    zero. Returns the ``(n, m)`` matrix ``A^+``.
+    The singular values of ``F`` are ``|w|``, so the SVD rule applies to
+    them: eigenvalues with ``|w|`` at or below ``n * eps * max|w|`` count as
+    zero. Returns ``V diag(1/w) V^H`` over the kept eigenvalues, which are
+    the ``rank`` largest in magnitude.
     """
-    A = _as_matrix(A)
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    r = _svd_rank(s, A.shape)
-    if r == 0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=A.dtype)
-    s_inv = np.zeros_like(s)
-    s_inv[:r] = 1.0 / s[:r]
-    return (Vh.conj().T * s_inv) @ U.conj().T
+    s = np.abs(w)
+    keep = np.argsort(s)[s.size - _svd_rank(s, V.shape, s.max(initial=0.0)):]
+    return (V[:, keep] / w[keep]) @ V[:, keep].conj().T
 
 
 def numerical_rank(A):

@@ -42,7 +42,7 @@ from .channel import (
     block_toeplitz,
     toeplitz_gram_band,
 )
-from .crb import minimal_crb
+from .crb import constrained_crb
 from .fim import (
     DETERMINISTIC,
     GAUSSIAN,
@@ -539,7 +539,7 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list):
                                 np.tile(inits, (len(sv2s), 1)), sweeps=cfg.ls_sweeps)
     rows = []
     for p, (snr_db, sv2) in enumerate(zip(snr_db_list, sv2s)):
-        crb_trace = minimal_crb(reduced.J / sv2).trace
+        crb_trace = constrained_crb(reduced.J / sv2).trace
         point = slice(p * cfg.trials, (p + 1) * cfg.trials)
         sq = {r: np.array([np.linalg.norm(adjust_estimate(h, h0, r) - h0) ** 2
                            for h in ests.h[point]]) for r in _ADJUSTMENTS}

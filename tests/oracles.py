@@ -22,11 +22,11 @@ from blindcrb.linalg import (
     _svd_rank,
     eigenvalue_rank,
     numerical_rank,
-    pseudo_inverse,
 )
 
 __all__ = [
     "SingularFimError",
+    "svd_pseudo_inverse",
     "range_basis",
     "projector",
     "real_complex_map",
@@ -43,6 +43,25 @@ __all__ = [
 
 class SingularFimError(np.linalg.LinAlgError):
     """Raised when a Fisher-information-like matrix that must be inverted is singular."""
+
+
+def svd_pseudo_inverse(A):
+    """Moore-Penrose pseudo-inverse of a real or complex ``(m, n)`` matrix
+    from its SVD, the reference of the library's eigendecomposition form.
+
+    Singular values at or below ``max(m, n) * eps * sigma_max`` count as
+    zero; the cutoff is written out here rather than shared with the
+    library. Returns the ``(n, m)`` matrix ``A^+``.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2 or not np.all(np.isfinite(A)):
+        raise ValueError("A must be a finite 2-D matrix")
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    cutoff = max(A.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+    keep = s > cutoff
+    s_inv = np.zeros_like(s)
+    s_inv[keep] = 1.0 / s[keep]
+    return (Vh.conj().T * s_inv) @ U.conj().T
 
 
 def range_basis(X):
@@ -181,7 +200,7 @@ def constrained_crb_projector_form(J, A_theta):
     A = np.atleast_2d(np.asarray(A_theta))
     inner = A.conj().T @ Jm @ A
     inner = 0.5 * (inner + inner.conj().T)
-    out = A @ pseudo_inverse(inner) @ A.conj().T
+    out = A @ svd_pseudo_inverse(inner) @ A.conj().T
     return 0.5 * (out + out.conj().T)
 
 

@@ -53,7 +53,7 @@ def test_package_imports_are_public(module, names):
     assert not private, f"blindcrb imports {private} from {module}, outside its __all__"
 
 
-_RANK_CALLS = {"matrix_rank", "pinv", "lstsq", "svd", "finfo"}
+_RANK_CALLS = {"matrix_rank", "pinv", "lstsq", "svd", "eigh", "finfo"}
 
 
 @pytest.mark.parametrize(
@@ -63,9 +63,10 @@ _RANK_CALLS = {"matrix_rank", "pinv", "lstsq", "svd", "finfo"}
     ids=lambda p: p.stem,
 )
 def test_rank_decisions_go_through_linalg(path):
-    # one SVD rank rule: pseudo-inverses, rank counts, minimum-norm solves
-    # and SVDs outside blindcrb.linalg call its pseudo_inverse,
-    # numerical_rank, min_norm_solve and triangular_rank_reveal, and no
+    # one SVD rank rule and one eigenvalue rule: pseudo-inverses, rank
+    # counts, minimum-norm solves, SVDs and eigendecompositions outside
+    # blindcrb.linalg call its pseudo_inverse, numerical_rank,
+    # min_norm_solve, triangular_rank_reveal and hermitian_nullity, and no
     # other module builds an eps cutoff of its own
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = sorted({node.attr for node in ast.walk(tree)
@@ -313,24 +314,28 @@ def test_deterministic_analyze_does_not_form_the_joint_fim(monkeypatch, tmp_path
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_constrained_crb_takes_one_tangent_basis(monkeypatch, field):
-    # a constrained bound uses the orthonormal tangent basis of its
-    # constraint set as it is: one SVD for that basis, one for the
-    # pseudo-inverse of the restricted FIM, none to re-decide the basis rank
+    # a constrained bound takes one SVD, for the orthonormal tangent basis of
+    # its constraint set, and one eigendecomposition of the restricted FIM,
+    # which decides the bounded flag and gives the pseudo-inverse; the
+    # minimal bound (no Jacobian) builds no tangent basis
     ch = random_channel(np.random.default_rng(16), 2, 4, field)
     A = simulate.experiment_symbols(simulate.ExperimentConfig(channel=ch, M=12, seed=2))
     J = fim.channel_block(fim.deterministic_reduced_fim(ch, A, 0.5, 12))
-    K = crb.norm_constraint(ch.h)
-    calls = []
-    svd = np.linalg.svd
+    calls = defaultdict(list)
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(np.shape(args[0]))
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    res = crb.constrained_crb(J, K)
-    assert res.bounded
-    assert len(calls) == 2, calls
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    assert crb.constrained_crb(J, crb.norm_constraint(ch.h)).bounded
+    assert {k: len(v) for k, v in calls.items()} == {"svd": 1, "eigh": 1}, dict(calls)
+    calls.clear()
+    assert crb.constrained_crb(J).bounded
+    assert {k: len(v) for k, v in calls.items()} == {"eigh": 1}, dict(calls)
 
 
 def test_identifiability_decides_no_common_factor():

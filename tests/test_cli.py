@@ -115,6 +115,15 @@ class TestAnalyze:
         assert "  channel-reduced FIM rank=0 nullity=4\n" in out
         assert "channel-reduced nullity N_c" in out and "CONSISTENT" in out
 
+    def test_short_burst_verdict_is_indeterminate(self, chan_file, capsys):
+        # at M=2 the verdict predicts no nullity: the comparison with the
+        # computed FIM is indeterminate, not a mismatch
+        assert main(["analyze", chan_file, "--M", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "predicted nullity -1" in out and "MISMATCH" not in out
+        assert "predicted vs computed: INDETERMINATE (verdict was indeterminate " \
+               "(burst too short" in out
+
     def test_deterministic_complex_field_override(self, chan_file, capsys):
         rc = main(["analyze", chan_file, "--model", "deterministic",
                    "--field", "complex", "--M", "20"])
@@ -305,7 +314,6 @@ class TestCrb:
             return wrapped
 
         monkeypatch.setattr(cli, "constrained_crb", recording(cli.constrained_crb))
-        monkeypatch.setattr(cli, "minimal_crb", recording(cli.minimal_crb))
         argv = ["crb", str(p), "--model", model, "--M", "10", "-o", str(tmp_path / "crb.csv")]
         assert main(argv + [a for spec in specs for a in ("--constraint", spec)]) == 0
         assert len(seen) == len(specs)
@@ -353,6 +361,25 @@ class TestCrb:
         assert main(["crb", chan_file, "--constraint", spec]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {spec}: ") and "out of range" in err
+
+
+class TestRankWarning:
+    # at M=2 the 4x5 T(h) of the random channel has full row rank, so the
+    # reduced FIM is exactly zero and every bound is 0: the manifest says
+    # why, as the mse manifest does
+    @pytest.mark.parametrize("M, flagged", [(2, True), (20, False)])
+    def test_crb_and_sweep_known_report_rank_deficiency(self, chan_file, tmp_path,
+                                                        M, flagged):
+        crb_out, sweep_out = tmp_path / "crb.csv", tmp_path / "sweep.csv"
+        assert main(["crb", chan_file, "--M", str(M), "--constraint", "minimal",
+                     "--constraint", "norm", "-o", str(crb_out)]) == 0
+        assert main(["sweep-known", chan_file, "--M", str(M), "-o", str(sweep_out)]) == 0
+        for path in (crb_out, sweep_out):
+            manifest, _, rows = _read_csv(path)
+            assert manifest.count("# warning=toeplitz-rank-deficient") == int(flagged)
+        if flagged:
+            _, _, rows = _read_csv(crb_out)
+            assert [float(r[1]) for r in rows] == [0.0, 0.0]
 
 
 class TestRankTol:

@@ -8,7 +8,6 @@ from blindcrb.crb import (
     constrained_crb,
     known_coeff_constraint,
     linear_constraint,
-    minimal_crb,
     norm_constraint,
     parse_constraint,
     phase_constraint,
@@ -24,12 +23,11 @@ from blindcrb.fim import (
 from blindcrb.linalg import (
     hermitian_nullity,
     null_space_basis,
-    pseudo_inverse,
     realify_vector,
 )
 
 from conftest import channel_with_common_roots, random_burst, random_channel
-from oracles import constrained_crb_projector_form, projector
+from oracles import constrained_crb_projector_form, projector, svd_pseudo_inverse
 
 
 def _rank_deficient_psd(rng, n, rank):
@@ -108,8 +106,8 @@ class TestConstrainedCrb:
         J = _rank_deficient_psd(rng, 6, 4)
         null = null_space_basis(J)
         res = constrained_crb(J, linear_constraint(null))
-        np.testing.assert_allclose(res.crb, pseudo_inverse(J),
-                                   atol=1e-9 * np.linalg.norm(pseudo_inverse(J)))
+        np.testing.assert_allclose(res.crb, svd_pseudo_inverse(J),
+                                   atol=1e-9 * np.linalg.norm(svd_pseudo_inverse(J)))
 
     def test_jacobian_orthogonal_to_null_space_unbounded(self, rng):
         # constraints that never touch the unidentifiable directions fail to
@@ -140,7 +138,7 @@ class TestConstrainedCrb:
     def test_projector_form_identity_spanning_gives_pinv(self, rng):
         J = _rank_deficient_psd(rng, 5, 3)
         out = constrained_crb_projector_form(J, np.eye(5))
-        np.testing.assert_allclose(out, pseudo_inverse(J),
+        np.testing.assert_allclose(out, svd_pseudo_inverse(J),
                                    atol=1e-10 * np.linalg.norm(out))
 
     def test_projector_form_reduces_to_pinv_sandwich(self, rng):
@@ -148,7 +146,7 @@ class TestConstrainedCrb:
         V = null_space_basis(null_space_basis(J).T)  # orthonormal range of J
         P = projector(V)
         out = constrained_crb_projector_form(J, P)
-        want = pseudo_inverse(P @ J @ P)
+        want = svd_pseudo_inverse(P @ J @ P)
         np.testing.assert_allclose(out, want, atol=1e-9 * np.linalg.norm(want))
 
     def test_tangent_basis_invariance(self, rng):
@@ -170,18 +168,46 @@ class TestMinimality:
     def test_regular_fim_gives_inverse(self, rng):
         X = rng.standard_normal((4, 4))
         J = X @ X.T + 4 * np.eye(4)
-        res = minimal_crb(J)
+        res = constrained_crb(J)
         np.testing.assert_allclose(res.crb, np.linalg.inv(J), atol=1e-10)
 
     def test_diagonal_rank_deficient(self):
-        res = minimal_crb(np.diag([1.0, 0.0]))
+        res = constrained_crb(np.diag([1.0, 0.0]))
         np.testing.assert_allclose(res.crb, np.diag([1.0, 0.0]), atol=1e-14)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("nullity", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_minimal_bound_matches_svd_oracle(self, field, nullity, seed):
+        # J^+ from the bound's eigendecomposition against the SVD oracle on
+        # a PSD J with planted null eigenvalues and one eigenvalue on each
+        # side of the SVD cutoff n eps lambda_max: 1e-3 times it is dropped,
+        # 1e3 times it is kept. The forward error of J^+ is about
+        # n eps cond(J^+) relative, cond(J^+) = 1 / (1e3 n eps) here.
+        rng = np.random.default_rng(seed)
+        n, eps = 8, np.finfo(np.float64).eps
+        X = rng.standard_normal((n, n))
+        if field == COMPLEX:
+            X = X + 1j * rng.standard_normal((n, n))
+        Q = np.linalg.qr(X)[0]
+        cutoff = n * eps
+        lam = np.concatenate([np.zeros(nullity), [1e-3 * cutoff, 1e3 * cutoff],
+                              rng.uniform(0.1, 1.0, n - nullity - 3), [1.0]])
+        J = (Q * lam) @ Q.conj().T
+        J = 0.5 * (J + J.conj().T)
+        res = constrained_crb(J)
+        want = svd_pseudo_inverse(J)
+        want = 0.5 * (want + want.conj().T)
+        rtol = n * eps / (1e3 * cutoff)       # n eps cond(J^+) = 1e-3
+        assert res.bounded
+        assert np.linalg.norm(res.crb - want) <= rtol * np.linalg.norm(want)
+        assert res.trace == pytest.approx(np.trace(want).real, rel=rtol)
 
     def test_trace_dominance_over_random_minimal_constraints(self):
         # 50 random minimal independent constraint sets on a 6x6 rank-4 FIM
         rng = np.random.default_rng(5050)
         J = _rank_deficient_psd(rng, 6, 4)
-        base = minimal_crb(J).trace
+        base = constrained_crb(J).trace
         checked = 0
         while checked < 50:
             K = rng.standard_normal((6, 2))
@@ -193,7 +219,7 @@ class TestMinimality:
 
     def test_equality_iff_jacobian_spans_null(self, rng):
         J = _rank_deficient_psd(rng, 6, 4)
-        base = minimal_crb(J).trace
+        base = constrained_crb(J).trace
         null = null_space_basis(J)
         mix = rng.standard_normal((2, 2)) + 2 * np.eye(2)
         res_eq = constrained_crb(J, null @ mix)
@@ -208,7 +234,7 @@ class TestDeterministicBlindCrb:
         A = random_burst(rng, 23, REAL)
         J = deterministic_reduced_fim(chan_random, A, 1.0, 20).J
         res = constrained_crb(J, norm_constraint(chan_random.h, REAL))
-        want = pseudo_inverse(J)
+        want = svd_pseudo_inverse(J)
         np.testing.assert_allclose(res.crb, want, atol=1e-9 * np.linalg.norm(want))
 
     def test_complex_norm_phase_gives_pinv_of_realified(self, rng, chan_random):
@@ -216,11 +242,11 @@ class TestDeterministicBlindCrb:
         A = random_burst(rng, 23, COMPLEX)
         Jr = deterministic_reduced_fim(ch, A, 1.0, 20).realified().J
         res = constrained_crb(Jr, norm_constraint(ch.h, COMPLEX))
-        want = pseudo_inverse(Jr)
+        want = svd_pseudo_inverse(Jr)
         np.testing.assert_allclose(res.crb, want, atol=1e-9 * np.linalg.norm(want))
         # the stacked-real trace equals the complex pseudo-inverse trace
         Jc = deterministic_reduced_fim(ch, A, 1.0, 20).J
-        assert res.trace == pytest.approx(np.trace(pseudo_inverse(Jc)).real, rel=1e-9)
+        assert res.trace == pytest.approx(np.trace(svd_pseudo_inverse(Jc)).real, rel=1e-9)
 
     def test_linear_inner_product_constraint_equivalent(self, rng, chan_random):
         # h0^H h = h0^H h0 pins the same tangent space as norm+phase
@@ -237,7 +263,7 @@ class TestDeterministicBlindCrb:
     def test_known_coefficient_bounded_and_dominated(self, rng, chan_decaying):
         A = random_burst(rng, 23, REAL)
         J = deterministic_reduced_fim(chan_decaying, A, 1.0, 20).J
-        base = minimal_crb(J).trace
+        base = constrained_crb(J).trace
         for i in range(8):
             res = constrained_crb(J, known_coeff_constraint(chan_decaying.h, i, REAL))
             assert res.bounded
@@ -283,7 +309,7 @@ class TestReducibleConstraints:
         A = random_burst(rng, ch.N + 19, COMPLEX)
         J = channel_block(deterministic_reduced_fim(ch, A, 1.0, 20))
         res = constrained_crb(J, reducible_constraints(dec, "ti"))
-        want = pseudo_inverse(J)
+        want = svd_pseudo_inverse(J)
         assert res.bounded
         np.testing.assert_allclose(res.crb, want, atol=1e-8 * np.linalg.norm(want))
 
@@ -302,7 +328,7 @@ class TestReducibleConstraints:
         # equals the projector-sandwich pseudo-inverse, also reachable with
         # the rank-deficient spanning matrix P_{T_c} through the bound form
         P = _realified_operator(projector(tc_matrix(dec)))
-        want = pseudo_inverse(P @ J @ P)
+        want = svd_pseudo_inverse(P @ J @ P)
         np.testing.assert_allclose(res.crb, want, atol=1e-8 * np.linalg.norm(want))
         via_form = constrained_crb_projector_form(J, P)
         np.testing.assert_allclose(via_form, want, atol=1e-8 * np.linalg.norm(want))
@@ -327,7 +353,7 @@ class TestGaussianBlindCrb:
     def test_complex_paths_agree(self, rng):
         ch = random_channel(rng, 2, 3, COMPLEX)
         cfg = GaussianModelConfig(M=6)
-        res = minimal_crb(channel_block(gaussian_fim(ch, cfg)))
+        res = constrained_crb(channel_block(gaussian_fim(ch, cfg)))
         Jred = schur_reduce(gaussian_fim(ch, cfg).realified(), "h")
         assert hermitian_nullity(Jred)[1] == 1
         via_constraint = constrained_crb(Jred, phase_constraint(ch.h))
@@ -337,7 +363,7 @@ class TestGaussianBlindCrb:
 
     def test_real_channel_unconstrained_inverse(self, rng, chan_random):
         cfg = GaussianModelConfig(M=8)
-        res = minimal_crb(channel_block(gaussian_fim(chan_random, cfg)))
+        res = constrained_crb(channel_block(gaussian_fim(chan_random, cfg)))
         Jred = schur_reduce(gaussian_fim(chan_random, cfg), "h")
         assert hermitian_nullity(Jred)[1] == 0
         np.testing.assert_allclose(res.crb, np.linalg.inv(Jred),

@@ -13,7 +13,7 @@ from blindcrb.channel import (
     reducible_decompose,
     taps_from_stacked,
 )
-from blindcrb.crb import constrained_crb, minimal_crb, phase_constraint
+from blindcrb.crb import constrained_crb, phase_constraint
 from blindcrb.fim import (
     FimResult,
     GaussianModelConfig,
@@ -246,8 +246,8 @@ class TestDeterministicReducedFim:
             # the residual form erred by 5e-13. There only the CRB bound below
             # is required
             assert np.linalg.norm(got.J - want) <= 1e-12 * np.linalg.norm(want)
-        tr_want = minimal_crb(want).trace
-        assert minimal_crb(got).trace == pytest.approx(
+        tr_want = constrained_crb(want).trace
+        assert constrained_crb(got).trace == pytest.approx(
             tr_want, rel=max(1e-6, 1e-11 * abs(tr_want)))
 
 
@@ -428,7 +428,7 @@ class TestGaussianFim:
         real = random_channel(rng, 2, 4, REAL)
         Jred_real = channel_block(gaussian_fim(real, cfg))
         assert analyze_singularities(Jred_real).nullity == 0
-        for res in (constrained_crb(Jred, phase_constraint(ch.h)), minimal_crb(Jred_real)):
+        for res in (constrained_crb(Jred, phase_constraint(ch.h)), constrained_crb(Jred_real)):
             assert res.bounded and np.isfinite(res.trace) and np.all(np.isfinite(res.crb))
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])

@@ -15,7 +15,6 @@ from blindcrb.linalg import (
     null_space_basis,
     numerical_rank,
     principal_angle,
-    pseudo_inverse,
     realify_fim,
     realify_vector,
     triangular_rank_reveal,
@@ -28,6 +27,7 @@ from oracles import (
     projector,
     real_complex_map,
     subspace_distance,
+    svd_pseudo_inverse,
     trace_crb_complex,
 )
 
@@ -42,22 +42,22 @@ def _random_matrix(rng, rows, cols, rank=None, complex_=False):
 
 class TestPseudoInverse:
     def test_identity(self):
-        np.testing.assert_allclose(pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(svd_pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-14)
 
     def test_all_zeros(self):
-        P = pseudo_inverse(np.zeros((2, 3)))
+        P = svd_pseudo_inverse(np.zeros((2, 3)))
         assert P.shape == (3, 2)
         assert np.all(P == 0)
 
     def test_rank2_symmetric_reconstruction(self, rng):
         B = rng.standard_normal((5, 2))
         A = B @ B.T
-        Ap = pseudo_inverse(A)
+        Ap = svd_pseudo_inverse(A)
         assert np.linalg.norm(A @ Ap @ A - A) / np.linalg.norm(A) < 1e-10
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            pseudo_inverse(np.array([[1.0, np.nan], [0.0, 1.0]]))
+            svd_pseudo_inverse(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     @given(
         rows=st.integers(1, 6),
@@ -70,7 +70,7 @@ class TestPseudoInverse:
         rng = np.random.default_rng(seed)
         rank = rng.integers(1, min(rows, cols) + 1)
         A = _random_matrix(rng, rows, cols, rank=int(rank), complex_=complex_)
-        Ap = pseudo_inverse(A)
+        Ap = svd_pseudo_inverse(A)
         nrm = max(np.linalg.norm(A), 1e-300)
         assert np.linalg.norm(A @ Ap @ A - A) / nrm < 1e-10
         assert np.linalg.norm(Ap @ A @ Ap - Ap) / max(np.linalg.norm(Ap), 1e-300) < 1e-10
@@ -81,7 +81,21 @@ class TestPseudoInverse:
 
     def test_preserves_dtype(self, rng):
         A = rng.standard_normal((4, 3))
-        assert not np.iscomplexobj(pseudo_inverse(A))
+        assert not np.iscomplexobj(svd_pseudo_inverse(A))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_eigendecomposition_form_matches_svd(self, rng, complex_):
+        # the library forms F^+ from eigh(F), applying the SVD rule to |w|:
+        # an indefinite Hermitian F of rank 3 gives the SVD oracle's F^+
+        B = _random_matrix(rng, 6, 3, complex_=complex_)
+        F = B @ np.diag([2.0, -1.0, 0.5]) @ B.conj().T
+        F = 0.5 * (F + F.conj().T)
+        got = linalg.pseudo_inverse(*np.linalg.eigh(F))
+        want = svd_pseudo_inverse(F)
+        assert np.iscomplexobj(got) == complex_
+        np.testing.assert_allclose(got, want, atol=1e-10 * np.linalg.norm(want))
+        np.testing.assert_array_equal(linalg.pseudo_inverse(np.zeros(3), np.eye(3)),
+                                      np.zeros((3, 3)))
 
 
 class TestProjector:
@@ -138,7 +152,7 @@ class TestSolves:
         B = rng.standard_normal((rows, 2))
         X, r = min_norm_solve(A, B)
         assert r == rank
-        np.testing.assert_allclose(X, pseudo_inverse(A) @ B, atol=1e-10)
+        np.testing.assert_allclose(X, svd_pseudo_inverse(A) @ B, atol=1e-10)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_cholesky_solve_equals_scipy(self, rng, complex_):

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 
 from blindcrb import simulate
 from blindcrb.channel import COMPLEX, REAL, block_toeplitz, commutativity_op, symbol_hankel
-from blindcrb.crb import minimal_crb
+from blindcrb.crb import constrained_crb
 from blindcrb.fim import (
     DETERMINISTIC,
     GAUSSIAN,
@@ -591,7 +591,7 @@ class TestMseExperiment:
         A = experiment_symbols(cfg)
         for row, snr in zip(mse_vs_crb_experiment(cfg, snrs), snrs):
             red = deterministic_reduced_fim(ch, A, snr_to_sigma_v2(ch, cfg.sigma_a2, snr), cfg.M)
-            assert row.crb_trace == pytest.approx(minimal_crb(red).trace, rel=1e-12, abs=0)
+            assert row.crb_trace == pytest.approx(constrained_crb(red).trace, rel=1e-12, abs=0)
             assert row.warnings == red.warnings
 
     def test_reduced_fim_built_once(self, monkeypatch, chan_random):
