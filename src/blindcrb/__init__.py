@@ -25,7 +25,6 @@ from .channel import (
     reducible_decompose,
     tc_matrix,
     ti_matrix,
-    conjugate_reciprocal_pairs,
     channel_from_json,
     channel_to_json,
     load_channel,
@@ -54,7 +53,6 @@ from .fim import (
     deterministic_fim,
     deterministic_reduced_fim,
     gaussian_fim,
-    gaussian_fim_generic,
     schur_reduce,
 )
 from .identifiability import (

@@ -33,7 +33,6 @@ __all__ = [
     "COMPLEX",
     "Channel",
     "ReducibleDecomposition",
-    "RootPairing",
     "DecompositionError",
     "DEFAULT_ZERO_TOL",
     "block_toeplitz",
@@ -51,7 +50,6 @@ __all__ = [
     "reducible_decompose",
     "tc_matrix",
     "ti_matrix",
-    "conjugate_reciprocal_pairs",
     "channel_from_json",
     "channel_to_json",
     "load_channel",
@@ -423,8 +421,8 @@ class ReducibleDecomposition:
     when ``N_c = 1``); ``monic`` holds the ``N_c`` coefficients of ``H_c``
     (first coefficient 1); ``residual`` is the relative error of reconvolving
     the factors against the original taps; ``roots`` are the common zeros
-    that build ``H_c``, clustered at the absolute distance ``tol`` from
-    ``zeros``, each subchannel's z-plane roots (:func:`subchannel_zeros`).
+    that build ``H_c``, clustered from ``zeros``, each subchannel's z-plane
+    roots (:func:`subchannel_zeros`).
     Built by :func:`reducible_decompose`, the one place that decides the
     common factor.
     """
@@ -433,7 +431,6 @@ class ReducibleDecomposition:
     monic: np.ndarray
     residual: float
     roots: np.ndarray
-    tol: float
     zeros: tuple
 
     @property
@@ -467,7 +464,7 @@ def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL):
     roots = _cluster_common(zeros, tol)
     if roots.size == 0:
         one = np.array([1.0]) if ch.field == REAL else np.array([1.0 + 0.0j])
-        return ReducibleDecomposition(ch, one, 0.0, roots, tol, zeros)
+        return ReducibleDecomposition(ch, one, 0.0, roots, zeros)
     hc = poly_from_roots(roots, real_field=(ch.field == REAL))
     Nc = hc.size
     NI = ch.N - Nc + 1
@@ -481,7 +478,7 @@ def reducible_decompose(ch: Channel, tol=DEFAULT_ZERO_TOL):
             f"deconvolution residual {residual:.3e} exceeds {_RESIDUAL_TOL:.3e}"
         )
     part = Channel(sol.T, field=ch.field, name=f"{ch.name}-irreducible")
-    return ReducibleDecomposition(part, hc, float(residual), roots, tol, zeros)
+    return ReducibleDecomposition(part, hc, float(residual), roots, zeros)
 
 
 def tc_matrix(dec: ReducibleDecomposition):
@@ -506,63 +503,6 @@ def ti_matrix(dec: ReducibleDecomposition):
     for k in range(Nc):
         TI[k * m:k * m + NI * m, k] = hI
     return TI
-
-
-@dataclass(frozen=True)
-class RootPairing:
-    """Conjugate-reciprocal structure of a set of z-plane roots.
-
-    ``pairs`` holds ``(z0, z1)`` with ``z1 ~ 1/conj(z0)``; ``unit_selfpaired``
-    holds roots at +1 or -1 (each its own conjugate reciprocal);
-    ``unit_circle`` holds other unit-modulus roots (also self-paired, but not
-    covered by the simple singularity census); ``unpaired`` is the rest.
-    """
-
-    pairs: tuple
-    unit_selfpaired: tuple
-    unit_circle: tuple
-    unpaired: tuple
-
-    @property
-    def counts(self):
-        return {
-            "pairs": len(self.pairs),
-            "unit_selfpaired": len(self.unit_selfpaired),
-            "unit_circle": len(self.unit_circle),
-            "unpaired": len(self.unpaired),
-        }
-
-
-def conjugate_reciprocal_pairs(roots, tol=DEFAULT_ZERO_TOL):
-    """Detect conjugate-reciprocal pairs ``(z0, 1/z0^*)`` in a set of z-plane roots.
-
-    Roots within ``tol`` of +1 or -1 are reported separately (self-paired);
-    remaining unit-modulus roots land in ``unit_circle``. Matching is greedy
-    over root pairs at absolute tolerance ``tol``.
-    """
-    unit_self, unit_circle, rest = [], [], []
-    for r in np.asarray(roots).ravel():
-        if abs(r - 1.0) <= tol or abs(r + 1.0) <= tol:
-            unit_self.append(r)
-        elif abs(abs(r) - 1.0) <= tol:
-            unit_circle.append(r)
-        else:
-            rest.append(r)
-    pairs = []
-    used = [False] * len(rest)
-    for i, r in enumerate(rest):
-        if used[i]:
-            continue
-        target = 1.0 / np.conj(r)
-        for j in range(i + 1, len(rest)):
-            if used[j]:
-                continue
-            if abs(rest[j] - target) <= tol:
-                used[i] = used[j] = True
-                pairs.append((r, rest[j]))
-                break
-    unpaired = [r for i, r in enumerate(rest) if not used[i]]
-    return RootPairing(tuple(pairs), tuple(unit_self), tuple(unit_circle), tuple(unpaired))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,13 @@ from .fim import (
     gaussian_fim,
     phase_direction,
 )
-from .identifiability import deterministic_verdict, gaussian_verdict, verdict_vs_fim
+from .identifiability import (
+    INDETERMINATE,
+    NOT_IDENTIFIABLE,
+    deterministic_verdict,
+    gaussian_verdict,
+    verdict_vs_fim,
+)
 from .linalg import DEFAULT_RANK_TOL, eigenvalue_rank, realify_vector
 from .simulate import (
     ExperimentConfig,
@@ -200,7 +206,8 @@ def cmd_analyze(args):
         rank, nullity = eigenvalue_rank(fim.eigenvalues, args.rank_tol)
         rep_full = SingularityReport(rank, nullity, None, fim.eigenvalues, tol=args.rank_tol)
         predicted = []
-        verdict = gaussian_verdict(dec, GaussianModelConfig(args.sigma_a2, args.sigma_v2, args.M))
+        verdict = gaussian_verdict(dec, GaussianModelConfig(args.sigma_a2, args.sigma_v2, args.M),
+                                   tol=args.rank_tol)
     if ch.field == COMPLEX:
         predicted.append(("phase", phase_direction(ch.h)))
     rep_red = analyze_singularities(channel_block(fim), predicted, tol=args.rank_tol)
@@ -213,8 +220,10 @@ def cmd_analyze(args):
 
     rec = verdict_vs_fim(verdict, rep_full,
                          realified=args.model == DETERMINISTIC and ch.field == COMPLEX)
-    out.append(f"verdict: identifiable up to {verdict.identifiable_up_to}; "
-               f"predicted nullity {rec.predicted}")
+    up_to = verdict.identifiable_up_to
+    status = {NOT_IDENTIFIABLE: "not identifiable", INDETERMINATE: "indeterminate"}.get(
+        up_to, f"identifiable up to {up_to}")
+    out.append(f"verdict: {status}; predicted nullity {rec.predicted}")
     for reason in verdict.reasons:
         out.append(f"  - {reason}")
     outcome = "INDETERMINATE" if rec.predicted < 0 else "CONSISTENT" if rec.passed else "MISMATCH"
@@ -422,10 +431,12 @@ def _add_common(p):
     p.add_argument("--sigma-v2", dest="sigma_v2", type=float, default=1.0)
     p.add_argument("--seed", type=_seed, default=_ENV_SEED)
     p.add_argument("--zero-tol", dest="zero_tol", type=float, default=DEFAULT_ZERO_TOL,
-                   help="root clustering tolerance")
+                   help="root clustering tolerance: the common zeros and the "
+                        "common-factor length N_c")
     p.add_argument("--rank-tol", dest="rank_tol", type=float, default=DEFAULT_RANK_TOL,
                    help="relative eigenvalue threshold of FIM rank decisions: the "
-                        "FIM rank in analyze, the bounded flag in crb and sweep-known")
+                        "FIM rank and the Gaussian verdict in analyze, the bounded "
+                        "flag in crb and sweep-known")
     p.add_argument("--output", "-o", default=None,
                    help="output path for the CSV or the analyze report (default stdout)")
 

@@ -1,11 +1,7 @@
 """Fisher information matrices for the blind multichannel models.
 
-Three constructions live here:
+Two constructions live here:
 
-* a generic Gaussian-distribution FIM built from mean/covariance derivatives
-  (:func:`gaussian_fim_generic`), usable for any model that supplies a
-  :class:`MomentStack`; it is the reference engine that the structured
-  builders are tested against;
 * the deterministic-symbol model, where the FIM is the scaled Gram matrix of
   ``[T(h) A_op]`` over the joint parameter ``theta = [A; h]``
   (:func:`deterministic_fim`) and its reduction onto the channel block
@@ -80,7 +76,6 @@ __all__ = [
     "FimResult",
     "MomentStack",
     "GaussianModelConfig",
-    "gaussian_fim_generic",
     "gaussian_moment_stack",
     "deterministic_fim",
     "deterministic_joint_operator",
@@ -295,41 +290,6 @@ def _chol_or_raise(C):
         raise SingularBlockError("observation covariance is not positive definite") from exc
 
 
-def gaussian_fim_generic(stack: MomentStack, layout=None) -> FimResult:
-    """FIM of a Gaussian observation model from its moment derivatives.
-
-    This is the reference engine: it evaluates the Slepian-Bangs traces slab
-    by slab for any :class:`MomentStack`, and tests compare the structured
-    model builders against it.
-
-    Real field: the Slepian-Bangs form, mean term plus half the trace term.
-    Complex field (circular observations): returns the pair ``(J, J_cross)``
-    where the mean contributes only to ``J`` (circularity kills its
-    contribution to the cross matrix) and the covariance contributes the two
-    trace forms.
-    """
-    _chol_or_raise(stack.cov)
-    Ci = np.linalg.inv(stack.cov)
-    p = stack.n_params
-    Dm = stack.mean_jac
-    G = stack.cov_jac
-    P = np.einsum("ij,ajk,kl->ail", Ci, G, Ci)           # C^-1 G_a C^-1
-    if stack.field == REAL:
-        mean_term = Dm.T @ Ci @ Dm
-        cov_term = 0.5 * np.einsum("aij,bji->ab", P, G)  # tr(C^-1 G_a C^-1 G_b)
-        J = mean_term + cov_term
-        if layout is None:
-            layout = _layout(("theta", p, REAL))
-        return FimResult(J.real, layout, REAL)
-    mean_term = Dm.conj().T @ Ci @ Dm
-    cov_term = np.einsum("aij,bij->ab", P, G.conj())     # tr(C^-1 G_a C^-1 G_b^H)
-    J = mean_term + cov_term
-    Jc = np.einsum("aij,bji->ab", P, G)                  # tr(C^-1 G_a C^-1 G_b)
-    if layout is None:
-        layout = _layout(("theta", p, COMPLEX))
-    return FimResult(J, layout, COMPLEX, cross=Jc)
-
-
 def _burst_values(A, ch: Channel, M=None):
     A = np.asarray(A).ravel()
     if M is None:
@@ -495,8 +455,8 @@ def gaussian_moment_stack(ch: Channel, cfg: GaussianModelConfig) -> MomentStack:
     through complex derivatives). Real field: the symmetrized slabs
     ``sigma_a^2 (G_i + G_i^T)`` and ``I`` for the noise variance.
 
-    The stack feeds the reference engine :func:`gaussian_fim_generic` and
-    :func:`gaussian_real_param_derivs`; :func:`gaussian_fim` does not build it.
+    The stack feeds :func:`gaussian_real_param_derivs` and the tests'
+    slab-by-slab Slepian-Bangs oracle; :func:`gaussian_fim` does not build it.
     """
     m, n, M = ch.m, ch.m * ch.N, cfg.M
     T = ch.toeplitz(M)
@@ -555,8 +515,8 @@ def gaussian_fim(ch: Channel, cfg: GaussianModelConfig) -> FimResult:
 
     Cost: ``O(ny^3)`` for the Cholesky, the inverse and ``V``, plus
     ``O((mN)^2 M^2)`` for the gathers; no ``(p, ny, ny)`` slab tensor is
-    formed. :func:`gaussian_fim_generic` on :func:`gaussian_moment_stack`
-    computes the same matrices slab by slab and is the test oracle.
+    formed. The tests compute the same matrices slab by slab from
+    :func:`gaussian_moment_stack` as the oracle.
 
     Raises
     ------

@@ -16,29 +16,27 @@ model, two (scale and phase). A reducible channel with common-factor length
 ``N_c`` has ``2 N_c - 1`` joint singularities and ``N_c`` in the
 channel-reduced FIM.
 
-Gaussian model: identifiability hinges on conjugate reciprocal zero pairs
-``(z0, 1/z0^*)`` among the *common* zeros, paired at the tolerance the
-decomposition clustered them at. Complex data carry a baseline
-phase singularity; each pair adds two, each zero at +/-1 adds one. Real data
-have no baseline; each pair or +/-1 zero adds one. A monochannel whose
-transfer function has no conjugate reciprocal zeros additionally cannot
-identify the noise variance (one more singularity); conjugate reciprocal
-zeros remove that direction.
+Gaussian model: the singular directions of ``(h, sigma_v^2)`` are those
+that leave the spectral density ``S(w) = sigma_a^2 H(w) H(w)^H + sigma_v^2 I``
+unchanged. Whitened by a factor ``W`` of ``S^-1 = W^H W``, the linear map
+``(dh, dsigma_v^2) -> dS`` is a square root of the Whittle information
+(Whittle 1953), so its nullity is counted at the FIM's own relative
+threshold ``tol`` (``--rank-tol``), and a value within a fixed window around
+``tol`` makes the verdict indeterminate. Complex data always carry the phase
+direction; conjugate reciprocal common zeros, zeros on the unit circle and
+the noise variance of a monochannel show up as further null directions of
+the same map, with no rule of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .channel import (
-    COMPLEX,
-    REAL,
-    ReducibleDecomposition,
-    conjugate_reciprocal_pairs,
-    symbol_hankel,
-)
+import numpy as np
+
+from .channel import COMPLEX, REAL, ReducibleDecomposition, symbol_hankel
 from .fim import DETERMINISTIC, GAUSSIAN, GaussianModelConfig, SingularityReport
-from .linalg import numerical_rank
+from .linalg import DEFAULT_RANK_TOL, eigenvalue_rank, numerical_rank
 
 __all__ = [
     "SCALE",
@@ -58,6 +56,13 @@ PHASE = "phase"
 SIGN = "sign"
 NOT_IDENTIFIABLE = "no"
 INDETERMINATE = "indeterminate"
+
+# a Gaussian verdict is INDETERMINATE when an s^2/s_max^2 of the whitened
+# spectral map lies in (tol * _WINDOW[0], tol * _WINDOW[1]): on 40
+# near-structured channels the FIM's near-null relative eigenvalue was
+# 0.50-1.28 times that value at M = 20..200 and 0.09-0.81 times it at M = 6,
+# so only inside this window can the two counts differ
+_WINDOW = (0.5, 20.0)
 
 
 @dataclass(frozen=True)
@@ -152,18 +157,61 @@ def deterministic_verdict(dec: ReducibleDecomposition, M, A=None) -> Identifiabi
     )
 
 
+def _whitened_spectral_map(dec: ReducibleDecomposition, cfg: GaussianModelConfig):
+    """Real matrix of ``(dh, dsigma_v^2) -> W_j dS(w_j) W_j^H`` at ``L = 4N``
+    frequencies ``w_j = 2 pi j / L``, with ``W_j^H W_j = S(w_j)^-1``.
+
+    ``S(w) = sigma_a^2 H(w) H(w)^H + sigma_v^2 I`` is the spectral density of
+    the observations, a trigonometric polynomial of degree ``N - 1``, so
+    ``L`` samples fix its derivative and the map's null space is that of
+    ``dS``. ``H(w)`` is the product of the irreducible part's and the common
+    factor's spectra. Columns follow the realified FIM layout,
+    ``[Re h; Im h; sigma_v^2]`` for a complex channel and ``[h; sigma_v^2]``
+    for a real one; rows hold the real and imaginary parts of the ``m x m``
+    whitened derivatives. Its Gram is ``L`` samples of the Whittle
+    information ``tr(S^-1 dS_a S^-1 dS_b)``.
+    """
+    m, NI, Nc = dec.m, dec.N_I, dec.N_c
+    N = NI + Nc - 1
+    L = 4 * N
+    E = np.exp(-2j * np.pi / L * np.outer(np.arange(L), np.arange(N)))   # e^{-j w_j k}
+    H = (E[:, :NI] @ dec.irreducible_part.coeffs.T) * (E[:, :Nc] @ dec.monic)[:, None]
+    S = cfg.sigma_a2 * H[:, :, None] * H[:, None, :].conj() + cfg.sigma_v2 * np.eye(m)
+    W = np.linalg.inv(np.linalg.cholesky(S))                           # (L, m, m)
+    g = np.einsum("jrl,jl->jr", W, H)                                  # W_j H(w_j)
+    # D[j, k m + l] = sigma_a^2 (W_j dH)(W_j H)^H for dH = e^{-j w_j k} e_l
+    D = cfg.sigma_a2 * np.einsum("jk,jrl,js->jklrs", E, W, g.conj()).reshape(L, N * m, m, m)
+    DH = D.conj().swapaxes(-1, -2)
+    cols = [D + DH] + ([1j * (D - DH)] if dec.irreducible_part.field == COMPLEX else [])
+    X = np.concatenate(cols + [(W @ W.conj().swapaxes(-1, -2))[:, None]], axis=1)
+    X = X.transpose(0, 2, 3, 1).reshape(L * m * m, -1)
+    return np.vstack([X.real, X.imag])
+
+
+def _relative_eigenvalues(G):
+    """Eigenvalues of a PSD Gram over the largest, ascending."""
+    w = np.linalg.eigvalsh(G)
+    return w / w[-1]
+
+
 def gaussian_verdict(
-    dec: ReducibleDecomposition, cfg: GaussianModelConfig
+    dec: ReducibleDecomposition, cfg: GaussianModelConfig, tol=DEFAULT_RANK_TOL
 ) -> IdentifiabilityVerdict:
     """Identifiability of (h, sigma_v^2) under the Gaussian symbol model.
 
-    ``dec`` is the channel's :func:`~blindcrb.channel.reducible_decompose`;
-    its common zeros ``dec.roots`` are paired at ``dec.tol``. The minimal
-    burst supporting the irreducible part is a property of the channel not
-    derivable here; it is taken as the irreducible length ``N_I``, and the
-    reasons say so.
+    ``dec`` is the channel's :func:`~blindcrb.channel.reducible_decompose`.
+    The singular directions are those of ``(h, sigma_v^2)`` that leave the
+    spectral density ``S(w) = sigma_a^2 H(w) H(w)^H + sigma_v^2 I``
+    unchanged, counted as the nullity of :func:`_whitened_spectral_map` at
+    the FIM's relative threshold ``tol``: singular values with
+    ``s^2 / s_max^2 <= tol``. The channel-reduced count projects the
+    ``sigma_v^2`` column out of the others, the map's Schur complement. A
+    value of ``s^2 / s_max^2`` in ``(tol / 2, 20 tol)`` makes the verdict
+    ``INDETERMINATE``. The minimal burst supporting the irreducible part is
+    a property of the channel not derivable here; it is taken as the
+    irreducible length ``N_I``, and the reasons say so.
     """
-    field, m = dec.irreducible_part.field, dec.m
+    field = dec.irreducible_part.field
     reasons = []
     mi_note = f"assuming minimal irreducible burst = N_I = {dec.N_I}"
     need = max(dec.N_I + 1, dec.N_c - 1)
@@ -174,50 +222,38 @@ def gaussian_verdict(
         )
     reasons.append(f"burst condition met: M={cfg.M} >= {need} ({mi_note})")
 
-    pairing = conjugate_reciprocal_pairs(dec.roots, tol=dec.tol)
-    P = len(pairing.pairs)
-    U = len(pairing.unit_selfpaired)
-    if pairing.unit_circle:
+    # the Gram of the map is L samples of the Whittle information; its
+    # sigma_v^2 row and column are the last
+    A = _whitened_spectral_map(dec, cfg)
+    G = A.T @ A
+    Ghh, g = G[:-1, :-1], G[:-1, -1]
+    full = _relative_eigenvalues(G)
+    reduced = _relative_eigenvalues(Ghh - np.outer(g, g) / G[-1, -1])
+    lo, hi = tol * _WINDOW[0], tol * _WINDOW[1]
+    both = np.concatenate([full, reduced])
+    near = both[(lo < both) & (both < hi)]
+    if near.size:
         reasons.append(
-            f"{len(pairing.unit_circle)} common zero(s) on the unit circle away "
-            "from +/-1: census rule does not cover this case"
+            f"whitened spectral map: s^2/s_max^2 = {near[0]:.3g} lies in "
+            f"({lo:.3g}, {hi:.3g}), too near tol={tol:g} to count"
         )
         return IdentifiabilityVerdict(
             GAUSSIAN, field, INDETERMINATE, -1, -1, -1, tuple(reasons)
         )
-    clean = P == 0 and U == 0
+    nullity = eigenvalue_rank(full, tol)[1]
+    reduced_nullity = eigenvalue_rank(reduced, tol)[1]
+    dropped = f"{full[nullity - 1]:.3g}" if nullity else "(none)"
+    reasons.append(
+        f"whitened spectral map nullity {nullity} at tol={tol:g}: largest dropped "
+        f"s^2/s_max^2 {dropped}, smallest kept {full[nullity]:.3g}"
+    )
+    if eigenvalue_rank(_relative_eigenvalues(Ghh), tol)[1] < nullity:
+        reasons.append("noise variance not identifiable: a null direction moves sigma_v^2")
+    reasons.append(f"channel-reduced (sigma_v^2 projected out) nullity {reduced_nullity}")
     base = 1 if field == COMPLEX else 0
-    per_pair = 2 if field == COMPLEX else 1
-    extra = per_pair * P + U
-    noise = 1 if (m == 1 and clean) else 0
-    nullity = base + extra + noise
-
-    if base:
-        reasons.append("complex data: baseline phase singularity")
-    if P:
-        reasons.append(f"{P} conjugate reciprocal pair(s): +{per_pair * P}")
-    if U:
-        reasons.append(f"{U} common zero(s) at +/-1: +{U}")
-    if noise:
-        reasons.append("monochannel without conjugate reciprocal zeros: "
-                       "noise variance not identifiable (+1)")
-    if m == 1 and not clean:
-        reasons.append("monochannel with conjugate reciprocal zeros: "
-                       "no extra noise-variance singularity")
-
-    if clean and m > 1:
-        up_to = PHASE if field == COMPLEX else SIGN
-        reasons.append(
-            "no conjugate reciprocal zeros: locally identifiable"
-            + (" up to phase" if field == COMPLEX else " (sign only)")
-        )
-    else:
-        up_to = NOT_IDENTIFIABLE
-    # Gaussian FIMs live in the stacked real representation; the reduced FIM
-    # drops the noise-variance direction but keeps all channel singularities.
-    reduced = base + extra
+    up_to = (PHASE if field == COMPLEX else SIGN) if nullity <= base else NOT_IDENTIFIABLE
     return IdentifiabilityVerdict(
-        GAUSSIAN, field, up_to, nullity, nullity, reduced, tuple(reasons)
+        GAUSSIAN, field, up_to, nullity, nullity, reduced_nullity, tuple(reasons)
     )
 
 

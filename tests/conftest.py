@@ -8,8 +8,14 @@ the library is evidence rather than tautology.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from blindcrb.channel import Channel, COMPLEX, REAL
+
+# every run draws the same examples and writes no example database; each
+# test keeps its own max_examples
+settings.register_profile("blindcrb", derandomize=True, deadline=None, database=None)
+settings.load_profile("blindcrb")
 
 
 @pytest.fixture

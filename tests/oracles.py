@@ -15,6 +15,8 @@ from blindcrb.fim import (
     MomentStack,
     SingularityReport,
     _burst_values,
+    _chol_or_raise,
+    _layout,
     _model_field,
 )
 from blindcrb.linalg import (
@@ -33,6 +35,7 @@ __all__ = [
     "complexify_vector",
     "trace_crb_complex",
     "subspace_distance",
+    "gaussian_fim_generic",
     "deterministic_moment_stack",
     "deterministic_null_directions",
     "constrained_crb_projector_form",
@@ -129,6 +132,42 @@ def subspace_distance(B1, B2):
     P1 = projector(np.asarray(B1))
     P2 = projector(np.asarray(B2))
     return float(np.linalg.norm(P1 - P2, ord=2))
+
+
+def gaussian_fim_generic(stack: MomentStack, layout=None) -> FimResult:
+    """FIM of a Gaussian observation model from its moment derivatives.
+
+    This is the reference engine: it evaluates the Slepian-Bangs traces slab
+    by slab for any :class:`~blindcrb.fim.MomentStack`, and the tests compare
+    the structured model builders against it.
+
+    Real field: the Slepian-Bangs form, mean term plus half the trace term.
+    Complex field (circular observations): returns the pair ``(J, J_cross)``
+    where the mean contributes only to ``J`` (circularity kills its
+    contribution to the cross matrix) and the covariance contributes the two
+    trace forms.
+    """
+    _chol_or_raise(stack.cov)
+    Ci = np.linalg.inv(stack.cov)
+    p = stack.n_params
+    Dm = stack.mean_jac
+    G = stack.cov_jac
+    P = np.einsum("ij,ajk,kl->ail", Ci, G, Ci)           # C^-1 G_a C^-1
+    if stack.field == REAL:
+        mean_term = Dm.T @ Ci @ Dm
+        cov_term = 0.5 * np.einsum("aij,bji->ab", P, G)  # tr(C^-1 G_a C^-1 G_b)
+        J = mean_term + cov_term
+        if layout is None:
+            layout = _layout(("theta", p, REAL))
+        return FimResult(J.real, layout, REAL)
+    mean_term = Dm.conj().T @ Ci @ Dm
+    cov_term = np.einsum("aij,bij->ab", P, G.conj())     # tr(C^-1 G_a C^-1 G_b^H)
+    J = mean_term + cov_term
+    Jc = np.einsum("aij,bji->ab", P, G)                  # tr(C^-1 G_a C^-1 G_b)
+    if layout is None:
+        layout = _layout(("theta", p, COMPLEX))
+    return FimResult(J, layout, COMPLEX, cross=Jc)
+
 
 
 def deterministic_moment_stack(ch: Channel, A, sigma_v2, M=None, include_noise=False):

@@ -79,8 +79,9 @@ def test_rank_decisions_go_through_linalg(path):
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_gaussian_fim_does_not_call_its_oracle(monkeypatch, field):
-    # the generic engine on the moment stack is the oracle of the structured
-    # Gaussian-model builder, so the builder must not share that path
+    # the generic engine (tests/oracles.py) on the moment stack is the oracle
+    # of the structured Gaussian-model builder, so the builder must not build
+    # that stack
     ch = random_channel(np.random.default_rng(11), 2, 4, field)
     cfg = fim.GaussianModelConfig(1.2, 0.4, 6)
     want = fim.gaussian_fim(ch, cfg)
@@ -89,7 +90,6 @@ def test_gaussian_fim_does_not_call_its_oracle(monkeypatch, field):
         raise AssertionError("the Gaussian-model builder called its oracle")
 
     monkeypatch.setattr(fim, "gaussian_moment_stack", refuse)
-    monkeypatch.setattr(fim, "gaussian_fim_generic", refuse)
     got = fim.gaussian_fim(ch, cfg)
     np.testing.assert_array_equal(got.J, want.J)
     if field == COMPLEX:

@@ -13,7 +13,6 @@ from blindcrb.channel import (
     channel_from_json,
     channel_to_json,
     commutativity_op,
-    conjugate_reciprocal_pairs,
     example_channel,
     load_channel,
     poly_roots,
@@ -338,38 +337,6 @@ class TestFactorMatrices:
         Tc_op = block_toeplitz(dec.monic[None, :], M + dec.N_I - 1)
         np.testing.assert_allclose(T, TI_op @ Tc_op, atol=1e-10)
         assert np.linalg.norm(projector(T) - projector(TI_op)) < 1e-10
-
-
-class TestConjugateReciprocalPairs:
-    def test_real_pair(self):
-        c = np.convolve([1.0, -0.5], [1.0, -2.0])
-        pairing = conjugate_reciprocal_pairs(poly_roots(c))
-        assert pairing.counts["pairs"] == 1
-        z0, z1 = pairing.pairs[0]
-        assert abs(z0 * np.conj(z1) - 1.0) < 1e-8
-
-    def test_unit_root_self_paired(self):
-        c = np.convolve([1.0, -1.0], [1.0, -0.3])
-        pairing = conjugate_reciprocal_pairs(poly_roots(c))
-        assert pairing.counts == {"pairs": 0, "unit_selfpaired": 1,
-                                  "unit_circle": 0, "unpaired": 1}
-
-    def test_complex_constructed_pair(self):
-        z0 = 0.5 + 0.5j
-        c = np.convolve([1.0, -z0], [1.0, -1.0 / np.conj(z0)])
-        pairing = conjugate_reciprocal_pairs(poly_roots(c))
-        assert pairing.counts["pairs"] == 1
-
-    def test_no_pairs_for_generic_roots(self):
-        c = np.poly([0.5, -0.3, 0.2 + 0.1j])
-        pairing = conjugate_reciprocal_pairs(poly_roots(c))
-        assert pairing.counts["pairs"] == 0
-        assert pairing.counts["unpaired"] == 3
-
-    def test_unit_circle_bucket(self):
-        c = np.poly([np.exp(0.7j), 0.3])
-        pairing = conjugate_reciprocal_pairs(poly_roots(c))
-        assert pairing.counts["unit_circle"] == 1
 
 
 class TestJsonFormat:

@@ -65,7 +65,7 @@ class TestPseudoInverse:
         seed=st.integers(0, 10_000),
         complex_=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_moore_penrose_identities(self, rows, cols, seed, complex_):
         rng = np.random.default_rng(seed)
         rank = rng.integers(1, min(rows, cols) + 1)
