@@ -9,8 +9,13 @@ stream purpose into one ``(trials, k, size)`` buffer of raw standard
 normals, through one generator whose fresh state changes only its key from
 trial to trial, and scale that buffer into noise or symbols in one step;
 each trial's draws are bitwise those of a fresh :func:`stream_rng`, so the
-stream map below is unchanged. The scores of all trials are then formed
-as matrix products, and an MSE experiment draws its noise and
+stream map below is unchanged. That fresh state is one dict of plain
+Python ints (zero counter, empty buffer), and each trial swaps in only its
+key tuple: the Philox state setter reads counter, key and buffer one
+element at a time, and a plain int converts for about half of what a NumPy
+``uint64`` array element costs. The scores of all trials are then formed
+as matrix products (the Gaussian score as one GEMM of per-trial outer
+products per block of trials), and an MSE experiment draws its noise and
 initialization normals once for all of its SNR points and runs every
 trial of every point through the one estimator, :func:`alternating_ls_batch`,
 in lockstep.
@@ -82,6 +87,11 @@ _STREAM_FIXED_SYMBOLS = 0
 _PURPOSE_NOISE = 0
 _PURPOSE_SYMBOLS = 1
 _PURPOSE_INIT = 2
+_STREAMS_PER_TRIAL = 4
+
+# entries of the per-trial outer products that one GEMM of the Gaussian
+# score takes (see _gaussian_score_matrix): 512 trials at ny = 8
+_SCORE_BLOCK_ENTRIES = 2**15
 
 
 class DegenerateAdjustmentError(ValueError):
@@ -89,36 +99,36 @@ class DegenerateAdjustmentError(ValueError):
 
 
 def _stream_key(seed, stream):
-    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)],
-                    dtype=np.uint64)
+    # the two 64-bit words of a stream's Philox key, as plain ints
+    return (seed & 0xFFFFFFFFFFFFFFFF, stream)
 
 
 def stream_rng(seed, stream):
     """Counter-based generator for logical stream ``stream`` of ``seed``."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, stream)))
+    key = np.array(_stream_key(seed, stream), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekey(rng, seed, stream):
-    # move a stream_rng generator to the start of stream ``stream`` of
-    # ``seed``: the state of a fresh Philox with that key (counter 0, empty
-    # buffer, no cached 32-bit half), so the draws that follow are bitwise
-    # those of stream_rng(seed, stream). Building a Philox instead costs
-    # about four re-keys, as it first seeds a SeedSequence from the OS
-    # entropy pool
-    rng.bit_generator.state = {
+def _fresh_state(key):
+    # the state of a fresh Philox with key ``key`` (counter 0, empty buffer,
+    # no cached 32-bit half): set on a stream_rng generator, it makes the
+    # draws that follow bitwise those of stream_rng with that key. Setting
+    # it costs about a twentieth of building a Philox, which first seeds a
+    # SeedSequence from the OS entropy pool. Every field is a plain int or a
+    # tuple of them: the setter converts one element at a time, and a NumPy
+    # uint64 element costs about twice what an int does
+    return {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": _stream_key(seed, stream)},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return rng
 
 
 def _trial_stream(trial, purpose):
-    return 1 + 4 * trial + purpose
+    return 1 + _STREAMS_PER_TRIAL * trial + purpose
 
 
 def _trial_normals(rng, cfg, purpose, size):
@@ -126,20 +136,20 @@ def _trial_normals(rng, cfg, purpose, size):
 
     ``out[t]`` is bitwise ``stream_rng(cfg.seed, 1 + 4 t + purpose)
     .standard_normal((k, size))``, with ``k = 2`` rows (real and imaginary
-    parts) for a complex channel and 1 for a real one: ``rng`` is re-keyed
-    once, and each trial then only swaps the key of that fresh state and
-    draws into its row.
+    parts) for a complex channel and 1 for a real one: before each trial's
+    draw ``rng`` is set to one fresh state whose key alone changes.
     """
-    keys = np.empty((cfg.trials, 2), dtype=np.uint64)
-    keys[:] = _stream_key(cfg.seed, 0)
-    keys[:, 1] = _trial_stream(np.arange(cfg.trials, dtype=np.uint64), purpose)
-    bitgen = _rekey(rng, cfg.seed, _trial_stream(0, purpose)).bit_generator
-    state = bitgen.state
+    bitgen, draw = rng.bit_generator, rng.standard_normal
+    state = _fresh_state(None)
+    counter_and_key = state["state"]
+    seed_word = _stream_key(cfg.seed, 0)[0]
+    streams = range(_trial_stream(0, purpose), _trial_stream(cfg.trials, purpose),
+                    _STREAMS_PER_TRIAL)
     out = np.empty((cfg.trials, 2 if cfg.field == COMPLEX else 1, size))
-    for t in range(cfg.trials):
-        state["state"]["key"] = keys[t]
+    for row, stream in zip(out, streams):
+        counter_and_key["key"] = (seed_word, stream)
         bitgen.state = state
-        rng.standard_normal(out=out[t])
+        draw(out=row)
     return out
 
 
@@ -274,7 +284,19 @@ def _gaussian_score_matrix(cfg):
     # row t: the burst T A_t + V_t of trial t
     Y = _trial_draws(rng, cfg, _PURPOSE_NOISE, T.shape[0], cfg.sigma_v2)
     Y += _trial_draws(rng, cfg, _PURPOSE_SYMBOLS, T.shape[1], cfg.sigma_a2) @ T.T
-    quad = np.einsum("ti,aij,tj->ta", Y.conj(), P, Y).real
+    # quad[t, a] = y_t^H P_a y_t: the outer products conj(y_t) y_t^T of a
+    # block of trials, flattened, times the flattened P_a, one GEMM per
+    # block. The blocks keep the outer products near _SCORE_BLOCK_ENTRIES
+    # entries: all trials at once would hold trials x ny^2 of them, ny
+    # times the size of the bursts Y
+    ny = T.shape[0]
+    block = max(1, _SCORE_BLOCK_ENTRIES // ny**2)
+    Pt = P.reshape(-1, ny * ny).T
+    quad = np.empty((cfg.trials, P.shape[0]))
+    for s in range(0, cfg.trials, block):
+        Yb = Y[s:s + block]
+        outer = Yb.conj()[:, :, None] * Yb[:, None, :]
+        quad[s:s + block] = (outer.reshape(-1, ny * ny) @ Pt).real
     if cfg.field == COMPLEX:
         return quad - offset
     return 0.5 * (quad - offset)

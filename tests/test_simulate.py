@@ -1,5 +1,6 @@
 """Monte Carlo harness: reproducibility, moments, scores, adjustments, estimator."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -46,6 +47,65 @@ def _cfg(ch, **kw):
     return ExperimentConfig(**base)
 
 
+def _assert_gaussian_score_rows(S, cfg, trials):
+    """Each listed row of the Gaussian score matrix ``S`` is the per-trial
+    formula on simulate_burst: ``y^H P_a y`` minus its mean, halved when
+    real."""
+    C, slabs = simulate.gaussian_real_param_derivs(cfg.channel, cfg.gaussian_config)
+    Ci = np.linalg.inv(C)
+    P = [Ci @ G @ Ci for G in slabs]
+    offset = np.array([np.trace(Ci @ G).real for G in slabs])
+    for t in trials:
+        y = simulate_burst(cfg, t)
+        quad = np.array([np.vdot(y, Pa @ y).real for Pa in P])
+        want = (quad - offset) * (1.0 if cfg.field == COMPLEX else 0.5)
+        scale = np.linalg.norm(quad) + np.linalg.norm(offset)
+        assert np.linalg.norm(S[t] - want) <= 1e-12 * scale
+
+
+def _check_trial_loop_streams(monkeypatch, field, seed):
+    """The trial loops draw each stream purpose of all trials into one
+    buffer; row t must be bitwise the draw of the public per-trial drawers,
+    which build a fresh stream_rng."""
+    ch = random_channel(np.random.default_rng(7), 2, 2, field)
+    det = _cfg(ch, M=4, trials=200, sigma_v2=0.3, seed=seed)
+    gauss = replace(det, model=GAUSSIAN)
+    mse = replace(det, trials=4, ls_sweeps=20)
+    complex_field = field == COMPLEX
+    drawn = []
+    trial_normals = simulate._trial_normals
+
+    def recording(rng, cfg, purpose, size):
+        out = trial_normals(rng, cfg, purpose, size)
+        drawn.append((purpose, out))
+        return out
+
+    def draws(purpose, scale2):
+        (g,) = [out for p, out in drawn if p == purpose]
+        return simulate._scale_normals(g, scale2, complex_field)
+
+    monkeypatch.setattr(simulate, "_trial_normals", recording)
+    score_covariance_fim(det)
+    noise = draws(0, det.sigma_v2)
+    drawn.clear()
+    S = simulate._gaussian_score_matrix(gauss)
+    symbols, gauss_noise = draws(1, gauss.sigma_a2), draws(0, gauss.sigma_v2)
+    drawn.clear()
+    rows = mse_vs_crb_experiment(mse, [20.0])
+    mse_noise = draws(0, rows[0].sigma_v2)
+    perts = draws(2, 1.0)
+    for t in (0, 1, det.trials - 1):
+        np.testing.assert_array_equal(noise[t], draw_noise(det, t))
+        np.testing.assert_array_equal(gauss_noise[t], draw_noise(gauss, t))
+        np.testing.assert_array_equal(symbols[t], experiment_symbols(gauss, t))
+    for t in (0, 1, mse.trials - 1):
+        np.testing.assert_array_equal(
+            mse_noise[t], draw_noise(replace(mse, sigma_v2=rows[0].sigma_v2), t))
+        np.testing.assert_array_equal(perts[t], simulate._draw_gaussian_vector(
+            stream_rng(mse.seed, 1 + 4 * t + 2), ch.h.size, 1.0, complex_field))
+    _assert_gaussian_score_rows(S, gauss, (0, 1, gauss.trials - 1))
+
+
 class TestReproducibility:
     def test_streams_are_independent_of_order(self):
         a1 = stream_rng(7, 3).standard_normal(5)
@@ -61,66 +121,24 @@ class TestReproducibility:
             # odd number of 32-bit draws, a cached 32-bit half
             rng.standard_normal(5)
             rng.integers(0, 2**32, 3, dtype=np.uint32)
-            got = simulate._rekey(rng, seed, stream)
+            rng.bit_generator.state = simulate._fresh_state(simulate._stream_key(seed, stream))
             want = stream_rng(seed, stream)
             np.testing.assert_array_equal(
-                simulate._draw_gaussian_vector(got, 9, 2.0, complex_field),
+                simulate._draw_gaussian_vector(rng, 9, 2.0, complex_field),
                 simulate._draw_gaussian_vector(want, 9, 2.0, complex_field))
-            np.testing.assert_array_equal(got.integers(0, 2**32, 5, dtype=np.uint32),
+            np.testing.assert_array_equal(rng.integers(0, 2**32, 5, dtype=np.uint32),
                                           want.integers(0, 2**32, 5, dtype=np.uint32))
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_trial_loops_draw_the_fresh_generator_streams(self, monkeypatch, field):
-        # the trial loops draw each stream purpose of all trials into one
-        # buffer; row t must be bitwise the draw of the public per-trial
-        # drawers, which build a fresh stream_rng
-        ch = random_channel(np.random.default_rng(7), 2, 2, field)
-        det = _cfg(ch, M=4, trials=200, sigma_v2=0.3)
-        gauss = replace(det, model=GAUSSIAN)
-        mse = replace(det, trials=4, ls_sweeps=20)
-        complex_field = field == COMPLEX
-        drawn = []
-        trial_normals = simulate._trial_normals
+        _check_trial_loop_streams(monkeypatch, field, 42)
 
-        def recording(rng, cfg, purpose, size):
-            out = trial_normals(rng, cfg, purpose, size)
-            drawn.append((purpose, out))
-            return out
-
-        def draws(purpose, scale2):
-            (g,) = [out for p, out in drawn if p == purpose]
-            return simulate._scale_normals(g, scale2, complex_field)
-
-        monkeypatch.setattr(simulate, "_trial_normals", recording)
-        score_covariance_fim(det)
-        noise = draws(0, det.sigma_v2)
-        drawn.clear()
-        S = simulate._gaussian_score_matrix(gauss)
-        symbols, gauss_noise = draws(1, gauss.sigma_a2), draws(0, gauss.sigma_v2)
-        drawn.clear()
-        rows = mse_vs_crb_experiment(mse, [20.0])
-        mse_noise = draws(0, rows[0].sigma_v2)
-        perts = draws(2, 1.0)
-        for t in (0, 1, det.trials - 1):
-            np.testing.assert_array_equal(noise[t], draw_noise(det, t))
-            np.testing.assert_array_equal(gauss_noise[t], draw_noise(gauss, t))
-            np.testing.assert_array_equal(symbols[t], experiment_symbols(gauss, t))
-        for t in (0, 1, mse.trials - 1):
-            np.testing.assert_array_equal(
-                mse_noise[t], draw_noise(replace(mse, sigma_v2=rows[0].sigma_v2), t))
-            np.testing.assert_array_equal(perts[t], simulate._draw_gaussian_vector(
-                stream_rng(mse.seed, 1 + 4 * t + 2), ch.h.size, 1.0, complex_field))
-        # each Gaussian score row is the per-trial formula on simulate_burst
-        C, slabs = simulate.gaussian_real_param_derivs(ch, gauss.gaussian_config)
-        Ci = np.linalg.inv(C)
-        P = [Ci @ G @ Ci for G in slabs]
-        offset = np.array([np.trace(Ci @ G).real for G in slabs])
-        for t in (0, 1, gauss.trials - 1):
-            y = simulate_burst(gauss, t)
-            quad = np.array([np.vdot(y, Pa @ y).real for Pa in P])
-            want = (quad - offset) * (1.0 if complex_field else 0.5)
-            scale = np.linalg.norm(quad) + np.linalg.norm(offset)
-            assert np.linalg.norm(S[t] - want) <= 1e-12 * scale
+    @pytest.mark.parametrize("seed", [-5, 2**63 + 9])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_trial_loops_key_the_low_64_seed_bits(self, monkeypatch, field, seed):
+        # a seed outside the 64-bit words: the trial loops key Philox with
+        # its low 64 bits, as stream_rng does
+        _check_trial_loop_streams(monkeypatch, field, seed)
 
     def test_bursts_bit_identical(self, chan_random):
         cfg = _cfg(chan_random)
@@ -214,6 +232,35 @@ class TestScoreCovariance:
                                    atol=1e-12 * np.abs(want_J).max())
         np.testing.assert_allclose(est.std_err, want_se, rtol=0,
                                    atol=1e-12 * want_se.max())
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("past_one_block", [False, True])
+    def test_gaussian_score_rows_across_gemm_blocks(self, field, past_one_block):
+        # the Gaussian score is formed one block of trials at a time: one
+        # trial, and one block plus one trial, each row by its own formula
+        ch = random_channel(np.random.default_rng(19), 2, 2, field)
+        cfg = _cfg(ch, model=GAUSSIAN, M=4, trials=1, sigma_v2=0.6)
+        if past_one_block:
+            ny = cfg.M * ch.m
+            cfg = replace(cfg, trials=simulate._SCORE_BLOCK_ENTRIES // ny**2 + 1)
+        S = simulate._gaussian_score_matrix(cfg)
+        assert S.shape[0] == cfg.trials
+        _assert_gaussian_score_rows(S, cfg, range(cfg.trials))
+
+    def test_gaussian_score_memory_is_bounded(self):
+        # the outer products of the Gaussian score are formed by blocks of
+        # trials: for 10^4 trials at ny = 8 all at once they would take
+        # 10.2 MB, against 1.3 MB for the bursts themselves
+        ch = random_channel(np.random.default_rng(7), 2, 2, COMPLEX)
+        cfg = _cfg(ch, model=GAUSSIAN, M=4, trials=10_000, sigma_v2=0.3)
+        simulate._gaussian_score_matrix(replace(cfg, trials=2))      # first-call imports
+        tracemalloc.start()
+        try:
+            simulate._gaussian_score_matrix(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
 
     def test_single_trial_has_infinite_std_err(self, rng):
         est = score_covariance_fim(_cfg(random_channel(rng, 2, 2, REAL), trials=1))
