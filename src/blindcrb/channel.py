@@ -24,9 +24,8 @@ from importlib import resources
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import get_lapack_funcs
 
-from .linalg import min_norm_solve
+from .linalg import _lapack_funcs, min_norm_solve
 
 __all__ = [
     "REAL",
@@ -268,7 +267,7 @@ def toeplitz_staircase_qr(taps, B):
     M = B.shape[0] // m
     n, p = M + N - 1, B.shape[1]
     dtype = np.result_type(taps, B)
-    geqrf, = get_lapack_funcs(("geqrf",), dtype=dtype)
+    geqrf, = _lapack_funcs(("geqrf",), dtype)
     b = min(_STAIRCASE_BLOCK, M)
     kd = b + N - 2
     Tb = np.zeros((b, m, b + N - 1), dtype=dtype)

@@ -14,6 +14,10 @@ no per-call knob, and every SVD helper below applies it, as does
 :func:`pseudo_inverse` to the absolute eigenvalues. A Fisher-information
 rank counts the eigenvalues above ``tol * lambda_max``
 (:func:`eigenvalue_rank`), with ``tol`` defaulting to ``DEFAULT_RANK_TOL``.
+
+This is the one module that touches SciPy, and only for its banded LAPACK
+routines: ``scipy.linalg`` is imported on the first lookup of one of them,
+so ``import blindcrb`` and the Gaussian-model commands run on NumPy alone.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -103,8 +106,23 @@ def min_norm_solve(A, B):
 
 
 @lru_cache(maxsize=None)
-def _lapack_funcs(names, dtype):
-    return sla.get_lapack_funcs(names, dtype=dtype)
+def _lapack_funcs(names, dtype=None):
+    """SciPy's handles for ``names``, looked up once per ``(names, dtype)``.
+
+    The package's one gateway to SciPy: ``scipy.linalg`` is imported here,
+    on the first call, so a run that needs no banded LAPACK (every
+    Gaussian-model command) never loads it. With a ``dtype`` each name is a
+    LAPACK routine of that type, or the BLAS ``tbmv``; without one it is a
+    function of ``scipy.linalg`` (``eigvals_banded``).
+    """
+    import scipy.linalg as sla
+
+    if dtype is None:
+        return tuple(getattr(sla, name) for name in names)
+    return tuple(
+        (sla.get_blas_funcs if name == "tbmv" else sla.get_lapack_funcs)(
+            (name,), dtype=dtype)[0]
+        for name in names)
 
 
 def cholesky_solve(band, rhs):
@@ -202,8 +220,7 @@ def triangular_rank_reveal(R, k, gram, rows=None):
         raise ValueError("R is zero")
     floor = _EPS * s_lo
     R[kd, np.abs(R[kd]) < floor] = floor
-    tbtrs, geqrf, orgqr = sla.get_lapack_funcs(("tbtrs", "geqrf", "orgqr"), (R,))
-    tbmv, = sla.get_blas_funcs(("tbmv",), (R,))
+    tbtrs, geqrf, orgqr, tbmv = _lapack_funcs(("tbtrs", "geqrf", "orgqr", "tbmv"), R.dtype)
 
     def solve(U, trans):
         x, info = tbtrs(R, U, trans=trans)
@@ -226,7 +243,8 @@ def triangular_rank_reveal(R, k, gram, rows=None):
     shape = (n if rows is None else rows, n)
     s_max = s_hi
     if _svd_rank(s, shape, s_lo) != _svd_rank(s, shape, s_hi):
-        s_max = np.sqrt(sla.eigvals_banded(gram, select="i", select_range=(n - 1, n - 1))[0])
+        eigvals_banded, = _lapack_funcs(("eigvals_banded",))
+        s_max = np.sqrt(eigvals_banded(gram, select="i", select_range=(n - 1, n - 1))[0])
     rank = n - k + _svd_rank(s, shape, s_max)
     return rank, s[::-1], U[:, ::-1]
 
@@ -291,13 +309,14 @@ def bordered_band_rank(band, X, C, tol=DEFAULT_RANK_TOL):
              (np.abs(C).sum(axis=1) + absX.sum(axis=0)).max())
     shifts = (tol * lo, tol * hi)
     windows = [_INERTIA_WINDOW * t + n * _EPS * hi for t in shifts]
-    pbtrf, tbtrs, gbsv = sla.get_lapack_funcs(("pbtrf", "tbtrs", "gbsv"), (band, X))
+    pbtrf, tbtrs, gbsv = _lapack_funcs(("pbtrf", "tbtrs", "gbsv"), np.result_type(band, X))
     top = shifts[1] + windows[1]
     shifted = band.copy()
     shifted[kd] -= top
     ev = None                        # B > top I: no eigenvalue of B counts
     if pbtrf(shifted)[1] != 0:
-        ev = sla.eigvals_banded(band, select="v", select_range=(-np.inf, top))
+        eigvals_banded, = _lapack_funcs(("eigvals_banded",))
+        ev = eigvals_banded(band, select="v", select_range=(-np.inf, top))
         # B in gbsv's general band storage: kd rows of fill-in, then the
         # upper band, then the lower band by symmetry
         ab = np.zeros((3 * kd + 1, n1), dtype=band.dtype)

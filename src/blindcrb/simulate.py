@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .channel import (
     COMPLEX,
@@ -52,6 +51,7 @@ from .fim import (
     DETERMINISTIC,
     GAUSSIAN,
     GaussianModelConfig,
+    _pd_inverse,
     deterministic_joint_operator,
     deterministic_reduced_fim,
     gaussian_real_param_derivs,
@@ -276,7 +276,7 @@ def _det_score_matrix(cfg):
 def _gaussian_score_matrix(cfg):
     ch = cfg.channel
     C, slabs = gaussian_real_param_derivs(ch, cfg.gaussian_config)
-    Ci = sla.cho_solve(sla.cho_factor(C), np.eye(C.shape[0], dtype=C.dtype))
+    Ci = _pd_inverse(C)
     P = Ci @ slabs @ Ci
     offset = np.einsum("ij,aji->a", Ci, slabs).real
     T = ch.toeplitz(cfg.M)

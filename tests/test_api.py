@@ -3,8 +3,11 @@
 import ast
 import importlib
 import json
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 from collections import defaultdict
 from dataclasses import replace
 
@@ -54,14 +57,11 @@ def test_package_imports_are_public(module, names):
 
 
 _RANK_CALLS = {"matrix_rank", "pinv", "lstsq", "svd", "eigh", "finfo"}
+_SOURCES = sorted(pathlib.Path(blindcrb.__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted(p for p in pathlib.Path(blindcrb.__file__).parent.glob("*.py")
-           if p.name != "linalg.py"),
-    ids=lambda p: p.stem,
-)
+@pytest.mark.parametrize("path", [p for p in _SOURCES if p.name != "linalg.py"],
+                         ids=lambda p: p.stem)
 def test_rank_decisions_go_through_linalg(path):
     # one SVD rank rule and one eigenvalue rule: pseudo-inverses, rank
     # counts, minimum-norm solves, SVDs and eigendecompositions outside
@@ -75,6 +75,64 @@ def test_rank_decisions_go_through_linalg(path):
                      if isinstance(node, ast.ImportFrom)
                      for alias in node.names if alias.name in _RANK_CALLS})
     assert not used, f"{path.name} calls {used} instead of blindcrb.linalg"
+
+
+def _imports_scipy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.stem)
+def test_scipy_is_loaded_only_by_the_linalg_gateway(path):
+    # blindcrb.linalg is the one module that touches SciPy, and it imports
+    # scipy only inside a function, so importing the package loads none of it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if _imports_scipy(node)]
+    if path.name != "linalg.py":
+        assert not imports, f"{path.name} imports scipy outside blindcrb.linalg"
+        return
+    lazy = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if _imports_scipy(node)}
+    assert imports and all(id(node) in lazy for node in imports)
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from blindcrb import cli
+chan = sys.argv[1]
+gaussian = [
+    ["analyze", chan, "--model", "gaussian"],
+    ["crb", chan, "--model", "gaussian", "--field", "complex",
+     "--constraint", "minimal", "--constraint", "phase"],
+    ["sweep-known", chan, "--model", "gaussian"],
+    ["fim-check", chan, "--model", "gaussian", "--trials", "50"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in gaussian]
+    after_gaussian = "scipy.linalg" in sys.modules
+    codes.append(cli.main(["crb", chan, "--constraint", "minimal"]))
+print(json.dumps({"codes": codes, "after_gaussian": after_gaussian,
+                  "after_deterministic": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_gaussian_commands_run_without_scipy():
+    # a fresh interpreter: the Gaussian-model commands run on NumPy alone,
+    # and the deterministic model's banded LAPACK loads scipy.linalg on use
+    package = pathlib.Path(blindcrb.__file__).parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(package / "data" / "chan_random.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    probe = json.loads(done.stdout)
+    # fim-check at 50 trials may fail its gates (exit 1); exit 2 is an error
+    assert probe["codes"][:3] == [0, 0, 0] and probe["codes"][3] in (0, 1)
+    assert probe["codes"][4] == 0
+    assert not probe["after_gaussian"]
+    assert probe["after_deterministic"]
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

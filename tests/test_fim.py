@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import assume, given, settings, strategies as st
 
+from blindcrb import fim
 from blindcrb.channel import (
     COMPLEX,
     REAL,
@@ -430,6 +432,30 @@ class TestGaussianFim:
         assert analyze_singularities(Jred_real).nullity == 0
         for res in (constrained_crb(Jred, phase_constraint(ch.h)), constrained_crb(Jred_real)):
             assert res.bounded and np.isfinite(res.trace) and np.all(np.isfinite(res.crb))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_inverse_keeps_lapack_accuracy_at_low_noise(self, monkeypatch, m):
+        # an m = 2 covariance (ny = 12, T of rank 9) has three eigenvalues
+        # at sigma_v^2 = 1e-5; the FIM built on the NumPy Cholesky inverse
+        # stays within 1e-9 of the same formulas on SciPy's
+        # cho_factor/cho_solve, where an LU inverse of C misses by 1e-8 and
+        # more
+        cfg = GaussianModelConfig(1.0, 1e-5, 6)
+        n = m * 4
+        for seed in range(4):
+            ch = random_channel(np.random.default_rng(seed), m, 4, COMPLEX)
+            got = gaussian_fim(ch, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(fim, "_pd_inverse", lambda C: sla.cho_solve(
+                    sla.cho_factor(C), np.eye(C.shape[0], dtype=C.dtype)))
+                want = gaussian_fim(ch, cfg)
+            for a, b in ((got.J[:n, :n], want.J[:n, :n]), (got.cross[:n, :n], want.cross[:n, :n]),
+                         (got.J[:, n], want.J[:, n])):
+                assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+
+    def test_inverse_refuses_an_indefinite_covariance(self):
+        with pytest.raises(SingularBlockError):
+            fim._pd_inverse(np.diag([1.0, -1e-3]))
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("m", [1, 2, 3])
