@@ -16,13 +16,17 @@ rank counts the eigenvalues above ``tol * lambda_max``
 (:func:`eigenvalue_rank`), with ``tol`` defaulting to ``DEFAULT_RANK_TOL``.
 
 This is the one module that touches SciPy, and only for its banded LAPACK
-routines: ``scipy.linalg`` is imported on the first lookup of one of them,
-so ``import blindcrb`` and the Gaussian-model commands run on NumPy alone.
+routines: its Fortran wrappers are loaded on the first lookup of one of
+them, without ``scipy.linalg``, so ``import blindcrb`` and the
+Gaussian-model commands run on NumPy alone.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -51,6 +55,9 @@ DEFAULT_RANK_TOL = 1e-8
 # around t (for an eigenvalue of B) and around 0 (for one of S) inside which
 # that count is ill-conditioned and the dense count decides
 _INERTIA_WINDOW = 1e-2
+
+# LAPACK/BLAS type prefix of each dtype the package computes in
+_PREFIXES = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
 
 
 def _as_matrix(A, name="A"):
@@ -106,23 +113,62 @@ def min_norm_solve(A, B):
 
 
 @lru_cache(maxsize=None)
+def _wrappers():
+    """SciPy's f2py modules ``_flapack`` and ``_fblas``, loaded from their
+    files in ``<scipy>/linalg``; ``find_spec`` locates ``scipy`` without
+    importing it, so no package ``__init__`` of SciPy runs."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("SciPy is not installed")
+    where = os.path.join(spec.submodule_search_locations[0], "linalg")
+    finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    modules = []
+    for name in ("_flapack", "_fblas"):
+        found = finder.find_spec(f"scipy.linalg.{name}")
+        if found is None:
+            raise ImportError(f"SciPy's {name} wrapper not found in {where}")
+        modules.append(importlib.util.module_from_spec(found))
+        found.loader.exec_module(modules[-1])
+    return tuple(modules)
+
+
+@lru_cache(maxsize=None)
 def _lapack_funcs(names, dtype=None):
-    """SciPy's handles for ``names``, looked up once per ``(names, dtype)``.
-
-    The package's one gateway to SciPy: ``scipy.linalg`` is imported here,
-    on the first call, so a run that needs no banded LAPACK (every
-    Gaussian-model command) never loads it. With a ``dtype`` each name is a
-    LAPACK routine of that type, or the BLAS ``tbmv``; without one it is a
-    function of ``scipy.linalg`` (``eigvals_banded``).
+    """The handles for ``names``, looked up once per ``(names, dtype)``: the
+    package's one gateway to SciPy's Fortran wrappers (:func:`_wrappers`).
+    With a ``dtype``, float64 (prefix ``d``) or complex128 (``z``), each name
+    is a LAPACK routine, complex ``orgqr`` being ``zungqr``, or the BLAS
+    ``tbmv``; without one the only name is ``eigvals_banded``
+    (:func:`_eigvals_banded`).
     """
-    import scipy.linalg as sla
-
     if dtype is None:
-        return tuple(getattr(sla, name) for name in names)
-    return tuple(
-        (sla.get_blas_funcs if name == "tbmv" else sla.get_lapack_funcs)(
-            (name,), dtype=dtype)[0]
-        for name in names)
+        return tuple({"eigvals_banded": _eigvals_banded}[name] for name in names)
+    prefix = _PREFIXES.get(np.dtype(dtype))
+    if prefix is None:
+        raise TypeError(f"no LAPACK routines for dtype {np.dtype(dtype)}")
+    flapack, fblas = _wrappers()
+    return tuple(getattr(fblas if name == "tbmv" else flapack,
+                         "zungqr" if prefix + name == "zorgqr" else prefix + name)
+                 for name in names)
+
+
+def _eigvals_banded(band, select, select_range):
+    """Eigenvalues of the Hermitian ``band`` (upper band storage) with
+    0-based indices ``il..iu`` for ``select="i"``, or in ``(vl, vu]`` for
+    ``"v"``, ascending: one ``?sbevx``/``?hbevx`` call with the arguments
+    :func:`scipy.linalg.eigvals_banded` passes, ``band`` left intact."""
+    flapack, _ = _wrappers()
+    name = "zhbevx" if np.iscomplexobj(band) else "dsbevx"
+    if select == "i":
+        kind, (vl, vu), (il, iu) = 2, (0.0, 1.0), (i + 1 for i in select_range)
+    else:
+        kind, (vl, vu), (il, iu) = 1, select_range, (1, 1)
+    bevx = getattr(flapack, name)
+    w, _, m, _, info = bevx(band, vl, vu, il, iu, compute_v=0, mmax=1, range=kind, lower=0,
+                            overwrite_ab=0, abstol=2 * flapack.dlamch("s"))
+    if info != 0:
+        raise ValueError(f"{name} failed with info={info}")
+    return w[:m]
 
 
 def cholesky_solve(band, rhs):
@@ -206,7 +252,7 @@ def triangular_rank_reveal(R, k, gram, rows=None):
     ``n x k`` product ``R^H U``; ``O(n kd k)`` work. ``s_max`` lies between
     the largest column norm ``s_lo`` and the Gershgorin bound of ``gram``;
     only when a Ritz value falls between the two cutoffs is it computed
-    exactly (:func:`scipy.linalg.eigvals_banded`). Pivots below
+    exactly (one ``?sbevx``/``?hbevx`` call). Pivots below
     ``eps s_lo`` (exact zeros included) are raised to it first, a
     perturbation far inside the cutoff. Returns ``(rank, s, U)`` with the
     Ritz values ``s`` ascending and ``U`` their orthonormal left singular
@@ -294,12 +340,12 @@ def bordered_band_rank(band, X, C, tol=DEFAULT_RANK_TOL):
     diagonal entry and ``hi`` the Gershgorin bound. When ``B - (t + w) I``
     has a banded Cholesky factor at the larger shift, ``#eig(B) <= t`` is 0
     and ``S = C - t I - Z^H Z``, ``Z = U^-H X`` from the factor ``U`` of
-    ``B - t I``; otherwise :func:`scipy.linalg.eigvals_banded` counts it and
+    ``B - t I``; otherwise one ``?sbevx``/``?hbevx`` call counts it and
     a banded LU solve forms ``S``. The dense count of the assembled ``G``
     decides when the two counts differ, or when an eigenvalue of ``B`` lies
     within ``w`` of ``t`` or one of ``S`` within ``w`` of 0;
     ``w = 1e-2 t + (n1 + n2) eps hi``. Cost ``O(n1 kd (kd + n2) + n1 n2^2 +
-    n2^3)``; ``eigvals_banded`` adds an ``O(n1^2 kd)`` band reduction.
+    n2^3)``; ``?sbevx``/``?hbevx`` adds an ``O(n1^2 kd)`` band reduction.
     """
     kd, n1, n2 = band.shape[0] - 1, band.shape[1], C.shape[0]
     n = n1 + n2

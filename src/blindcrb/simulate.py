@@ -53,6 +53,7 @@ from .fim import (
     DETERMINISTIC,
     GAUSSIAN,
     GaussianModelConfig,
+    _check_variance,
     _gaussian_covariance,
     _pd_inverse,
     deterministic_joint_operator,
@@ -317,8 +318,10 @@ def score_covariance_fim(cfg: ExperimentConfig) -> McFimEstimate:
     models). Standard errors come from the sample variance of the per-trial
     outer products, taken from the moments ``S^T S`` and ``(S o S)^T (S o S)``
     of the trials x p score matrix ``S``, so no per-trial outer product is
-    formed.
+    formed. The scores divide by ``sigma_v2``, so a noiseless
+    configuration is refused before any trial is drawn.
     """
+    _check_variance("sigma_v2", cfg.sigma_v2)
     if cfg.model == DETERMINISTIC:
         S = _det_score_matrix(cfg)
     else:

@@ -78,62 +78,94 @@ def test_rank_decisions_go_through_linalg(path):
     assert not used, f"{path.name} calls {used} instead of blindcrb.linalg"
 
 
-def _imports_scipy(node):
-    if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+def _names_scipy(tree):
+    """The nodes of ``tree`` that name ``scipy`` in code: imports of it, the
+    name itself and string constants other than docstrings."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[0] == "scipy"
+        elif isinstance(node, ast.Name):
+            hit = node.id == "scipy"
+        elif isinstance(node, ast.Constant):
+            hit = isinstance(node.value, str) and "scipy" in node.value and id(node) not in docs
+        else:
+            hit = False
+        if hit:
+            found.append(node)
+    return found
 
 
 @pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.stem)
 def test_scipy_is_loaded_only_by_the_linalg_gateway(path):
-    # blindcrb.linalg is the one module that touches SciPy, and it imports
-    # scipy only inside a function, so importing the package loads none of it
+    # blindcrb.linalg is the one module that touches SciPy, and it names
+    # scipy only inside a function (the gateway that loads its Fortran
+    # wrappers), so importing the package loads none of it
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    imports = [node for node in ast.walk(tree) if _imports_scipy(node)]
+    named = _names_scipy(tree)
     if path.name != "linalg.py":
-        assert not imports, f"{path.name} imports scipy outside blindcrb.linalg"
+        assert not named, f"{path.name} names scipy outside blindcrb.linalg"
         return
     lazy = {id(node) for fn in ast.walk(tree)
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(fn) if _imports_scipy(node)}
-    assert imports and all(id(node) in lazy for node in imports)
+            for node in ast.walk(fn)}
+    assert named and all(id(node) in lazy for node in named)
 
 
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 from blindcrb import cli
-chan = sys.argv[1]
-gaussian = [
+chan, experiment = sys.argv[1:]
+commands = [
     ["analyze", chan, "--model", "gaussian"],
     ["crb", chan, "--model", "gaussian", "--field", "complex",
      "--constraint", "minimal", "--constraint", "phase"],
     ["sweep-known", chan, "--model", "gaussian"],
     ["fim-check", chan, "--model", "gaussian", "--trials", "50"],
+    ["analyze", chan],
+    ["crb", chan, "--constraint", "minimal"],
+    ["sweep-known", chan],
+    ["fim-check", chan, "--trials", "50"],
+    ["mse", experiment],
 ]
+codes, loaded = [], []
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in gaussian]
-    after_gaussian = "scipy.linalg" in sys.modules
-    codes.append(cli.main(["crb", chan, "--constraint", "minimal"]))
-print(json.dumps({"codes": codes, "after_gaussian": after_gaussian,
-                  "after_deterministic": "scipy.linalg" in sys.modules}))
+    for argv in commands:
+        codes.append(cli.main(argv))
+        loaded.append(sorted(m for m in ("scipy.linalg", "scipy.linalg._flapack")
+                             if m in sys.modules))
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def test_gaussian_commands_run_without_scipy():
-    # a fresh interpreter: the Gaussian-model commands run on NumPy alone,
-    # and the deterministic model's banded LAPACK loads scipy.linalg on use
+def test_gaussian_commands_run_without_scipy(tmp_path):
+    # a fresh interpreter: no command, Gaussian or deterministic, imports
+    # scipy.linalg; the deterministic model's banded LAPACK loads SciPy's
+    # Fortran wrappers directly
     package = pathlib.Path(blindcrb.__file__).parent
+    chan = package / "data" / "chan_random.json"
+    experiment = tmp_path / "exp.json"
+    experiment.write_text(json.dumps({"channel": str(chan), "M": 20, "trials": 5,
+                                      "snr_db": [20.0], "ls_sweeps": 30}))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(package / "data" / "chan_random.json")],
+        [sys.executable, "-c", _SCIPY_PROBE, str(chan), str(experiment)],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     probe = json.loads(done.stdout)
+    codes, loaded = probe["codes"], probe["loaded"]
     # fim-check at 50 trials may fail its gates (exit 1); exit 2 is an error
-    assert probe["codes"][:3] == [0, 0, 0] and probe["codes"][3] in (0, 1)
-    assert probe["codes"][4] == 0
-    assert not probe["after_gaussian"]
-    assert probe["after_deterministic"]
+    assert codes[:3] == [0, 0, 0] and codes[3] in (0, 1)
+    assert codes[4:7] == [0, 0, 0] and codes[7] in (0, 1) and codes[8] == 0
+    assert loaded[:4] == [[]] * 4
+    assert loaded[-1] == ["scipy.linalg._flapack"]
+    assert all("scipy.linalg" not in after for after in loaded)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from blindcrb import cli
+from blindcrb import cli, simulate
 from blindcrb.cli import main
 from blindcrb.channel import (
     COMPLEX,
@@ -549,6 +549,19 @@ class TestFimCheck:
                 "--seed", "0", "-o", str(out)]
         assert main(argv) == 0
         assert main(argv + ["--corrupt-sigma", "1.5"]) == 1
+
+    @pytest.mark.parametrize("model", ["deterministic", "gaussian"])
+    def test_zero_noise_is_refused_before_any_trial(self, chan_file, monkeypatch, capsys,
+                                                    model):
+        # the scores divide by sigma_v2: a noiseless burst is refused before
+        # any stream is drawn
+        drawn = []
+        monkeypatch.setattr(simulate, "stream_rng", lambda *a: drawn.append(a))
+        argv = ["fim-check", chan_file, "--model", model, "--sigma-v2", "0",
+                "--trials", "50"]
+        assert main(argv) == 2
+        assert not drawn
+        assert "sigma_v2 must be positive and finite" in capsys.readouterr().err
 
 
 class TestMse:

@@ -209,6 +209,76 @@ class TestSolves:
                     np.testing.assert_array_equal(x, alone[0])
 
 
+def _gateway_calls(rng, complex_):
+    """One call on random inputs for each routine the package looks up
+    through ``linalg._lapack_funcs``, as ``name -> call(handle)``; every call
+    takes fresh copies, so handles that overwrite their inputs compare too."""
+    n, kd = 7, 2
+    D = np.triu(np.tril(_random_matrix(rng, n, n, complex_=complex_), kd))
+    band = upper_band(D.conj().T @ D + n * np.eye(n), kd)
+    factor = sla.cholesky_banded(band)
+    rhs = _random_matrix(rng, n, 2, complex_=complex_)
+    R = upper_band(np.triu(D) + n * np.eye(n), kd)
+    ab = np.zeros((3 * kd + 1, n), dtype=band.dtype)
+    ab[kd:] = _random_matrix(rng, 2 * kd + 1, n, complex_=complex_)
+    ab[2 * kd] += n                  # the diagonal, in gbsv storage
+    A = _random_matrix(rng, 9, 4, complex_=complex_)
+    qr, tau = np.linalg.qr(A, mode="raw")
+    return {
+        "pbtrf": lambda f: f(band.copy(), lower=0),
+        "pbtrs": lambda f: f(factor.copy(), rhs.copy(), lower=0),
+        "tbtrs": lambda f: f(R.copy(), rhs.copy(), trans="C"),
+        "gbsv": lambda f: f(kd, kd, ab.copy(), rhs.copy()),
+        "geqrf": lambda f: f(np.asfortranarray(A)),
+        "orgqr": lambda f: f(np.asfortranarray(qr.T), tau.copy()),
+        "tbmv": lambda f: f(kd, R.copy(), rhs[:, 0].copy(), trans=2),
+    }
+
+
+class TestLapackGateway:
+    # the handles the package looks up, loaded from SciPy's Fortran wrappers
+    # without scipy.linalg, against scipy.linalg's public lookup of them
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_handles_match_scipy(self, rng, complex_):
+        dtype = np.complex128 if complex_ else np.float64
+        for name, call in _gateway_calls(rng, complex_).items():
+            got, = linalg._lapack_funcs((name,), np.dtype(dtype))
+            lookup = sla.get_blas_funcs if name == "tbmv" else sla.get_lapack_funcs
+            want, = lookup((name,), dtype=dtype)
+            assert got.__name__ == want.__name__
+            g, w = call(got), call(want)
+            g, w = (g, w) if isinstance(g, tuple) else ((g,), (w,))
+            assert len(g) == len(w)
+            for a, b in zip(g, w):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_eigvals_banded_matches_scipy(self, rng, complex_):
+        # bitwise: the same ?sbevx/?hbevx call with the same arguments, for
+        # an index window, a value window and an empty value window; the
+        # caller's band is left as it was, also in Fortran order, which the
+        # wrapper would otherwise overwrite in place
+        eigvals_banded, = linalg._lapack_funcs(("eigvals_banded",))
+        D = _random_matrix(rng, 12, 12, complex_=complex_)
+        G = upper_band(D.conj().T @ D - 20 * np.eye(12), 3)
+        windows = [("i", (0, 0)), ("i", (2, 7)), ("i", (11, 11)),
+                   ("v", (-np.inf, 0.0)), ("v", (-np.inf, -1e6))]
+        for band in (G, np.asfortranarray(G)):
+            for select, select_range in windows:
+                got = eigvals_banded(band, select=select, select_range=select_range)
+                np.testing.assert_array_equal(band, G)
+                want = sla.eigvals_banded(band, select=select, select_range=select_range)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        assert eigvals_banded(G, select="v", select_range=(-np.inf, 0.0)).size > 0
+        assert eigvals_banded(G, select="v", select_range=(-np.inf, -1e6)).size == 0
+
+    def test_other_dtypes_are_refused(self):
+        with pytest.raises(TypeError, match="float32"):
+            linalg._lapack_funcs(("pbtrf",), np.dtype(np.float32))
+
+
 def _reveal(R, k, rows=None):
     """:func:`triangular_rank_reveal` of a dense upper-triangular ``R``."""
     return triangular_rank_reveal(upper_band(R), k, upper_band(R.conj().T @ R), rows=rows)
