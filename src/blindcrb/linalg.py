@@ -16,9 +16,9 @@ rank counts the eigenvalues above ``tol * lambda_max``
 (:func:`eigenvalue_rank`), with ``tol`` defaulting to ``DEFAULT_RANK_TOL``.
 
 This is the one module that touches SciPy, and only for its banded LAPACK
-routines: its Fortran wrappers are loaded on the first lookup of one of
-them, without ``scipy.linalg``, so ``import blindcrb`` and the
-Gaussian-model commands run on NumPy alone.
+routines: each of its two Fortran wrappers (``_flapack``, ``_fblas``) is
+loaded on the first lookup that needs it, without ``scipy.linalg``, so
+``import blindcrb`` and the Gaussian-model commands run on NumPy alone.
 """
 
 from __future__ import annotations
@@ -113,41 +113,41 @@ def min_norm_solve(A, B):
 
 
 @lru_cache(maxsize=None)
-def _wrappers():
-    """SciPy's f2py modules ``_flapack`` and ``_fblas``, loaded from their
-    files in ``<scipy>/linalg``; ``find_spec`` locates ``scipy`` without
-    importing it, so no package ``__init__`` of SciPy runs."""
+def _wrapper(name):
+    """SciPy's f2py module ``name`` (``_flapack`` or ``_fblas``), loaded from
+    its file in ``<scipy>/linalg`` on first use, once per process;
+    ``find_spec`` locates ``scipy`` without importing it, so no package
+    ``__init__`` of SciPy runs."""
     spec = importlib.util.find_spec("scipy")
     if spec is None:
         raise ImportError("SciPy is not installed")
     where = os.path.join(spec.submodule_search_locations[0], "linalg")
     finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    modules = []
-    for name in ("_flapack", "_fblas"):
-        found = finder.find_spec(f"scipy.linalg.{name}")
-        if found is None:
-            raise ImportError(f"SciPy's {name} wrapper not found in {where}")
-        modules.append(importlib.util.module_from_spec(found))
-        found.loader.exec_module(modules[-1])
-    return tuple(modules)
+    found = finder.find_spec(f"scipy.linalg.{name}")
+    if found is None:
+        raise ImportError(f"SciPy's {name} wrapper not found in {where}")
+    module = importlib.util.module_from_spec(found)
+    found.loader.exec_module(module)
+    return module
 
 
 @lru_cache(maxsize=None)
 def _lapack_funcs(names, dtype=None):
     """The handles for ``names``, looked up once per ``(names, dtype)``: the
-    package's one gateway to SciPy's Fortran wrappers (:func:`_wrappers`).
+    package's one gateway to SciPy's Fortran wrappers (:func:`_wrapper`).
     With a ``dtype``, float64 (prefix ``d``) or complex128 (``z``), each name
     is a LAPACK routine, complex ``orgqr`` being ``zungqr``, or the BLAS
     ``tbmv``; without one the only name is ``eigvals_banded``
-    (:func:`_eigvals_banded`).
+    (:func:`_eigvals_banded`). ``_flapack`` serves the LAPACK routines and
+    ``eigvals_banded``, ``_fblas`` ``tbmv`` alone, and each wrapper is
+    loaded only when a lookup first needs it.
     """
     if dtype is None:
         return tuple({"eigvals_banded": _eigvals_banded}[name] for name in names)
     prefix = _PREFIXES.get(np.dtype(dtype))
     if prefix is None:
         raise TypeError(f"no LAPACK routines for dtype {np.dtype(dtype)}")
-    flapack, fblas = _wrappers()
-    return tuple(getattr(fblas if name == "tbmv" else flapack,
+    return tuple(getattr(_wrapper("_fblas" if name == "tbmv" else "_flapack"),
                          "zungqr" if prefix + name == "zorgqr" else prefix + name)
                  for name in names)
 
@@ -157,7 +157,7 @@ def _eigvals_banded(band, select, select_range):
     0-based indices ``il..iu`` for ``select="i"``, or in ``(vl, vu]`` for
     ``"v"``, ascending: one ``?sbevx``/``?hbevx`` call with the arguments
     :func:`scipy.linalg.eigvals_banded` passes, ``band`` left intact."""
-    flapack, _ = _wrappers()
+    flapack = _wrapper("_flapack")
     name = "zhbevx" if np.iscomplexobj(band) else "dsbevx"
     if select == "i":
         kind, (vl, vu), (il, iu) = 2, (0.0, 1.0), (i + 1 for i in select_range)

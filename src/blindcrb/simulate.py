@@ -4,7 +4,7 @@ scale/phase adjustment rules, and MSE-vs-CRB experiments.
 Randomness is counter-based and fully determined by ``(seed, stream)``:
 every logical draw owns a Philox stream, so trials are reproducible
 bit-for-bit regardless of execution order or parallel scheduling. The
-trial loops (score covariance, MSE experiments) draw all trials of one
+trial loops (score covariance, MSE experiments) draw the trials of one
 stream purpose into one ``(trials, k, size)`` buffer of raw standard
 normals, through one generator whose fresh state changes only its key from
 trial to trial, and scale that buffer into noise or symbols in one step;
@@ -13,13 +13,15 @@ stream map below is unchanged. That fresh state is one dict of plain
 Python ints (zero counter, empty buffer), and each trial swaps in only its
 key tuple: the Philox state setter reads counter, key and buffer one
 element at a time, and a plain int converts for about half of what a NumPy
-``uint64`` array element costs. The scores of all trials are then formed
-as matrix products: the Gaussian score reads ``T(h)`` and ``C^-1`` alone,
-as correlations of ``z_t = C^-1 y_t`` with ``T^H z_t`` (no covariance
-slab is formed; their dense stack is the tests' oracle), and an MSE
+``uint64`` array element costs. The score covariance runs its trials in
+blocks of ``_TRIAL_BLOCK``: each block's bursts are drawn and scored as
+matrix products and added into the moments, so its memory does not grow
+with the trial count. The Gaussian score reads ``T(h)`` and ``C^-1``
+alone, as correlations of ``z_t = C^-1 y_t`` with ``T^H z_t`` (no
+covariance slab is formed; their dense stack is the tests' oracle). An MSE
 experiment draws its noise and initialization normals once for all of its
-SNR points and runs every trial of every point through the one estimator,
-:func:`alternating_ls_batch`, in lockstep.
+trials and SNR points and runs every trial of every point through the one
+estimator, :func:`alternating_ls_batch`, in lockstep.
 
 Stream map (documented contract):
 
@@ -92,6 +94,11 @@ _PURPOSE_SYMBOLS = 1
 _PURPOSE_INIT = 2
 _STREAMS_PER_TRIAL = 4
 
+# trials per block of the score-covariance loop: a block's draws and scores
+# take about 0.4 KB per trial, so about 1 MB whatever the trial count
+_TRIAL_BLOCK = 2048
+
+
 class DegenerateAdjustmentError(ValueError):
     """Raised when an adjustment rule is undefined for the given estimate."""
 
@@ -129,26 +136,34 @@ def _trial_stream(trial, purpose):
     return 1 + _STREAMS_PER_TRIAL * trial + purpose
 
 
-def _trial_normals(rng, cfg, purpose, size):
-    """Raw standard normals of one stream purpose for every trial of ``cfg``.
+def _trial_normals(rng, cfg, purpose, size, trials):
+    """Raw standard normals of one stream purpose for the trials in the
+    range ``trials`` (step 1) of ``cfg``.
 
-    ``out[t]`` is bitwise ``stream_rng(cfg.seed, 1 + 4 t + purpose)
-    .standard_normal((k, size))``, with ``k = 2`` rows (real and imaginary
-    parts) for a complex channel and 1 for a real one: before each trial's
-    draw ``rng`` is set to one fresh state whose key alone changes.
+    ``out[i]`` is bitwise ``stream_rng(cfg.seed, 1 + 4 t + purpose)
+    .standard_normal((k, size))`` for ``t = trials[i]``, with ``k = 2`` rows
+    (real and imaginary parts) for a complex channel and 1 for a real one:
+    before each trial's draw ``rng`` is set to one fresh state whose key
+    alone changes.
     """
     bitgen, draw = rng.bit_generator, rng.standard_normal
     state = _fresh_state(None)
     counter_and_key = state["state"]
     seed_word = _stream_key(cfg.seed, 0)[0]
-    streams = range(_trial_stream(0, purpose), _trial_stream(cfg.trials, purpose),
+    streams = range(_trial_stream(trials.start, purpose), _trial_stream(trials.stop, purpose),
                     _STREAMS_PER_TRIAL)
-    out = np.empty((cfg.trials, 2 if cfg.field == COMPLEX else 1, size))
+    out = np.empty((len(trials), 2 if cfg.field == COMPLEX else 1, size))
     for row, stream in zip(out, streams):
         counter_and_key["key"] = (seed_word, stream)
         bitgen.state = state
         draw(out=row)
     return out
+
+
+def _trial_blocks(trials):
+    """The ranges of at most ``_TRIAL_BLOCK`` trials that cover ``range(trials)``."""
+    return (range(start, min(start + _TRIAL_BLOCK, trials))
+            for start in range(0, trials, _TRIAL_BLOCK))
 
 
 @dataclass(frozen=True)
@@ -252,28 +267,38 @@ class McFimEstimate:
     score_mean_se: np.ndarray
 
 
-def _trial_draws(rng, cfg, purpose, size, scale2):
-    """Draws of one stream purpose for every trial of ``cfg``, one row each."""
-    return _scale_normals(_trial_normals(rng, cfg, purpose, size), scale2, cfg.field == COMPLEX)
+def _trial_draws(rng, cfg, purpose, size, scale2, trials):
+    """Draws of one stream purpose for the trials in ``trials``, one row each."""
+    return _scale_normals(_trial_normals(rng, cfg, purpose, size, trials), scale2,
+                          cfg.field == COMPLEX)
 
 
-def _det_score_matrix(cfg):
+def _det_scorer(cfg):
+    """Deterministic-model scores ``D^H v_t / sigma_v^2`` over the joint
+    parameter (realified when complex): a function from a range of trials to
+    their rows. The burst and ``D`` are formed once, here."""
     ch = cfg.channel
     rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
     A = _symbol_draw(rng, cfg)            # experiment_symbols(cfg)
-    D = deterministic_joint_operator(ch, A, cfg.M)
-    V = _trial_draws(rng, cfg, _PURPOSE_NOISE, D.shape[0], cfg.sigma_v2)
-    if cfg.field == REAL:
-        return (V @ D) / cfg.sigma_v2
+    Dc = deterministic_joint_operator(ch, A, cfg.M).conj()
     nA = cfg.M + ch.N - 1
-    U = V @ D.conj()                      # row t = (D^H v_t)^T
-    blocks = [U[:, :nA].real, U[:, :nA].imag, U[:, nA:].real, U[:, nA:].imag]
-    return 2.0 * np.hstack(blocks) / cfg.sigma_v2
+
+    def score(trials):
+        V = _trial_draws(rng, cfg, _PURPOSE_NOISE, Dc.shape[0], cfg.sigma_v2, trials)
+        U = V @ Dc                        # row t = (D^H v_t)^T
+        if cfg.field == REAL:
+            return U / cfg.sigma_v2
+        S = np.hstack([U[:, :nA].real, U[:, :nA].imag, U[:, nA:].real, U[:, nA:].imag])
+        S *= 2.0
+        S /= cfg.sigma_v2
+        return S
+
+    return score
 
 
-def _gaussian_score_matrix(cfg):
-    """Gaussian-model scores, one row per trial, over ``[Re h; Im h; sigma_v^2]``
-    (``[h; sigma_v^2]`` when real).
+def _gaussian_scorer(cfg):
+    """Gaussian-model scores over ``[Re h; Im h; sigma_v^2]`` (``[h;
+    sigma_v^2]`` when real): a function from a range of trials to their rows.
 
     With ``z_t = C^-1 y_t``, ``u_t = T^H z_t`` and stacked coefficient
     ``i = k m + l``, the conjugate-derivative slab ``G_i`` (columns
@@ -282,31 +307,50 @@ def _gaussian_score_matrix(cfg):
     ``q_t[k, l] = sum_r conj(u_t[k + r]) z_t[r m + l]`` and
     ``g[k, l] = sum_r (C^-1 T)[r m + l, k + r]``. A complex row is
     ``[2 sigma_a^2 Re(q - g), 2 sigma_a^2 Im(q - g), ||z||^2 - tr C^-1]``, a
-    real one ``[sigma_a^2 (q - g), (||z||^2 - tr C^-1) / 2]``.
+    real one ``[sigma_a^2 (q - g), (||z||^2 - tr C^-1) / 2]``. ``C^-1``,
+    ``g`` and ``tr C^-1`` are formed once, here.
     """
     ch = cfg.channel
     M, m = cfg.M, ch.m
     T = ch.toeplitz(M)
+    Tc = T.conj()
     Ci = _pd_inverse(_gaussian_covariance(T, cfg.gaussian_config))
+    g = np.einsum("rlkr->kl", sliding_window_view((Ci @ T).reshape(M, m, -1), M, axis=2)).ravel()
+    trace = np.trace(Ci).real
+    complex_field = cfg.field == COMPLEX
     rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
-    # row t: the burst T A_t + V_t of trial t, then z_t = C^-1 y_t
-    Z = _trial_draws(rng, cfg, _PURPOSE_NOISE, T.shape[0], cfg.sigma_v2)
-    Z += _trial_draws(rng, cfg, _PURPOSE_SYMBOLS, T.shape[1], cfg.sigma_a2) @ T.T
-    Z = Z @ Ci.T
-    U = Z @ T.conj()
-    np.conjugate(U, out=U)                # row t = conj(u_t)
-    q = np.matmul(sliding_window_view(U, M, axis=1), Z.reshape(-1, M, m))
-    Zf = Z.view(np.float64)               # ||z_t||^2 over the real and imaginary parts
-    noise = (Zf[:, None, :] @ Zf[:, :, None]).ravel() - np.trace(Ci).real
-    del Z, Zf, U                          # the trial-sized arrays go before the rows are built
-    g = np.einsum("rlkr->kl", sliding_window_view((Ci @ T).reshape(M, m, -1), M, axis=2))
-    q = q.reshape(cfg.trials, -1)
-    q -= g.ravel()
-    if cfg.field == COMPLEX:
-        q *= 2.0 * cfg.sigma_a2
-        return np.column_stack([q.real, q.imag, noise])
-    q *= cfg.sigma_a2
-    return np.column_stack([q, 0.5 * noise])
+
+    def score(trials):
+        # row t: the burst T A_t + V_t of trial t, then z_t = C^-1 y_t
+        Z = _trial_draws(rng, cfg, _PURPOSE_NOISE, T.shape[0], cfg.sigma_v2, trials)
+        Z += _trial_draws(rng, cfg, _PURPOSE_SYMBOLS, T.shape[1], cfg.sigma_a2, trials) @ T.T
+        Z = Z @ Ci.T
+        U = Z @ Tc
+        np.conjugate(U, out=U)            # row t = conj(u_t)
+        q = np.matmul(sliding_window_view(U, M, axis=1), Z.reshape(-1, M, m))
+        Zf = Z.view(np.float64)           # ||z_t||^2 over the real and imaginary parts
+        noise = (Zf[:, None, :] @ Zf[:, :, None]).ravel() - trace
+        q = q.reshape(len(trials), -1)
+        q -= g
+        if complex_field:
+            q *= 2.0 * cfg.sigma_a2
+            return np.column_stack([q.real, q.imag, noise])
+        q *= cfg.sigma_a2
+        return np.column_stack([q, 0.5 * noise])
+
+    return score
+
+
+def _det_score_matrix(cfg):
+    """Every trial's row of :func:`_det_scorer`, block by block, in one array."""
+    score = _det_scorer(cfg)
+    return np.concatenate([score(trials) for trials in _trial_blocks(cfg.trials)])
+
+
+def _gaussian_score_matrix(cfg):
+    """Every trial's row of :func:`_gaussian_scorer`, block by block, in one array."""
+    score = _gaussian_scorer(cfg)
+    return np.concatenate([score(trials) for trials in _trial_blocks(cfg.trials)])
 
 
 def score_covariance_fim(cfg: ExperimentConfig) -> McFimEstimate:
@@ -318,24 +362,40 @@ def score_covariance_fim(cfg: ExperimentConfig) -> McFimEstimate:
     models). Standard errors come from the sample variance of the per-trial
     outer products, taken from the moments ``S^T S`` and ``(S o S)^T (S o S)``
     of the trials x p score matrix ``S``, so no per-trial outer product is
-    formed. The scores divide by ``sigma_v2``, so a noiseless
-    configuration is refused before any trial is drawn.
+    formed. The trials run in blocks of ``_TRIAL_BLOCK``: each block of ``S``
+    is drawn, scored and added into those moments, and the blocks' score
+    means and sums of squared deviations are merged by Chan's pairwise
+    update, so memory does not grow with ``cfg.trials``. The scores divide
+    by ``sigma_v2``, so a noiseless configuration is refused before any
+    trial is drawn.
     """
     _check_variance("sigma_v2", cfg.sigma_v2)
-    if cfg.model == DETERMINISTIC:
-        S = _det_score_matrix(cfg)
-    else:
-        S = _gaussian_score_matrix(cfg)
+    score = _det_scorer(cfg) if cfg.model == DETERMINISTIC else _gaussian_scorer(cfg)
+    gram = gram2 = mean = m2 = 0.0       # scalars until the first block gives them shape
+    n = 0
+    for trials in _trial_blocks(cfg.trials):
+        S = score(trials)
+        k = len(trials)
+        block_mean = S.mean(axis=0)
+        dev = S - block_mean
+        dev *= dev
+        delta = block_mean - mean
+        mean = mean + delta * (k / (n + k))
+        m2 = m2 + dev.sum(axis=0) + delta * delta * (n * k / (n + k))
+        gram = gram + S.T @ S
+        S *= S                            # in place: S o S
+        gram2 = gram2 + S.T @ S
+        n += k
+        del S, dev                        # a block's arrays go before the next is drawn
     T = cfg.trials
-    J_hat = S.T @ S / T
+    J_hat = gram / T
     if T > 1:
-        S2 = S * S
-        var = (S2.T @ S2 / T - J_hat * J_hat) * (T / (T - 1))
+        var = (gram2 / T - J_hat * J_hat) * (T / (T - 1))
         se = np.sqrt(np.maximum(var, 0.0) / T)
+        mean_se = np.sqrt(m2 / (T - 1)) / np.sqrt(T)
     else:
         se = np.full_like(J_hat, np.inf)
-    mean = S.mean(axis=0)
-    mean_se = S.std(axis=0, ddof=1) / np.sqrt(T) if T > 1 else np.full(S.shape[1], np.inf)
+        mean_se = np.full_like(mean, np.inf)
     return McFimEstimate(J_hat, T, se, mean, mean_se)
 
 
@@ -557,8 +617,8 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list):
     # the reduced FIM scales as 1/sigma_v^2: build it once at unit noise
     reduced = deterministic_reduced_fim(ch, A, 1.0, cfg.M)
     # the noise and init streams do not depend on the SNR: draw them once
-    noise = _trial_normals(rng, cfg, _PURPOSE_NOISE, TA.size)
-    perts = _trial_draws(rng, cfg, _PURPOSE_INIT, h0.size, 1.0)
+    noise = _trial_normals(rng, cfg, _PURPOSE_NOISE, TA.size, range(cfg.trials))
+    perts = _trial_draws(rng, cfg, _PURPOSE_INIT, h0.size, 1.0, range(cfg.trials))
     inits = h0 + cfg.init_scale * np.linalg.norm(h0) * perts \
         / np.linalg.norm(perts, axis=1, keepdims=True)
     sv2s = [snr_to_sigma_v2(ch, cfg.sigma_a2, snr_db) for snr_db in snr_db_list]

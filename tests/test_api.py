@@ -138,8 +138,8 @@ codes, loaded = [], []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in commands:
         codes.append(cli.main(argv))
-        loaded.append(sorted(m for m in ("scipy.linalg", "scipy.linalg._flapack")
-                             if m in sys.modules))
+        loaded.append(sorted(m for m in ("scipy.linalg", "scipy.linalg._flapack",
+                                         "scipy.linalg._fblas") if m in sys.modules))
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
@@ -147,7 +147,8 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 def test_gaussian_commands_run_without_scipy(tmp_path):
     # a fresh interpreter: no command, Gaussian or deterministic, imports
     # scipy.linalg; the deterministic model's banded LAPACK loads SciPy's
-    # Fortran wrappers directly
+    # _flapack wrapper directly, and no command on this channel needs the
+    # BLAS tbmv of _fblas
     package = pathlib.Path(blindcrb.__file__).parent
     chan = package / "data" / "chan_random.json"
     experiment = tmp_path / "exp.json"
@@ -165,7 +166,8 @@ def test_gaussian_commands_run_without_scipy(tmp_path):
     assert codes[4:7] == [0, 0, 0] and codes[7] in (0, 1) and codes[8] == 0
     assert loaded[:4] == [[]] * 4
     assert loaded[-1] == ["scipy.linalg._flapack"]
-    assert all("scipy.linalg" not in after for after in loaded)
+    assert all("scipy.linalg" not in after and "scipy.linalg._fblas" not in after
+               for after in loaded)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

@@ -1,5 +1,11 @@
 """Pseudo-inverse, projector, null-space, and realification primitives."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -273,6 +279,28 @@ class TestLapackGateway:
                 np.testing.assert_array_equal(got, want)
         assert eigvals_banded(G, select="v", select_range=(-np.inf, 0.0)).size > 0
         assert eigvals_banded(G, select="v", select_range=(-np.inf, -1e6)).size == 0
+
+    def test_each_wrapper_loads_on_first_use(self):
+        # a fresh interpreter: a LAPACK lookup loads _flapack alone, and only
+        # the BLAS tbmv loads _fblas
+        probe = """
+import json, sys
+import numpy as np
+from blindcrb import linalg
+wrappers = ("scipy.linalg._flapack", "scipy.linalg._fblas")
+loaded = []
+for name in ("pbtrf", "tbmv"):
+    linalg._lapack_funcs((name,), np.dtype(np.float64))
+    loaded.append([m in sys.modules for m in wrappers])
+print(json.dumps(loaded))
+"""
+        package = pathlib.Path(linalg.__file__).parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert json.loads(done.stdout) == [[True, False], [True, True]]
 
     def test_other_dtypes_are_refused(self):
         with pytest.raises(TypeError, match="float32"):

@@ -64,37 +64,44 @@ def _assert_gaussian_score_rows(S, cfg, trials):
 
 
 def _check_trial_loop_streams(monkeypatch, field, seed):
-    """The trial loops draw each stream purpose of all trials into one
+    """The trial loops draw each stream purpose of a block of trials into one
     buffer; row t must be bitwise the draw of the public per-trial drawers,
-    which build a fresh stream_rng."""
+    which build a fresh stream_rng. The score covariance runs two blocks,
+    and the rows on both sides of their edge are checked."""
     ch = random_channel(np.random.default_rng(7), 2, 2, field)
-    det = _cfg(ch, M=4, trials=200, sigma_v2=0.3, seed=seed)
+    B = simulate._TRIAL_BLOCK
+    det = _cfg(ch, M=4, trials=B + 2, sigma_v2=0.3, seed=seed)
     gauss = replace(det, model=GAUSSIAN)
     mse = replace(det, trials=4, ls_sweeps=20)
     complex_field = field == COMPLEX
     drawn = []
     trial_normals = simulate._trial_normals
 
-    def recording(rng, cfg, purpose, size):
-        out = trial_normals(rng, cfg, purpose, size)
-        drawn.append((purpose, out))
+    def recording(rng, cfg, purpose, size, trials):
+        out = trial_normals(rng, cfg, purpose, size, trials)
+        drawn.append((purpose, trials, out))
         return out
 
-    def draws(purpose, scale2):
-        (g,) = [out for p, out in drawn if p == purpose]
+    def draws(purpose, scale2, blocks):
+        # one draw per block, in trial order
+        assert [trials for p, trials, _ in drawn if p == purpose] == blocks
+        g = np.concatenate([out for p, _, out in drawn if p == purpose])
         return simulate._scale_normals(g, scale2, complex_field)
 
+    two_blocks = [range(B), range(B, B + 2)]
     monkeypatch.setattr(simulate, "_trial_normals", recording)
     score_covariance_fim(det)
-    noise = draws(0, det.sigma_v2)
+    noise = draws(0, det.sigma_v2, two_blocks)
     drawn.clear()
-    S = simulate._gaussian_score_matrix(gauss)
-    symbols, gauss_noise = draws(1, gauss.sigma_a2), draws(0, gauss.sigma_v2)
+    score_covariance_fim(gauss)
+    symbols = draws(1, gauss.sigma_a2, two_blocks)
+    gauss_noise = draws(0, gauss.sigma_v2, two_blocks)
     drawn.clear()
     rows = mse_vs_crb_experiment(mse, [20.0])
-    mse_noise = draws(0, rows[0].sigma_v2)
-    perts = draws(2, 1.0)
-    for t in (0, 1, det.trials - 1):
+    mse_noise = draws(0, rows[0].sigma_v2, [range(mse.trials)])
+    perts = draws(2, 1.0, [range(mse.trials)])
+    edge = (0, 1, B - 1, B, B + 1)
+    for t in edge:
         np.testing.assert_array_equal(noise[t], draw_noise(det, t))
         np.testing.assert_array_equal(gauss_noise[t], draw_noise(gauss, t))
         np.testing.assert_array_equal(symbols[t], experiment_symbols(gauss, t))
@@ -103,7 +110,7 @@ def _check_trial_loop_streams(monkeypatch, field, seed):
             mse_noise[t], draw_noise(replace(mse, sigma_v2=rows[0].sigma_v2), t))
         np.testing.assert_array_equal(perts[t], simulate._draw_gaussian_vector(
             stream_rng(mse.seed, 1 + 4 * t + 2), ch.h.size, 1.0, complex_field))
-    _assert_gaussian_score_rows(S, gauss, (0, 1, gauss.trials - 1))
+    _assert_gaussian_score_rows(simulate._gaussian_score_matrix(gauss), gauss, edge)
 
 
 class TestReproducibility:
@@ -218,10 +225,13 @@ class TestScoreCovariance:
 
     @pytest.mark.parametrize("model, field", [(DETERMINISTIC, REAL), (DETERMINISTIC, COMPLEX),
                                               (GAUSSIAN, REAL), (GAUSSIAN, COMPLEX)])
-    @pytest.mark.parametrize("trials", [2, 3, 500])
+    @pytest.mark.parametrize("trials", [2, 3, 500, simulate._TRIAL_BLOCK + 1,
+                                        2 * simulate._TRIAL_BLOCK + 3])
     def test_moments_match_outer_product_tensor(self, model, field, trials):
         # J_hat and the standard errors from the score moments equal the mean
-        # and two-pass standard deviation of the per-trial outer products
+        # and two-pass standard deviation of the per-trial outer products, and
+        # the score mean and its standard error those of the scores, also
+        # when the trials run in two or three blocks
         ch = random_channel(np.random.default_rng(17), 2, 2, field)
         cfg = _cfg(ch, model=model, M=4, trials=trials, sigma_v2=0.6)
         scores = (simulate._det_score_matrix if model == DETERMINISTIC
@@ -232,6 +242,10 @@ class TestScoreCovariance:
                                    atol=1e-12 * np.abs(want_J).max())
         np.testing.assert_allclose(est.std_err, want_se, rtol=0,
                                    atol=1e-12 * want_se.max())
+        std = scores.std(axis=0, ddof=1)
+        np.testing.assert_allclose(est.score_mean, scores.mean(axis=0), rtol=0,
+                                   atol=1e-12 * std.max())
+        np.testing.assert_allclose(est.score_mean_se, std / np.sqrt(trials), rtol=1e-12)
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("past_one_block", [False, True])
@@ -276,6 +290,23 @@ class TestScoreCovariance:
         finally:
             tracemalloc.stop()
         assert peak <= 5e6
+
+    @pytest.mark.parametrize("model", [DETERMINISTIC, GAUSSIAN])
+    def test_score_memory_does_not_grow_with_trials(self, model):
+        # the trials run in blocks: at eight blocks' worth of trials the
+        # estimator's peak stays within a quarter of its peak at one block
+        ch = random_channel(np.random.default_rng(7), 2, 2, COMPLEX)
+        cfg = _cfg(ch, model=model, M=4, sigma_v2=0.3)
+        score_covariance_fim(replace(cfg, trials=2))                 # first-call imports
+        peaks = []
+        for blocks in (1, 8):
+            tracemalloc.start()
+            try:
+                score_covariance_fim(replace(cfg, trials=blocks * simulate._TRIAL_BLOCK))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_single_trial_has_infinite_std_err(self, rng):
         est = score_covariance_fim(_cfg(random_channel(rng, 2, 2, REAL), trials=1))
