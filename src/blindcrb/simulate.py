@@ -19,9 +19,10 @@ matrix products and added into the moments, so its memory does not grow
 with the trial count. The Gaussian score reads ``T(h)`` and ``C^-1``
 alone, as correlations of ``z_t = C^-1 y_t`` with ``T^H z_t`` (no
 covariance slab is formed; their dense stack is the tests' oracle). An MSE
-experiment draws its noise and initialization normals once for all of its
-trials and SNR points and runs every trial of every point through the one
-estimator, :func:`alternating_ls_batch`, in lockstep.
+experiment runs the bursts of every (SNR point, trial) pair through the one
+estimator, :func:`alternating_ls_batch`, in lockstep blocks of
+``_BURST_BLOCK``; each block draws the noise and initialization normals of
+its own trials.
 
 Stream map (documented contract):
 
@@ -97,6 +98,10 @@ _STREAMS_PER_TRIAL = 4
 # trials per block of the score-covariance loop: a block's draws and scores
 # take about 0.4 KB per trial, so about 1 MB whatever the trial count
 _TRIAL_BLOCK = 2048
+# bursts per lockstep ALS block of an MSE experiment: a sweep's cost per
+# burst stops falling at about this size, and a block takes about 45 KB per
+# complex burst at M = 100
+_BURST_BLOCK = 128
 
 
 class DegenerateAdjustmentError(ValueError):
@@ -160,10 +165,9 @@ def _trial_normals(rng, cfg, purpose, size, trials):
     return out
 
 
-def _trial_blocks(trials):
-    """The ranges of at most ``_TRIAL_BLOCK`` trials that cover ``range(trials)``."""
-    return (range(start, min(start + _TRIAL_BLOCK, trials))
-            for start in range(0, trials, _TRIAL_BLOCK))
+def _trial_blocks(trials, size=_TRIAL_BLOCK):
+    """The ranges of at most ``size`` trials that cover ``range(trials)``."""
+    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
 
 
 @dataclass(frozen=True)
@@ -437,8 +441,10 @@ def adjust_estimate(h_hat, h0, rule):
 @dataclass(frozen=True)
 class AlternatingLsBatch:
     """Results of :func:`alternating_ls_batch`, one row per trial: trial
-    ``t`` ran ``sweeps[t]`` sweeps with residuals ``history[t, :sweeps[t]]``
-    (NaN beyond), and ended on channel ``h[t]`` and symbols ``A[t]``."""
+    ``t`` ran ``sweeps[t]`` sweeps, accepted and rejected, and ended on the
+    channel ``h[t]`` and symbols ``A[t]`` of its last accepted sweep;
+    ``history[t, k]`` is the last accepted residual after sweep ``k`` (NaN
+    beyond ``sweeps[t]``)."""
 
     h: np.ndarray
     A: np.ndarray
@@ -463,14 +469,25 @@ def alternating_ls_batch(Ys, m, N, inits, sweeps=30, rtol=1e-12):
     array) from ``inits[t]``; returns an :class:`AlternatingLsBatch`.
 
     Each sweep solves the two linear least-squares subproblems in turn and
-    renormalizes the channel iterate; the symbol update absorbs the scale,
-    so the end-of-sweep residual never increases. A trial stops when its
-    relative residual improvement drops below ``rtol``; if the budget runs
-    out first, its last iterate, which by that monotonicity has the smallest
-    residual, is returned with ``converged=False``. Convergence is local: the
-    iteration settles into the cost basin selected by ``inits[t]``, and a
-    start far from (or orthogonal to) the true channel may reach another
-    stationary point. Experiments here start near the truth on purpose: they
+    renormalizes the channel iterate; the symbol update absorbs the scale.
+    Plain ALS converges linearly, so each sweep after the first starts from
+    an extrapolated point (Bro 1998; Rajih, Comon and Harshman 2008): after
+    an accepted sweep ``k``, from ``h_k + (h_k - h_{k-1})`` renormalized,
+    where ``h_k`` is the output of the last accepted sweep and ``h_0`` the
+    start; after a rejected sweep, from ``h_k`` itself, a plain sweep. A
+    sweep is accepted unless its residual exceeds the last accepted one by
+    more than the stop rule's tolerance ``rtol * max(prev, 1)``; a rejected
+    sweep is discarded but counts in ``sweeps`` and in the budget, and the
+    history repeats the last accepted residual. A trial stops on an accepted
+    sweep whose relative residual improvement is at most ``rtol``, which
+    includes such a tie; if the budget runs out first, its last accepted
+    sweep, the smallest residual it reached, is returned with
+    ``converged=False``. The fixed points are those of plain ALS, and there
+    is no step-size constant. Convergence is local: the iteration settles
+    into the cost basin selected by ``inits[t]``, and a start far from (or
+    orthogonal to) the true channel may reach another stationary point; on
+    hard bursts the extrapolated run, too, can settle at another one than
+    plain ALS does. Experiments here start near the truth on purpose: they
     measure local estimation error against the bound, not the global
     behavior of blind algorithms.
 
@@ -491,39 +508,53 @@ def alternating_ls_batch(Ys, m, N, inits, sweeps=30, rtol=1e-12):
         raise ValueError("sweeps must be >= 1")
     M = size // m
     dtype = complex if np.iscomplexobj(Ys) else float
-    h = np.asarray(inits).astype(dtype)
-    if h.shape != (T, m * N):
+    start = np.asarray(inits).astype(dtype)
+    if start.shape != (T, m * N):
         raise ValueError(f"inits must have shape (T, m*N) = ({T}, {m * N})")
-    h = h / np.linalg.norm(h, axis=1, keepdims=True)
+    start = start / np.linalg.norm(start, axis=1, keepdims=True)
     Yr = Ys.reshape(T, M, m)              # row r of Yr[t] = block r of Ys[t]
     Q = _data_operator(Yr, N)
     hankel = np.arange(M)[:, None] + np.arange(N)     # A'[r, c] = A[r + c]
     history = np.full((T, sweeps), np.nan)
-    h_out, A_out = np.empty_like(h), np.empty((T, M + N - 1), dtype=dtype)
+    h_out, A_out = np.empty_like(start), np.empty((T, M + N - 1), dtype=dtype)
     stopped, converged = np.full(T, sweeps), np.zeros(T, dtype=bool)
     live = np.arange(T)
+    # the last accepted sweep of each live trial (h_0 is the start)
+    h_acc, A_acc, best = start, np.zeros_like(A_out), np.full(T, np.inf)
     for sweep in range(sweeps):
         if not live.size:
             break
-        taps = h.reshape(-1, N, m).swapaxes(1, 2)
-        A = _symbol_step(taps, Yr, (Q @ h.conj()[..., None])[..., 0])
+        taps = start.reshape(-1, N, m).swapaxes(1, 2)
+        A = _symbol_step(taps, Yr, (Q @ start.conj()[..., None])[..., 0])
         Ap = A[:, hankel]
         X = _channel_step(Ap, Yr)
         resid = np.linalg.norm(Yr - Ap @ X, axis=(1, 2))
         h = X.reshape(live.size, -1)
         h = h / np.linalg.norm(h, axis=1, keepdims=True)
-        history[live, sweep] = resid
-        done = np.zeros(live.size, dtype=bool)
-        if sweep > 0:
-            prev = history[live, sweep - 1]
-            done = prev - resid <= rtol * np.maximum(prev, 1.0)
+        if sweep == 0:
+            accepted, done = np.ones(live.size, dtype=bool), np.zeros(live.size, dtype=bool)
+        else:
+            # a change within the stop rule's tolerance is a tie: accepted,
+            # and the trial has converged
+            gain, tol = best - resid, rtol * np.maximum(best, 1.0)
+            accepted = gain >= -tol
+            done = accepted & (gain <= tol)
+        # accepted: extrapolate h_k + (h_k - h_{k-1}); rejected: restart at h_k
+        start = np.where(accepted[:, None], 2.0 * h - h_acc, h_acc)
+        start /= np.linalg.norm(start, axis=1, keepdims=True)
+        h_acc = np.where(accepted[:, None], h, h_acc)
+        A_acc = np.where(accepted[:, None], A, A_acc)
+        best = np.where(accepted, resid, best)
+        history[live, sweep] = best
         stop = done | (sweep + 1 == sweeps)
         if stop.any():
             ended = live[stop]
-            h_out[ended], A_out[ended] = h[stop], A[stop]
+            h_out[ended], A_out[ended] = h_acc[stop], A_acc[stop]
             stopped[ended], converged[ended] = sweep + 1, done[stop]
             keep = ~stop
-            live, h, Yr, Q = live[keep], h[keep], Yr[keep], Q[keep]
+            live, start, h_acc, A_acc, best = (live[keep], start[keep], h_acc[keep],
+                                               A_acc[keep], best[keep])
+            Yr, Q = Yr[keep], Q[keep]
     return AlternatingLsBatch(h_out, A_out, history, converged, stopped)
 
 
@@ -581,7 +612,8 @@ def snr_to_sigma_v2(ch: Channel, sigma_a2, snr_db):
 class MseRow:
     """One SNR point of an MSE-vs-bound experiment (wide over adjustment rules).
 
-    ``sweeps_mean`` is the estimator's mean sweep count over the trials.
+    ``sweeps_mean`` is the estimator's mean sweep count over the trials,
+    rejected extrapolated sweeps included.
     ``warnings`` are those of the reduced FIM behind ``crb_trace``: with
     ``toeplitz-rank-deficient`` the channel is not identifiable from the
     burst and the bound is a pseudo-inverse bound of a singular FIM.
@@ -606,6 +638,12 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list):
     estimator is alternating least squares initialized near the truth. Each
     adjustment rule (NO, LS, LIN) gets its MSE ``E ||adjusted(h_hat) - h0||^2``,
     with the sign resolved by the positivity convention inside the NO rule.
+
+    The bursts of every (SNR point, trial) pair, point by point, run through
+    :func:`alternating_ls_batch` in lockstep blocks of ``_BURST_BLOCK``; a
+    block draws the noise and init normals of its own trials, and only its
+    squared errors, convergence flags and sweep counts outlive it, so memory
+    does not grow with the trial or SNR-point count.
     """
     if cfg.model != DETERMINISTIC:
         raise ValueError("MSE experiments are defined for the deterministic model")
@@ -616,31 +654,37 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list):
     TA = ch.toeplitz(cfg.M) @ A
     # the reduced FIM scales as 1/sigma_v^2: build it once at unit noise
     reduced = deterministic_reduced_fim(ch, A, 1.0, cfg.M)
-    # the noise and init streams do not depend on the SNR: draw them once
-    noise = _trial_normals(rng, cfg, _PURPOSE_NOISE, TA.size, range(cfg.trials))
-    perts = _trial_draws(rng, cfg, _PURPOSE_INIT, h0.size, 1.0, range(cfg.trials))
-    inits = h0 + cfg.init_scale * np.linalg.norm(h0) * perts \
-        / np.linalg.norm(perts, axis=1, keepdims=True)
     sv2s = [snr_to_sigma_v2(ch, cfg.sigma_a2, snr_db) for snr_db in snr_db_list]
-    # every trial of every SNR point in one lockstep ALS run
-    Ys = np.empty((len(sv2s), cfg.trials, TA.size), dtype=TA.dtype)
-    for p, sv2 in enumerate(sv2s):
-        Ys[p] = TA + _scale_normals(noise, sv2, cfg.field == COMPLEX)   # simulate_burst per trial
-    ests = alternating_ls_batch(Ys.reshape(-1, TA.size), ch.m, ch.N,
-                                np.tile(inits, (len(sv2s), 1)), sweeps=cfg.ls_sweeps)
+    n, bursts = cfg.trials, len(sv2s) * cfg.trials
+    # burst p n + t is trial t at SNR point p
+    sq = {r: np.empty(bursts) for r in _ADJUSTMENTS}
+    converged, sweeps = np.empty(bursts, dtype=bool), np.empty(bursts, dtype=int)
+    for block in _trial_blocks(bursts, _BURST_BLOCK):
+        Ys, inits = [], []
+        for p in range(block.start // n, (block.stop - 1) // n + 1):
+            trials = range(max(block.start - p * n, 0), min(block.stop - p * n, n))
+            noise = _trial_normals(rng, cfg, _PURPOSE_NOISE, TA.size, trials)
+            Ys.append(TA + _scale_normals(noise, sv2s[p], cfg.field == COMPLEX))  # simulate_burst
+            perts = _trial_draws(rng, cfg, _PURPOSE_INIT, h0.size, 1.0, trials)
+            inits.append(h0 + cfg.init_scale * np.linalg.norm(h0) * perts
+                         / np.linalg.norm(perts, axis=1, keepdims=True))
+        ests = alternating_ls_batch(np.concatenate(Ys), ch.m, ch.N, np.concatenate(inits),
+                                    sweeps=cfg.ls_sweeps)
+        at = slice(block.start, block.stop)
+        for r in _ADJUSTMENTS:
+            sq[r][at] = [np.linalg.norm(adjust_estimate(h, h0, r) - h0) ** 2 for h in ests.h]
+        converged[at], sweeps[at] = ests.converged, ests.sweeps
     rows = []
     for p, (snr_db, sv2) in enumerate(zip(snr_db_list, sv2s)):
         crb_trace = constrained_crb(reduced.J / sv2).trace
-        point = slice(p * cfg.trials, (p + 1) * cfg.trials)
-        sq = {r: np.array([np.linalg.norm(adjust_estimate(h, h0, r) - h0) ** 2
-                           for h in ests.h[point]]) for r in _ADJUSTMENTS}
-        mse = {r: float(sq[r].mean()) for r in _ADJUSTMENTS}
+        point = slice(p * n, (p + 1) * n)
+        mse = {r: float(sq[r][point].mean()) for r in _ADJUSTMENTS}
         se = {
-            r: float(sq[r].std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else float("inf")
+            r: float(sq[r][point].std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
             for r in _ADJUSTMENTS
         }
-        nonconv = int(np.count_nonzero(~ests.converged[point]))
-        sweeps_mean = int(ests.sweeps[point].sum()) / cfg.trials
-        rows.append(MseRow(float(snr_db), sv2, crb_trace, cfg.trials, mse, se, nonconv,
+        nonconv = int(np.count_nonzero(~converged[point]))
+        sweeps_mean = int(sweeps[point].sum()) / n
+        rows.append(MseRow(float(snr_db), sv2, crb_trace, n, mse, se, nonconv,
                            sweeps_mean, reduced.warnings))
     return rows

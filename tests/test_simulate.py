@@ -456,11 +456,18 @@ def _als(Y, m, N, init, sweeps):
     return _als_trials(alternating_ls_batch(Y[None], m, N, init[None], sweeps=sweeps))[0]
 
 
-def _dense_als_oracle(Y, m, N, init, sweeps, rtol=1e-12):
+def _dense_als_oracle(Y, m, N, init, sweeps, rtol=1e-12, extrapolate=True):
     """Alternating LS with dense ``T(h)`` and ``A_op`` and the same
     normal-equation rule (Cholesky of the Gram, minimum-norm lstsq when the
     factor fails or its smallest squared pivot is at or below
-    ``DEFAULT_RANK_TOL`` times its largest)."""
+    ``DEFAULT_RANK_TOL`` times its largest).
+
+    With ``extrapolate`` it takes the estimator's start-point rule: after
+    an accepted sweep ``k`` the next starts from ``2 h_k - h_{k-1}``
+    renormalized (``h_0`` the start), after a rejected one from ``h_k``; a
+    sweep is rejected when its residual exceeds the last accepted one by
+    more than the stop rule's tolerance. Without it, every sweep starts from
+    the last and is accepted: plain alternating LS."""
 
     def solve(D, y):
         Dh = D.conj().T
@@ -474,18 +481,27 @@ def _dense_als_oracle(Y, m, N, init, sweeps, rtol=1e-12):
         return sla.cho_solve(factor, Dh @ y)
 
     M = Y.size // m
-    h = init / np.linalg.norm(init)
-    history = []
+    start = h_acc = init / np.linalg.norm(init)
+    A_acc, history = None, []
     for sweep in range(sweeps):
-        A = solve(block_toeplitz(h.reshape(N, m).T, M), Y)
+        A = solve(block_toeplitz(start.reshape(N, m).T, M), Y)
         Aop = commutativity_op(A, m, N, M)
         h = solve(Aop, Y)
         resid = np.linalg.norm(Y - Aop @ h)
         h = h / np.linalg.norm(h)
+        gain = history[-1] - resid if history else np.inf
+        tol = rtol * max(history[-1], 1.0) if history else 0.0
+        if gain < -tol and extrapolate:
+            start = h_acc                              # rejected
+            history.append(history[-1])
+            continue
+        start = 2.0 * h - h_acc if extrapolate else h
+        start = start / np.linalg.norm(start)
+        h_acc, A_acc = h, A
         history.append(resid)
-        if sweep > 0 and history[-2] - resid <= rtol * max(history[-2], 1.0):
-            return h, A, history, True, sweep + 1
-    return h, A, history, False, sweeps
+        if gain <= tol:
+            return h_acc, A_acc, history, True, sweep + 1
+    return h_acc, A_acc, history, False, sweeps
 
 
 class TestStructuredAls:
@@ -547,7 +563,7 @@ class TestAlsBatch:
         # real and complex bursts in one complex stack; some trials converge,
         # at different sweeps, and the others use up the budget
         rng = np.random.default_rng(0)
-        m, N, M, sweeps = 2, 3, 30, 200
+        m, N, M, sweeps = 2, 3, 30, 50
         Ys, inits = [], []
         for noise in (0.05, 0.3, 1.0):
             for field in (REAL, COMPLEX):
@@ -613,6 +629,77 @@ class TestAlsBatch:
         for got, alone in zip(trials[::2], _als_trials(pair)):
             for g, a in zip(got, alone):
                 np.testing.assert_array_equal(g, a)
+
+
+def _experiment_burst(ch, M, snr_db, seed, trial):
+    """Burst and init of trial ``trial`` of an MSE experiment at ``snr_db``."""
+    cfg = _cfg(ch, M=M, seed=seed, sigma_v2=snr_to_sigma_v2(ch, 1.0, snr_db))
+    pert = simulate._draw_gaussian_vector(stream_rng(seed, 1 + 4 * trial + 2), ch.h.size, 1.0,
+                                          ch.field == COMPLEX)
+    init = ch.h + 1e-2 * np.linalg.norm(ch.h) * pert / np.linalg.norm(pert)
+    return simulate_burst(cfg, trial), init
+
+
+def _plain_als_at_rest(Y, m, N, init, cap):
+    """Plain alternating LS run until its residual stops falling (at most
+    ``cap`` sweeps): one-sweep runs of :func:`alternating_ls_batch`, each
+    from the last one's channel, are plain sweeps. Returns the channel."""
+    h, resid = init, np.inf
+    for _ in range(cap):
+        run = alternating_ls_batch(Y[None], m, N, h[None], sweeps=1)
+        if run.history[0, 0] >= resid:
+            break
+        h, resid = run.h[0], run.history[0, 0]
+    return h
+
+
+class TestExtrapolatedAls:
+    """The extrapolated start points against plain alternating LS."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_reaches_the_plain_fixed_point(self, chan_random, complex_field):
+        # well-posed bursts at M = 100, the benchmark's real 2x4 channel and
+        # a complex 3x3 one: the estimate is plain ALS run until its residual
+        # stops falling, up to sign or phase
+        ch = random_channel(np.random.default_rng(35), 3, 3, COMPLEX) if complex_field \
+            else chan_random
+        Y, init = _experiment_burst(ch, 100, 20.0, 808, 2)
+        got = _als(Y, ch.m, ch.N, init, 400)
+        want = _plain_als_at_rest(Y, ch.m, ch.N, init, 2000)
+        assert got[3]
+        c = np.vdot(want, got[0])
+        assert np.linalg.norm(got[0] * (abs(c) / c) - want) <= 1e-5
+
+    def test_converges_where_plain_als_runs_out(self):
+        # a hard complex burst: plain ALS (the dense oracle without
+        # extrapolation) uses up 400 sweeps, the extrapolated run converges
+        # within them to a residual no larger
+        ch = random_channel(np.random.default_rng(1), 2, 4, COMPLEX)
+        Y, init = _experiment_burst(ch, 50, 10.0, 1, 0)
+        plain = _dense_als_oracle(Y, 2, 4, init, 400, extrapolate=False)
+        got = _als(Y, 2, 4, init, 400)
+        assert not plain[3] and plain[4] == 400
+        assert got[3] and got[4] < 400
+        assert got[2][-1] <= plain[2][-1]
+
+    def test_history_and_rejected_sweeps(self):
+        # history is the last accepted residual: a rejected sweep repeats it;
+        # only the stopping sweep, a tie within the stop rule's tolerance, may
+        # end above it by at most that tolerance
+        Y, init = _experiment_burst(random_channel(np.random.default_rng(1), 2, 4, COMPLEX),
+                                    50, 10.0, 1, 0)
+        _, _, hist, converged, sweeps = _als(Y, 2, 4, init, 400)
+        assert converged and len(hist) == sweeps and np.all(np.isfinite(hist))
+        steps = np.diff(hist)
+        assert np.all(steps[:-1] <= 0)
+        assert steps[-1] <= 1e-12 * max(hist[-2], 1.0)
+        rejected = np.count_nonzero(steps[:-1] == 0)
+        assert rejected > 0
+        # rejected sweeps spend the budget: with only as many sweeps as were
+        # accepted, the same run stops short of convergence
+        short = _als(Y, 2, 4, init, sweeps - rejected)
+        assert not short[3] and short[4] == sweeps - rejected
+        np.testing.assert_array_equal(short[2], hist[:sweeps - rejected])
 
 
 class TestMseExperiment:
@@ -711,3 +798,50 @@ class TestMseExperiment:
         cfg = _cfg(chan_random, model=GAUSSIAN)
         with pytest.raises(ValueError):
             mse_vs_crb_experiment(cfg, [10.0])
+
+    def test_benchmark_experiment_matches_references(self, chan_random):
+        # the benchmark's mse job (random-2x4, M=100, seed 808, 20 trials,
+        # 400 sweeps) against its reference mse_NO, mse_LS and mse_LIN per
+        # SNR point, at the benchmark's tolerance
+        want = {10.0: (0.166670779, 0.165410773, 0.170551497),
+                20.0: (0.0145495489, 0.0145406425, 0.0145763255),
+                30.0: (0.00145224045, 0.00145215243, 0.00145250457)}
+        cfg = _cfg(chan_random, M=100, trials=20, seed=808, ls_sweeps=400)
+        for row in mse_vs_crb_experiment(cfg, list(want)):
+            got = [row.mse[r] for r in (ADJUST_NO, ADJUST_LS, ADJUST_LIN)]
+            np.testing.assert_allclose(got, want[row.snr_db], rtol=1e-4, atol=0)
+            assert row.nonconverged == 0
+
+    def test_blocks_match_one_lockstep_run(self, monkeypatch):
+        # blocks of 7 bursts straddle the SNR points: the rows equal those of
+        # one block holding every burst
+        ch = random_channel(np.random.default_rng(1), 2, 3, COMPLEX)
+        cfg = _cfg(ch, M=20, trials=10, seed=5, ls_sweeps=100)
+        snrs = [5.0, 15.0, 30.0]
+        monkeypatch.setattr(simulate, "_BURST_BLOCK", len(snrs) * cfg.trials)
+        whole = mse_vs_crb_experiment(cfg, snrs)
+        monkeypatch.setattr(simulate, "_BURST_BLOCK", 7)
+        for got, want in zip(mse_vs_crb_experiment(cfg, snrs), whole):
+            assert (got.sigma_v2, got.crb_trace, got.trials) == \
+                (want.sigma_v2, want.crb_trace, want.trials)
+            assert (got.nonconverged, got.sweeps_mean) == (want.nonconverged, want.sweeps_mean)
+            for r in want.mse:
+                assert got.mse[r] == pytest.approx(want.mse[r], rel=1e-12, abs=0)
+                assert got.std_err[r] == pytest.approx(want.std_err[r], rel=1e-12, abs=0)
+
+    def test_memory_does_not_grow_with_trials(self, chan_random):
+        # the bursts run in blocks: at eight blocks' worth of bursts the
+        # experiment's peak stays within a quarter of its peak at one block
+        cfg = _cfg(chan_random, M=20, ls_sweeps=3)
+        snrs = [10.0, 20.0]
+        mse_vs_crb_experiment(replace(cfg, trials=2), snrs)          # first-call imports
+        peaks = []
+        for blocks in (1, 8):
+            tracemalloc.start()
+            try:
+                mse_vs_crb_experiment(replace(cfg, trials=blocks * simulate._BURST_BLOCK // 2),
+                                      snrs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
