@@ -498,7 +498,7 @@ def build_parser():
                    help="max per-entry z-score allowed")
     p.add_argument("--trace-gate", dest="trace_gate", type=float, default=0.05,
                    help="max relative trace error allowed")
-    p.add_argument("--corrupt-sigma", dest="corrupt_sigma", type=float, default=1.0,
+    p.add_argument("--corrupt-sigma", dest="corrupt_sigma", type=_tolerance(math.inf), default=1.0,
                    help="scale the analytic-side noise variance (negative-control "
                         "knob; 1.0 = honest comparison)")
     p.set_defaults(func=cmd_fim_check)

@@ -132,18 +132,14 @@ def _wrapper(name):
 
 
 @lru_cache(maxsize=None)
-def _lapack_funcs(names, dtype=None):
-    """The handles for ``names``, looked up once per ``(names, dtype)``: the
-    package's one gateway to SciPy's Fortran wrappers (:func:`_wrapper`).
-    With a ``dtype``, float64 (prefix ``d``) or complex128 (``z``), each name
-    is a LAPACK routine, complex ``orgqr`` being ``zungqr``, or the BLAS
-    ``tbmv``; without one the only name is ``eigvals_banded``
-    (:func:`_eigvals_banded`). ``_flapack`` serves the LAPACK routines and
-    ``eigvals_banded``, ``_fblas`` ``tbmv`` alone, and each wrapper is
-    loaded only when a lookup first needs it.
+def _lapack_funcs(names, dtype):
+    """The handles for ``names``, looked up once per ``(names, dtype)``, of
+    SciPy's Fortran wrappers (:func:`_wrapper`). For ``dtype`` float64
+    (prefix ``d``) or complex128 (``z``), each name is a LAPACK routine,
+    complex ``orgqr`` being ``zungqr``, or the BLAS ``tbmv``. ``_flapack``
+    serves the LAPACK routines, ``_fblas`` ``tbmv`` alone, and each wrapper
+    is loaded only when a lookup first needs it.
     """
-    if dtype is None:
-        return tuple({"eigvals_banded": _eigvals_banded}[name] for name in names)
     prefix = _PREFIXES.get(np.dtype(dtype))
     if prefix is None:
         raise TypeError(f"no LAPACK routines for dtype {np.dtype(dtype)}")
@@ -289,8 +285,7 @@ def triangular_rank_reveal(R, k, gram, rows=None):
     shape = (n if rows is None else rows, n)
     s_max = s_hi
     if _svd_rank(s, shape, s_lo) != _svd_rank(s, shape, s_hi):
-        eigvals_banded, = _lapack_funcs(("eigvals_banded",))
-        s_max = np.sqrt(eigvals_banded(gram, select="i", select_range=(n - 1, n - 1))[0])
+        s_max = np.sqrt(_eigvals_banded(gram, "i", (n - 1, n - 1))[0])
     rank = n - k + _svd_rank(s, shape, s_max)
     return rank, s[::-1], U[:, ::-1]
 
@@ -361,8 +356,7 @@ def bordered_band_rank(band, X, C, tol=DEFAULT_RANK_TOL):
     shifted[kd] -= top
     ev = None                        # B > top I: no eigenvalue of B counts
     if pbtrf(shifted)[1] != 0:
-        eigvals_banded, = _lapack_funcs(("eigvals_banded",))
-        ev = eigvals_banded(band, select="v", select_range=(-np.inf, top))
+        ev = _eigvals_banded(band, "v", (-np.inf, top))
         # B in gbsv's general band storage: kd rows of fill-in, then the
         # upper band, then the lower band by symmetry
         ab = np.zeros((3 * kd + 1, n1), dtype=band.dtype)

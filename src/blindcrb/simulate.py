@@ -3,26 +3,19 @@ scale/phase adjustment rules, and MSE-vs-CRB experiments.
 
 Randomness is counter-based and fully determined by ``(seed, stream)``:
 every logical draw owns a Philox stream, so trials are reproducible
-bit-for-bit regardless of execution order or parallel scheduling. The
-trial loops (score covariance, MSE experiments) draw the trials of one
-stream purpose into one ``(trials, k, size)`` buffer of raw standard
-normals, through one generator whose fresh state changes only its key from
-trial to trial, and scale that buffer into noise or symbols in one step;
-each trial's draws are bitwise those of a fresh :func:`stream_rng`, so the
-stream map below is unchanged. That fresh state is one dict of plain
-Python ints (zero counter, empty buffer), and each trial swaps in only its
-key tuple: the Philox state setter reads counter, key and buffer one
-element at a time, and a plain int converts for about half of what a NumPy
-``uint64`` array element costs. The score covariance runs its trials in
-blocks of ``_TRIAL_BLOCK``: each block's bursts are drawn and scored as
-matrix products and added into the moments, so its memory does not grow
-with the trial count. The Gaussian score reads ``T(h)`` and ``C^-1``
-alone, as correlations of ``z_t = C^-1 y_t`` with ``T^H z_t`` (no
-covariance slab is formed; their dense stack is the tests' oracle). An MSE
-experiment runs the bursts of every (SNR point, trial) pair through the one
-estimator, :func:`alternating_ls_batch`, in lockstep blocks of
-``_BURST_BLOCK``; each block draws the noise and initialization normals of
-its own trials.
+bit-for-bit regardless of execution order or parallel scheduling. Every
+draw goes through one drawer, :func:`_draws`, which re-keys one generator to
+each stream of a range and returns one row per stream; the public drawers
+are its one-stream case. The score covariance runs its trials in blocks of
+``_TRIAL_BLOCK``: each block's bursts are drawn and scored as matrix
+products and added into plain moment sums, so its memory does not grow with
+the trial count. The Gaussian score reads ``T(h)`` and ``C^-1`` alone, as
+correlations of ``z_t = C^-1 y_t`` with ``T^H z_t`` (no covariance slab is
+formed; their dense stack is the tests' oracle). An MSE experiment runs its
+trials in blocks of about ``_BURST_BLOCK`` bursts over all SNR points
+through the one estimator, :func:`alternating_ls_batch`, in lockstep; a
+block draws the noise and initialization normals of its trials once and
+uses them at every point.
 
 Stream map (documented contract):
 
@@ -89,7 +82,7 @@ ADJUST_LS = "LS"
 ADJUST_LIN = "LIN"
 _ADJUSTMENTS = (ADJUST_NO, ADJUST_LS, ADJUST_LIN)
 
-_STREAM_FIXED_SYMBOLS = 0
+_FIXED_SYMBOLS = range(1)               # stream 0 alone
 _PURPOSE_NOISE = 0
 _PURPOSE_SYMBOLS = 1
 _PURPOSE_INIT = 2
@@ -102,6 +95,8 @@ _TRIAL_BLOCK = 2048
 # burst stops falling at about this size, and a block takes about 45 KB per
 # complex burst at M = 100
 _BURST_BLOCK = 128
+# the ALS stop rule's relative tolerance
+_ALS_RTOL = 1e-12
 
 
 class DegenerateAdjustmentError(ValueError):
@@ -119,50 +114,10 @@ def stream_rng(seed, stream):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _fresh_state(key):
-    # the state of a fresh Philox with key ``key`` (counter 0, empty buffer,
-    # no cached 32-bit half): set on a stream_rng generator, it makes the
-    # draws that follow bitwise those of stream_rng with that key. Setting
-    # it costs about a twentieth of building a Philox, which first seeds a
-    # SeedSequence from the OS entropy pool. Every field is a plain int or a
-    # tuple of them: the setter converts one element at a time, and a NumPy
-    # uint64 element costs about twice what an int does
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _trial_stream(trial, purpose):
-    return 1 + _STREAMS_PER_TRIAL * trial + purpose
-
-
-def _trial_normals(rng, cfg, purpose, size, trials):
-    """Raw standard normals of one stream purpose for the trials in the
-    range ``trials`` (step 1) of ``cfg``.
-
-    ``out[i]`` is bitwise ``stream_rng(cfg.seed, 1 + 4 t + purpose)
-    .standard_normal((k, size))`` for ``t = trials[i]``, with ``k = 2`` rows
-    (real and imaginary parts) for a complex channel and 1 for a real one:
-    before each trial's draw ``rng`` is set to one fresh state whose key
-    alone changes.
-    """
-    bitgen, draw = rng.bit_generator, rng.standard_normal
-    state = _fresh_state(None)
-    counter_and_key = state["state"]
-    seed_word = _stream_key(cfg.seed, 0)[0]
-    streams = range(_trial_stream(trials.start, purpose), _trial_stream(trials.stop, purpose),
-                    _STREAMS_PER_TRIAL)
-    out = np.empty((len(trials), 2 if cfg.field == COMPLEX else 1, size))
-    for row, stream in zip(out, streams):
-        counter_and_key["key"] = (seed_word, stream)
-        bitgen.state = state
-        draw(out=row)
-    return out
+def _trial_streams(trials, purpose):
+    """The streams of one purpose for the trials in the range ``trials``."""
+    return range(1 + _STREAMS_PER_TRIAL * trials.start + purpose,
+                  1 + _STREAMS_PER_TRIAL * trials.stop + purpose, _STREAMS_PER_TRIAL)
 
 
 def _trial_blocks(trials, size=_TRIAL_BLOCK):
@@ -224,14 +179,33 @@ def _scale_normals(g, scale2, complex_field):
     return np.sqrt(scale2) * g[..., 0, :]
 
 
-def _draw_gaussian_vector(rng, size, scale2, complex_field):
-    g = rng.standard_normal((2 if complex_field else 1, size))
-    return _scale_normals(g, scale2, complex_field)
+def _draws(rng, cfg, streams, size, scale2=None):
+    """The draws of the streams in the range ``streams`` of ``cfg.seed``, one
+    row each: raw standard normals of shape ``(k, size)``, with ``k = 2`` rows
+    (real and imaginary parts) for a complex channel and 1 for a real one,
+    or, with ``scale2``, their :func:`_scale_normals` of that variance.
 
-
-def _symbol_draw(rng, cfg):
-    n = cfg.M + cfg.channel.N - 1
-    return _draw_gaussian_vector(rng, n, cfg.sigma_a2, cfg.field == COMPLEX)
+    Row ``i`` is bitwise ``stream_rng(cfg.seed, streams[i])
+    .standard_normal((k, size))``: before each row ``rng`` is re-keyed to the
+    state of a fresh Philox with that stream's key (counter 0, empty buffer,
+    no cached 32-bit half), and only the key changes from row to row.
+    Setting a state costs about a twentieth of building a Philox, which
+    first seeds a SeedSequence from the OS entropy pool. The state is plain
+    ints: the setter converts one element at a time, and a NumPy ``uint64``
+    element costs about twice what an int does.
+    """
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    counter_and_key = state["state"]
+    seed_word = _stream_key(cfg.seed, 0)[0]
+    bitgen, draw = rng.bit_generator, rng.standard_normal
+    complex_field = cfg.field == COMPLEX
+    out = np.empty((len(streams), 2 if complex_field else 1, size))
+    for row, stream in zip(out, streams):
+        counter_and_key["key"] = (seed_word, stream)
+        bitgen.state = state
+        draw(out=row)
+    return out if scale2 is None else _scale_normals(out, scale2, complex_field)
 
 
 def experiment_symbols(cfg: ExperimentConfig, trial=0):
@@ -240,17 +214,17 @@ def experiment_symbols(cfg: ExperimentConfig, trial=0):
     Deterministic model: one fixed draw per experiment (stream 0), shared by
     every trial. Gaussian model: a fresh draw per trial.
     """
-    if cfg.model == DETERMINISTIC:
-        rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
-    else:
-        rng = stream_rng(cfg.seed, _trial_stream(trial, _PURPOSE_SYMBOLS))
-    return _symbol_draw(rng, cfg)
+    streams = _FIXED_SYMBOLS if cfg.model == DETERMINISTIC \
+        else _trial_streams(range(trial, trial + 1), _PURPOSE_SYMBOLS)
+    return _draws(stream_rng(cfg.seed, streams.start), cfg, streams,
+                  cfg.M + cfg.channel.N - 1, cfg.sigma_a2)[0]
 
 
 def draw_noise(cfg: ExperimentConfig, trial):
     """Observation noise of one trial: white, circular when complex."""
-    rng = stream_rng(cfg.seed, _trial_stream(trial, _PURPOSE_NOISE))
-    return _draw_gaussian_vector(rng, cfg.M * cfg.channel.m, cfg.sigma_v2, cfg.field == COMPLEX)
+    streams = _trial_streams(range(trial, trial + 1), _PURPOSE_NOISE)
+    return _draws(stream_rng(cfg.seed, streams.start), cfg, streams,
+                  cfg.M * cfg.channel.m, cfg.sigma_v2)[0]
 
 
 def simulate_burst(cfg: ExperimentConfig, trial=0):
@@ -271,24 +245,18 @@ class McFimEstimate:
     score_mean_se: np.ndarray
 
 
-def _trial_draws(rng, cfg, purpose, size, scale2, trials):
-    """Draws of one stream purpose for the trials in ``trials``, one row each."""
-    return _scale_normals(_trial_normals(rng, cfg, purpose, size, trials), scale2,
-                          cfg.field == COMPLEX)
-
-
 def _det_scorer(cfg):
     """Deterministic-model scores ``D^H v_t / sigma_v^2`` over the joint
     parameter (realified when complex): a function from a range of trials to
     their rows. The burst and ``D`` are formed once, here."""
     ch = cfg.channel
-    rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
-    A = _symbol_draw(rng, cfg)            # experiment_symbols(cfg)
-    Dc = deterministic_joint_operator(ch, A, cfg.M).conj()
     nA = cfg.M + ch.N - 1
+    rng = stream_rng(cfg.seed, _FIXED_SYMBOLS.start)
+    A = _draws(rng, cfg, _FIXED_SYMBOLS, nA, cfg.sigma_a2)[0]     # experiment_symbols(cfg)
+    Dc = deterministic_joint_operator(ch, A, cfg.M).conj()
 
     def score(trials):
-        V = _trial_draws(rng, cfg, _PURPOSE_NOISE, Dc.shape[0], cfg.sigma_v2, trials)
+        V = _draws(rng, cfg, _trial_streams(trials, _PURPOSE_NOISE), Dc.shape[0], cfg.sigma_v2)
         U = V @ Dc                        # row t = (D^H v_t)^T
         if cfg.field == REAL:
             return U / cfg.sigma_v2
@@ -322,12 +290,13 @@ def _gaussian_scorer(cfg):
     g = np.einsum("rlkr->kl", sliding_window_view((Ci @ T).reshape(M, m, -1), M, axis=2)).ravel()
     trace = np.trace(Ci).real
     complex_field = cfg.field == COMPLEX
-    rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
+    rng = stream_rng(cfg.seed, _FIXED_SYMBOLS.start)
 
     def score(trials):
         # row t: the burst T A_t + V_t of trial t, then z_t = C^-1 y_t
-        Z = _trial_draws(rng, cfg, _PURPOSE_NOISE, T.shape[0], cfg.sigma_v2, trials)
-        Z += _trial_draws(rng, cfg, _PURPOSE_SYMBOLS, T.shape[1], cfg.sigma_a2, trials) @ T.T
+        Z = _draws(rng, cfg, _trial_streams(trials, _PURPOSE_NOISE), T.shape[0], cfg.sigma_v2)
+        Z += _draws(rng, cfg, _trial_streams(trials, _PURPOSE_SYMBOLS), T.shape[1],
+                    cfg.sigma_a2) @ T.T
         Z = Z @ Ci.T
         U = Z @ Tc
         np.conjugate(U, out=U)            # row t = conj(u_t)
@@ -345,15 +314,14 @@ def _gaussian_scorer(cfg):
     return score
 
 
-def _det_score_matrix(cfg):
-    """Every trial's row of :func:`_det_scorer`, block by block, in one array."""
-    score = _det_scorer(cfg)
-    return np.concatenate([score(trials) for trials in _trial_blocks(cfg.trials)])
+def _scorer(cfg):
+    """The score function of ``cfg``'s model, from a range of trials to their rows."""
+    return (_det_scorer if cfg.model == DETERMINISTIC else _gaussian_scorer)(cfg)
 
 
-def _gaussian_score_matrix(cfg):
-    """Every trial's row of :func:`_gaussian_scorer`, block by block, in one array."""
-    score = _gaussian_scorer(cfg)
+def _score_matrix(cfg):
+    """Every trial's score row, block by block, in one array."""
+    score = _scorer(cfg)
     return np.concatenate([score(trials) for trials in _trial_blocks(cfg.trials)])
 
 
@@ -367,36 +335,30 @@ def score_covariance_fim(cfg: ExperimentConfig) -> McFimEstimate:
     outer products, taken from the moments ``S^T S`` and ``(S o S)^T (S o S)``
     of the trials x p score matrix ``S``, so no per-trial outer product is
     formed. The trials run in blocks of ``_TRIAL_BLOCK``: each block of ``S``
-    is drawn, scored and added into those moments, and the blocks' score
-    means and sums of squared deviations are merged by Chan's pairwise
-    update, so memory does not grow with ``cfg.trials``. The scores divide
-    by ``sigma_v2``, so a noiseless configuration is refused before any
-    trial is drawn.
+    is drawn, scored and added into those moments and the score sums, so
+    memory does not grow with ``cfg.trials``. The score mean's standard
+    error comes from ``diag(S^T S) - T mean^2``, which cancels nothing: the
+    scores have mean zero at the true parameter. The scores divide by
+    ``sigma_v2``, so a noiseless configuration is refused before any trial
+    is drawn.
     """
     _check_variance("sigma_v2", cfg.sigma_v2)
-    score = _det_scorer(cfg) if cfg.model == DETERMINISTIC else _gaussian_scorer(cfg)
-    gram = gram2 = mean = m2 = 0.0       # scalars until the first block gives them shape
-    n = 0
+    score = _scorer(cfg)
+    total = gram = gram2 = 0.0           # scalars until the first block gives them shape
     for trials in _trial_blocks(cfg.trials):
         S = score(trials)
-        k = len(trials)
-        block_mean = S.mean(axis=0)
-        dev = S - block_mean
-        dev *= dev
-        delta = block_mean - mean
-        mean = mean + delta * (k / (n + k))
-        m2 = m2 + dev.sum(axis=0) + delta * delta * (n * k / (n + k))
+        total = total + S.sum(axis=0)
         gram = gram + S.T @ S
         S *= S                            # in place: S o S
         gram2 = gram2 + S.T @ S
-        n += k
-        del S, dev                        # a block's arrays go before the next is drawn
+        del S                             # a block's scores go before the next is drawn
     T = cfg.trials
-    J_hat = gram / T
+    J_hat, mean = gram / T, total / T
     if T > 1:
         var = (gram2 / T - J_hat * J_hat) * (T / (T - 1))
         se = np.sqrt(np.maximum(var, 0.0) / T)
-        mean_se = np.sqrt(m2 / (T - 1)) / np.sqrt(T)
+        mean_var = (np.diag(gram) - T * mean * mean) / (T - 1)
+        mean_se = np.sqrt(np.maximum(mean_var, 0.0)) / np.sqrt(T)
     else:
         se = np.full_like(J_hat, np.inf)
         mean_se = np.full_like(mean, np.inf)
@@ -463,7 +425,7 @@ def _data_operator(Yr, N):
     return Q.reshape(T, M + N - 1, N * m)
 
 
-def alternating_ls_batch(Ys, m, N, inits, sweeps=30, rtol=1e-12):
+def alternating_ls_batch(Ys, m, N, inits, sweeps=30):
     """Alternating least squares in (A | h) and (h | A) for
     ``y_t = T(h_t) A_t + v_t``, on every burst ``Ys[t]`` (rows of a ``T x M m``
     array) from ``inits[t]``; returns an :class:`AlternatingLsBatch`.
@@ -476,10 +438,10 @@ def alternating_ls_batch(Ys, m, N, inits, sweeps=30, rtol=1e-12):
     where ``h_k`` is the output of the last accepted sweep and ``h_0`` the
     start; after a rejected sweep, from ``h_k`` itself, a plain sweep. A
     sweep is accepted unless its residual exceeds the last accepted one by
-    more than the stop rule's tolerance ``rtol * max(prev, 1)``; a rejected
+    more than the stop rule's tolerance ``_ALS_RTOL * max(prev, 1)``; a rejected
     sweep is discarded but counts in ``sweeps`` and in the budget, and the
     history repeats the last accepted residual. A trial stops on an accepted
-    sweep whose relative residual improvement is at most ``rtol``, which
+    sweep whose relative residual improvement is at most ``_ALS_RTOL``, which
     includes such a tie; if the budget runs out first, its last accepted
     sweep, the smallest residual it reached, is returned with
     ``converged=False``. The fixed points are those of plain ALS, and there
@@ -536,7 +498,7 @@ def alternating_ls_batch(Ys, m, N, inits, sweeps=30, rtol=1e-12):
         else:
             # a change within the stop rule's tolerance is a tie: accepted,
             # and the trial has converged
-            gain, tol = best - resid, rtol * np.maximum(best, 1.0)
+            gain, tol = best - resid, _ALS_RTOL * np.maximum(best, 1.0)
             accepted = gain >= -tol
             done = accepted & (gain <= tol)
         # accepted: extrapolate h_k + (h_k - h_{k-1}); rejected: restart at h_k
@@ -639,52 +601,55 @@ def mse_vs_crb_experiment(cfg: ExperimentConfig, snr_db_list):
     adjustment rule (NO, LS, LIN) gets its MSE ``E ||adjusted(h_hat) - h0||^2``,
     with the sign resolved by the positivity convention inside the NO rule.
 
-    The bursts of every (SNR point, trial) pair, point by point, run through
-    :func:`alternating_ls_batch` in lockstep blocks of ``_BURST_BLOCK``; a
-    block draws the noise and init normals of its own trials, and only its
-    squared errors, convergence flags and sweep counts outlive it, so memory
-    does not grow with the trial or SNR-point count.
+    The trials run in blocks of ``_BURST_BLOCK // len(snr_db_list)`` (at
+    least one): a block draws the noise and init normals of its trials once,
+    and its bursts at every SNR point, point by point, run through
+    :func:`alternating_ls_batch` in one lockstep batch. Only their squared
+    errors, convergence flags and sweep counts outlive the block, so memory
+    does not grow with the trial count.
     """
     if cfg.model != DETERMINISTIC:
         raise ValueError("MSE experiments are defined for the deterministic model")
     ch = cfg.channel
     h0 = ch.h
-    rng = stream_rng(cfg.seed, _STREAM_FIXED_SYMBOLS)
-    A = _symbol_draw(rng, cfg)            # experiment_symbols(cfg)
+    rng = stream_rng(cfg.seed, _FIXED_SYMBOLS.start)
+    A = _draws(rng, cfg, _FIXED_SYMBOLS, cfg.M + ch.N - 1, cfg.sigma_a2)[0]  # experiment_symbols
     TA = ch.toeplitz(cfg.M) @ A
     # the reduced FIM scales as 1/sigma_v^2: build it once at unit noise
     reduced = deterministic_reduced_fim(ch, A, 1.0, cfg.M)
     sv2s = [snr_to_sigma_v2(ch, cfg.sigma_a2, snr_db) for snr_db in snr_db_list]
-    n, bursts = cfg.trials, len(sv2s) * cfg.trials
-    # burst p n + t is trial t at SNR point p
-    sq = {r: np.empty(bursts) for r in _ADJUSTMENTS}
-    converged, sweeps = np.empty(bursts, dtype=bool), np.empty(bursts, dtype=int)
-    for block in _trial_blocks(bursts, _BURST_BLOCK):
-        Ys, inits = [], []
-        for p in range(block.start // n, (block.stop - 1) // n + 1):
-            trials = range(max(block.start - p * n, 0), min(block.stop - p * n, n))
-            noise = _trial_normals(rng, cfg, _PURPOSE_NOISE, TA.size, trials)
-            Ys.append(TA + _scale_normals(noise, sv2s[p], cfg.field == COMPLEX))  # simulate_burst
-            perts = _trial_draws(rng, cfg, _PURPOSE_INIT, h0.size, 1.0, trials)
-            inits.append(h0 + cfg.init_scale * np.linalg.norm(h0) * perts
-                         / np.linalg.norm(perts, axis=1, keepdims=True))
-        ests = alternating_ls_batch(np.concatenate(Ys), ch.m, ch.N, np.concatenate(inits),
+    n, points = cfg.trials, len(sv2s)
+    if not points:
+        return []
+    # entry [p, t] is trial t at SNR point p
+    sq = {r: np.empty((points, n)) for r in _ADJUSTMENTS}
+    converged, sweeps = np.empty((points, n), dtype=bool), np.empty((points, n), dtype=int)
+    for trials in _trial_blocks(n, max(1, _BURST_BLOCK // points)):
+        noise = _draws(rng, cfg, _trial_streams(trials, _PURPOSE_NOISE), TA.size)
+        perts = _draws(rng, cfg, _trial_streams(trials, _PURPOSE_INIT), h0.size, 1.0)
+        inits = h0 + cfg.init_scale * np.linalg.norm(h0) * perts \
+            / np.linalg.norm(perts, axis=1, keepdims=True)
+        # burst p len(trials) + i: trial trials[i] at point p (simulate_burst)
+        Ys = np.concatenate([TA + _scale_normals(noise, sv2, cfg.field == COMPLEX)
+                             for sv2 in sv2s])
+        ests = alternating_ls_batch(Ys, ch.m, ch.N, np.tile(inits, (points, 1)),
                                     sweeps=cfg.ls_sweeps)
-        at = slice(block.start, block.stop)
+        at = np.s_[:, trials.start:trials.stop]
         for r in _ADJUSTMENTS:
-            sq[r][at] = [np.linalg.norm(adjust_estimate(h, h0, r) - h0) ** 2 for h in ests.h]
-        converged[at], sweeps[at] = ests.converged, ests.sweeps
+            sq[r][at] = np.reshape([np.linalg.norm(adjust_estimate(h, h0, r) - h0) ** 2
+                                    for h in ests.h], (points, -1))
+        converged[at] = ests.converged.reshape(points, -1)
+        sweeps[at] = ests.sweeps.reshape(points, -1)
     rows = []
     for p, (snr_db, sv2) in enumerate(zip(snr_db_list, sv2s)):
         crb_trace = constrained_crb(reduced.J / sv2).trace
-        point = slice(p * n, (p + 1) * n)
-        mse = {r: float(sq[r][point].mean()) for r in _ADJUSTMENTS}
+        mse = {r: float(sq[r][p].mean()) for r in _ADJUSTMENTS}
         se = {
-            r: float(sq[r][point].std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
+            r: float(sq[r][p].std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
             for r in _ADJUSTMENTS
         }
-        nonconv = int(np.count_nonzero(~converged[point]))
-        sweeps_mean = int(sweeps[point].sum()) / n
+        nonconv = int(np.count_nonzero(~converged[p]))
+        sweeps_mean = int(sweeps[p].sum()) / n
         rows.append(MseRow(float(snr_db), sv2, crb_trace, n, mse, se, nonconv,
                            sweeps_mean, reduced.warnings))
     return rows

@@ -118,6 +118,39 @@ def test_scipy_is_loaded_only_by_the_linalg_gateway(path):
     assert named and all(id(node) in lazy for node in named)
 
 
+def _owners(tree, hit):
+    """The names of the top-level functions of ``tree`` that hold a node for
+    which ``hit`` holds; ``None`` stands for code outside them."""
+    owner = {id(node): fn.name for fn in tree.body
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)}
+    return {owner.get(id(node)) for node in ast.walk(tree) if hit(node)}
+
+
+def _names_philox(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "Philox"
+            or isinstance(node, ast.Name) and node.id == "Philox")
+
+
+def _sets_state(node):
+    targets = node.targets if isinstance(node, ast.Assign) \
+        else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+    return any(isinstance(t, ast.Attribute) and t.attr == "state" for t in targets)
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.stem)
+def test_one_drawer_keys_the_generators(path):
+    # every random draw goes through simulate._draws: only stream_rng builds
+    # a Philox, and only _draws re-keys a generator by setting its state
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    builds, sets = _owners(tree, _names_philox), _owners(tree, _sets_state)
+    if path.name != "simulate.py":
+        assert not builds and not sets, f"{path.name} builds or re-keys a generator"
+        return
+    assert builds == {"stream_rng"}
+    assert sets == {"_draws"}
+
+
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 from blindcrb import cli

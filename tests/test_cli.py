@@ -563,6 +563,19 @@ class TestFimCheck:
         assert not drawn
         assert "sigma_v2 must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_corrupt_sigma_is_refused_before_any_trial(self, chan_file, monkeypatch, capsys,
+                                                          value):
+        # the analytic side's noise scale must be finite and positive: the
+        # flag is refused as it is parsed, before any stream is drawn
+        drawn = []
+        monkeypatch.setattr(simulate, "stream_rng", lambda *a: drawn.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["fim-check", chan_file, "--trials", "50", "--corrupt-sigma", value])
+        assert exc.value.code == 2
+        assert not drawn
+        assert "argument --corrupt-sigma: must be finite and positive" in capsys.readouterr().err
+
 
 class TestMse:
     def _experiment(self, tmp_path, chan_file, **kw):

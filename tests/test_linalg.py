@@ -265,7 +265,7 @@ class TestLapackGateway:
         # an index window, a value window and an empty value window; the
         # caller's band is left as it was, also in Fortran order, which the
         # wrapper would otherwise overwrite in place
-        eigvals_banded, = linalg._lapack_funcs(("eigvals_banded",))
+        eigvals_banded = linalg._eigvals_banded
         D = _random_matrix(rng, 12, 12, complex_=complex_)
         G = upper_band(D.conj().T @ D - 20 * np.eye(12), 3)
         windows = [("i", (0, 0)), ("i", (2, 7)), ("i", (11, 11)),
@@ -372,20 +372,13 @@ class TestTriangularRankReveal:
         sv = np.linspace(3.0, 1.0, n)
         sv[-1] = c * rows * np.finfo(float).eps * sv[0]
         A = (Q1 * sv) @ Q2.T
-        exact, lookup = [], linalg._lapack_funcs
+        exact, eigvals_banded = [], linalg._eigvals_banded
 
-        def gateway(names, dtype=None):
-            # the SciPy gateway, with eigvals_banded counting its calls
-            funcs = lookup(names, dtype)
-            if names != ("eigvals_banded",):
-                return funcs
+        def counting(*args, **kwargs):
+            exact.append(True)
+            return eigvals_banded(*args, **kwargs)
 
-            def eigvals_banded(*args, **kwargs):
-                exact.append(True)
-                return funcs[0](*args, **kwargs)
-            return (eigvals_banded,)
-
-        monkeypatch.setattr(linalg, "_lapack_funcs", gateway)
+        monkeypatch.setattr(linalg, "_eigvals_banded", counting)
         rank, _, _ = _reveal(np.linalg.qr(A, mode="r"), 3, rows)
         assert exact == [True]
         assert rank == numerical_rank(A) == n - nullity

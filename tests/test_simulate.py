@@ -63,54 +63,77 @@ def _assert_gaussian_score_rows(S, cfg, trials):
         assert np.linalg.norm(S[t] - want) <= 1e-12 * scale
 
 
+def _scaled(g, scale2, complex_field):
+    """The documented scaling of raw normals ``g`` (one row per part) to
+    variance ``scale2``: circular when complex, half of it in each part."""
+    if complex_field:
+        z = g[0] + 1j * g[1]
+        z *= np.sqrt(scale2 / 2.0)
+        return z
+    return np.sqrt(scale2) * g[0]
+
+
+def _fresh_draw(seed, stream, complex_field, size, scale2=None):
+    """The draw of stream ``stream``: the raw normals of a fresh stream_rng,
+    one row per part, scaled by :func:`_scaled` when ``scale2`` is given."""
+    g = stream_rng(seed, stream).standard_normal((2 if complex_field else 1, size))
+    return g if scale2 is None else _scaled(g, scale2, complex_field)
+
+
 def _check_trial_loop_streams(monkeypatch, field, seed):
-    """The trial loops draw each stream purpose of a block of trials into one
-    buffer; row t must be bitwise the draw of the public per-trial drawers,
-    which build a fresh stream_rng. The score covariance runs two blocks,
-    and the rows on both sides of their edge are checked."""
+    """The trial loops draw through one re-keyed generator, one block of
+    trials of one stream purpose at a time; row i of a draw over the streams
+    ``streams`` must be bitwise that of a fresh stream_rng for
+    ``streams[i]``. The score covariance runs two blocks, and the rows on
+    both sides of their edge are checked, as are the public drawers."""
     ch = random_channel(np.random.default_rng(7), 2, 2, field)
+    complex_field = field == COMPLEX
     B = simulate._TRIAL_BLOCK
     det = _cfg(ch, M=4, trials=B + 2, sigma_v2=0.3, seed=seed)
     gauss = replace(det, model=GAUSSIAN)
     mse = replace(det, trials=4, ls_sweeps=20)
-    complex_field = field == COMPLEX
+    nA, ny = det.M + ch.N - 1, det.M * ch.m
     drawn = []
-    trial_normals = simulate._trial_normals
+    draws = simulate._draws
 
-    def recording(rng, cfg, purpose, size, trials):
-        out = trial_normals(rng, cfg, purpose, size, trials)
-        drawn.append((purpose, trials, out))
+    def recording(rng, cfg, streams, size, scale2=None):
+        out = draws(rng, cfg, streams, size, scale2)
+        drawn.append((streams, size, scale2, out.copy()))      # the scorers add in place
         return out
 
-    def draws(purpose, scale2, blocks):
-        # one draw per block, in trial order
-        assert [trials for p, trials, _ in drawn if p == purpose] == blocks
-        g = np.concatenate([out for p, _, out in drawn if p == purpose])
-        return simulate._scale_normals(g, scale2, complex_field)
+    def check(run, want):
+        # the draws of run(), in order, are want's (streams, size, scale2);
+        # the first, second and last rows of each are the fresh streams'
+        drawn.clear()
+        run()
+        assert [d[:3] for d in drawn] == want
+        for streams, size, scale2, out in drawn:
+            for i in (0, 1, -1)[:len(streams)]:
+                np.testing.assert_array_equal(
+                    out[i], _fresh_draw(seed, streams[i], complex_field, size, scale2))
 
+    def trial_streams(purpose, blocks):
+        return [range(1 + 4 * b.start + purpose, 1 + 4 * b.stop + purpose, 4) for b in blocks]
+
+    monkeypatch.setattr(simulate, "_draws", recording)
     two_blocks = [range(B), range(B, B + 2)]
-    monkeypatch.setattr(simulate, "_trial_normals", recording)
-    score_covariance_fim(det)
-    noise = draws(0, det.sigma_v2, two_blocks)
-    drawn.clear()
-    score_covariance_fim(gauss)
-    symbols = draws(1, gauss.sigma_a2, two_blocks)
-    gauss_noise = draws(0, gauss.sigma_v2, two_blocks)
-    drawn.clear()
-    rows = mse_vs_crb_experiment(mse, [20.0])
-    mse_noise = draws(0, rows[0].sigma_v2, [range(mse.trials)])
-    perts = draws(2, 1.0, [range(mse.trials)])
+    check(lambda: score_covariance_fim(det), [(range(1), nA, det.sigma_a2)]
+          + [(s, ny, det.sigma_v2) for s in trial_streams(0, two_blocks)])
+    check(lambda: score_covariance_fim(gauss),
+          [d for noise, symbols in zip(trial_streams(0, two_blocks), trial_streams(1, two_blocks))
+           for d in ((noise, ny, gauss.sigma_v2), (symbols, nA, gauss.sigma_a2))])
+    noise, init = trial_streams(0, [range(mse.trials)]) + trial_streams(2, [range(mse.trials)])
+    check(lambda: mse_vs_crb_experiment(mse, [20.0]),
+          [(range(1), nA, mse.sigma_a2), (noise, ny, None), (init, ch.h.size, 1.0)])
     edge = (0, 1, B - 1, B, B + 1)
+    np.testing.assert_array_equal(experiment_symbols(det),
+                                  _fresh_draw(seed, 0, complex_field, nA, det.sigma_a2))
     for t in edge:
-        np.testing.assert_array_equal(noise[t], draw_noise(det, t))
-        np.testing.assert_array_equal(gauss_noise[t], draw_noise(gauss, t))
-        np.testing.assert_array_equal(symbols[t], experiment_symbols(gauss, t))
-    for t in (0, 1, mse.trials - 1):
-        np.testing.assert_array_equal(
-            mse_noise[t], draw_noise(replace(mse, sigma_v2=rows[0].sigma_v2), t))
-        np.testing.assert_array_equal(perts[t], simulate._draw_gaussian_vector(
-            stream_rng(mse.seed, 1 + 4 * t + 2), ch.h.size, 1.0, complex_field))
-    _assert_gaussian_score_rows(simulate._gaussian_score_matrix(gauss), gauss, edge)
+        np.testing.assert_array_equal(draw_noise(det, t),
+                                      _fresh_draw(seed, 1 + 4 * t, complex_field, ny, 0.3))
+        np.testing.assert_array_equal(experiment_symbols(gauss, t), _fresh_draw(
+            seed, 1 + 4 * t + 1, complex_field, nA, gauss.sigma_a2))
+    _assert_gaussian_score_rows(simulate._score_matrix(gauss), gauss, edge)
 
 
 class TestReproducibility:
@@ -128,11 +151,12 @@ class TestReproducibility:
             # odd number of 32-bit draws, a cached 32-bit half
             rng.standard_normal(5)
             rng.integers(0, 2**32, 3, dtype=np.uint32)
-            rng.bit_generator.state = simulate._fresh_state(simulate._stream_key(seed, stream))
+            cfg = _cfg(random_channel(np.random.default_rng(7), 2, 2,
+                                      COMPLEX if complex_field else REAL), seed=seed)
+            got = simulate._draws(rng, cfg, range(stream, stream + 1), 9, 2.0)
             want = stream_rng(seed, stream)
-            np.testing.assert_array_equal(
-                simulate._draw_gaussian_vector(rng, 9, 2.0, complex_field),
-                simulate._draw_gaussian_vector(want, 9, 2.0, complex_field))
+            g = want.standard_normal((2 if complex_field else 1, 9))
+            np.testing.assert_array_equal(got, [_scaled(g, 2.0, complex_field)])
             np.testing.assert_array_equal(rng.integers(0, 2**32, 5, dtype=np.uint32),
                                           want.integers(0, 2**32, 5, dtype=np.uint32))
 
@@ -234,8 +258,7 @@ class TestScoreCovariance:
         # when the trials run in two or three blocks
         ch = random_channel(np.random.default_rng(17), 2, 2, field)
         cfg = _cfg(ch, model=model, M=4, trials=trials, sigma_v2=0.6)
-        scores = (simulate._det_score_matrix if model == DETERMINISTIC
-                  else simulate._gaussian_score_matrix)(cfg)
+        scores = simulate._score_matrix(cfg)
         want_J, want_se = score_moments_tensor(scores)
         est = score_covariance_fim(cfg)
         np.testing.assert_allclose(est.J_hat, want_J, rtol=0,
@@ -258,7 +281,7 @@ class TestScoreCovariance:
         if past_one_block:
             ny = cfg.M * ch.m
             cfg = replace(cfg, trials=2**15 // ny**2 + 1)
-        S = simulate._gaussian_score_matrix(cfg)
+        S = simulate._score_matrix(cfg)
         assert S.shape[0] == cfg.trials
         _assert_gaussian_score_rows(S, cfg, range(cfg.trials))
 
@@ -272,7 +295,7 @@ class TestScoreCovariance:
         base = _cfg(ch, model=GAUSSIAN, M=M, sigma_a2=1.3, sigma_v2=0.6)
         for trials in (1, 2, 512):
             cfg = replace(base, trials=trials)
-            S = simulate._gaussian_score_matrix(cfg)
+            S = simulate._score_matrix(cfg)
             assert S.shape == (trials, (2 if field == COMPLEX else 1) * m * ch.N + 1)
             _assert_gaussian_score_rows(S, cfg, range(trials))
 
@@ -282,10 +305,10 @@ class TestScoreCovariance:
         # outer products would take 10.2 MB
         ch = random_channel(np.random.default_rng(7), 2, 2, COMPLEX)
         cfg = _cfg(ch, model=GAUSSIAN, M=4, trials=10_000, sigma_v2=0.3)
-        simulate._gaussian_score_matrix(replace(cfg, trials=2))      # first-call imports
+        simulate._score_matrix(replace(cfg, trials=2))      # first-call imports
         tracemalloc.start()
         try:
-            simulate._gaussian_score_matrix(cfg)
+            simulate._score_matrix(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -634,8 +657,7 @@ class TestAlsBatch:
 def _experiment_burst(ch, M, snr_db, seed, trial):
     """Burst and init of trial ``trial`` of an MSE experiment at ``snr_db``."""
     cfg = _cfg(ch, M=M, seed=seed, sigma_v2=snr_to_sigma_v2(ch, 1.0, snr_db))
-    pert = simulate._draw_gaussian_vector(stream_rng(seed, 1 + 4 * trial + 2), ch.h.size, 1.0,
-                                          ch.field == COMPLEX)
+    pert = _fresh_draw(seed, 1 + 4 * trial + 2, ch.field == COMPLEX, ch.h.size, 1.0)
     init = ch.h + 1e-2 * np.linalg.norm(ch.h) * pert / np.linalg.norm(pert)
     return simulate_burst(cfg, trial), init
 
@@ -813,8 +835,8 @@ class TestMseExperiment:
             assert row.nonconverged == 0
 
     def test_blocks_match_one_lockstep_run(self, monkeypatch):
-        # blocks of 7 bursts straddle the SNR points: the rows equal those of
-        # one block holding every burst
+        # blocks of 7 bursts hold two trials at each of the 3 SNR points: the
+        # rows equal those of one block holding every trial
         ch = random_channel(np.random.default_rng(1), 2, 3, COMPLEX)
         cfg = _cfg(ch, M=20, trials=10, seed=5, ls_sweeps=100)
         snrs = [5.0, 15.0, 30.0]
@@ -825,6 +847,58 @@ class TestMseExperiment:
             assert (got.sigma_v2, got.crb_trace, got.trials) == \
                 (want.sigma_v2, want.crb_trace, want.trials)
             assert (got.nonconverged, got.sweeps_mean) == (want.nonconverged, want.sweeps_mean)
+            for r in want.mse:
+                assert got.mse[r] == pytest.approx(want.mse[r], rel=1e-12, abs=0)
+                assert got.std_err[r] == pytest.approx(want.std_err[r], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("burst_block", [2, 7])
+    def test_blocks_draw_the_documented_bursts(self, monkeypatch, burst_block):
+        # blocks of 2 bursts (fewer than the 3 SNR points: one trial each)
+        # and of 7 (two trials each): a block draws its trials' noise and
+        # init normals once, its bursts and inits, point by point, are
+        # simulate_burst's and the documented perturbed start, and the rows
+        # equal those of one block holding every trial
+        ch = random_channel(np.random.default_rng(1), 2, 3, COMPLEX)
+        cfg = _cfg(ch, M=20, trials=5, seed=5, ls_sweeps=30)
+        snrs = [5.0, 15.0, 30.0]
+        points = [replace(cfg, sigma_v2=snr_to_sigma_v2(ch, cfg.sigma_a2, s)) for s in snrs]
+        monkeypatch.setattr(simulate, "_BURST_BLOCK", len(snrs) * cfg.trials)
+        whole = mse_vs_crb_experiment(cfg, snrs)
+        batches, streams = [], []
+        als, draws = simulate.alternating_ls_batch, simulate._draws
+
+        def hooked_als(Ys, m, N, inits, **kwargs):
+            batches.append((Ys, inits))
+            return als(Ys, m, N, inits, **kwargs)
+
+        def hooked_draws(rng, cfg, s, size, scale2=None):
+            streams.append(s)
+            return draws(rng, cfg, s, size, scale2)
+
+        monkeypatch.setattr(simulate, "alternating_ls_batch", hooked_als)
+        monkeypatch.setattr(simulate, "_draws", hooked_draws)
+        monkeypatch.setattr(simulate, "_BURST_BLOCK", burst_block)
+        rows = mse_vs_crb_experiment(cfg, snrs)
+        size = max(1, burst_block // len(snrs))
+        blocks = [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
+        assert streams == [range(1)] + [
+            s for b in blocks
+            for s in (range(1 + 4 * b.start, 1 + 4 * b.stop, 4),     # noise
+                      range(3 + 4 * b.start, 3 + 4 * b.stop, 4))]    # init
+        assert len(batches) == len(blocks)
+        h0 = ch.h
+        for (Ys, inits), block in zip(batches, blocks):
+            assert len(Ys) == len(inits) == len(snrs) * len(block)
+            bursts = iter(zip(Ys, inits))
+            for point in points:
+                for t in block:
+                    y, init = next(bursts)
+                    np.testing.assert_array_equal(y, simulate_burst(point, t))
+                    # within roundoff: the norm of a stack of rows sums in another order
+                    pert = _fresh_draw(cfg.seed, 1 + 4 * t + 2, True, h0.size, 1.0)
+                    want = h0 + cfg.init_scale * np.linalg.norm(h0) * pert / np.linalg.norm(pert)
+                    np.testing.assert_allclose(init, want, rtol=1e-15, atol=0)
+        for got, want in zip(rows, whole):
             for r in want.mse:
                 assert got.mse[r] == pytest.approx(want.mse[r], rel=1e-12, abs=0)
                 assert got.std_err[r] == pytest.approx(want.std_err[r], rel=1e-12, abs=0)
