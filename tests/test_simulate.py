@@ -485,12 +485,20 @@ def _dense_als_oracle(Y, m, N, init, sweeps, rtol=1e-12, extrapolate=True):
     factor fails or its smallest squared pivot is at or below
     ``DEFAULT_RANK_TOL`` times its largest).
 
-    With ``extrapolate`` it takes the estimator's start-point rule: after
-    an accepted sweep ``k`` the next starts from ``2 h_k - h_{k-1}``
-    renormalized (``h_0`` the start), after a rejected one from ``h_k``; a
+    With ``extrapolate`` it takes the estimator's start-point rule: a sweep
+    from ``x`` outputs the normalized channel ``G(x)``, with ``f = G(x) - x``;
+    after an accepted sweep ``k`` with at least two accepted pairs
+    ``(G(x_j), f_j)`` since the last rejected sweep, before the second
+    rejected sweep and with at least as many observations as unknowns up to
+    scale, the next starts from ``G(x_k) - dG gamma`` renormalized, with
+    ``dG``, ``dF`` the differences of the last ``_ANDERSON_DEPTH + 1`` pairs
+    and ``gamma`` the lstsq solution of ``dF gamma = f_k`` with a ridge of
+    ``1e-12`` times the largest ``||dF_j||^2``; otherwise from
+    ``2 h_k - h_{k-1}`` renormalized (``h_0`` the start). After a
+    rejected sweep the next starts from ``h_k`` and the pairs are dropped; a
     sweep is rejected when its residual exceeds the last accepted one by
-    more than the stop rule's tolerance. Without it, every sweep starts from
-    the last and is accepted: plain alternating LS."""
+    more than the stop rule's tolerance. Without ``extrapolate``, every sweep
+    starts from the last and is accepted: plain alternating LS."""
 
     def solve(D, y):
         Dh = D.conj().T
@@ -506,6 +514,7 @@ def _dense_als_oracle(Y, m, N, init, sweeps, rtol=1e-12, extrapolate=True):
     M = Y.size // m
     start = h_acc = init / np.linalg.norm(init)
     A_acc, history = None, []
+    outs, resids, rejections = [], [], 0
     for sweep in range(sweeps):
         A = solve(block_toeplitz(start.reshape(N, m).T, M), Y)
         Aop = commutativity_op(A, m, N, M)
@@ -516,9 +525,25 @@ def _dense_als_oracle(Y, m, N, init, sweeps, rtol=1e-12, extrapolate=True):
         tol = rtol * max(history[-1], 1.0) if history else 0.0
         if gain < -tol and extrapolate:
             start = h_acc                              # rejected
+            outs, resids, rejections = [], [], rejections + 1
             history.append(history[-1])
             continue
-        start = 2.0 * h - h_acc if extrapolate else h
+        if not extrapolate:
+            start = h
+        else:
+            outs = (outs + [h])[-simulate._ANDERSON_DEPTH - 1:]
+            resids = (resids + [h - start])[-simulate._ANDERSON_DEPTH - 1:]
+            if len(outs) >= 2 and rejections < 2 and M * m >= M + N - 1 + m * N - 1:
+                # the ridge as rows sqrt(lam) I under dF: the lstsq solution
+                # of that stack is the ridged one, with no normal equations
+                dF = np.diff(resids, axis=0).T
+                ridge = 1e-6 * max(np.linalg.norm(dF, axis=0))
+                gamma = np.linalg.lstsq(np.vstack([dF, ridge * np.eye(dF.shape[1])]),
+                                        np.concatenate([resids[-1], np.zeros(dF.shape[1])]),
+                                        rcond=None)[0]
+                start = h - np.diff(outs, axis=0).T @ gamma
+            else:
+                start = 2.0 * h - h_acc
         start = start / np.linalg.norm(start)
         h_acc, A_acc = h, A
         history.append(resid)
@@ -654,6 +679,39 @@ class TestAlsBatch:
                 np.testing.assert_array_equal(g, a)
 
 
+class TestAlsInput:
+    """Bad bursts and starts are refused, naming the argument and the row,
+    before any sweep."""
+
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(simulate, "_symbol_step", sweep)
+
+    def test_one_dimensional_bursts(self):
+        with pytest.raises(ValueError, match="Ys must be a 2-D array"):
+            alternating_ls_batch(np.ones(8), 2, 2, np.ones((1, 4)))
+
+    @pytest.mark.parametrize("m, N", [(0, 2), (2, 0)])
+    def test_empty_channel(self, m, N):
+        with pytest.raises(ValueError, match="m and N must be >= 1"):
+            alternating_ls_batch(np.ones((1, 8)), m, N, np.ones((1, 2 * N)))
+
+    def test_zero_start(self):
+        inits = np.ones((3, 4))
+        inits[1] = 0.0
+        with pytest.raises(ValueError, match="inits row 1 is zero"):
+            alternating_ls_batch(np.ones((3, 8)), 2, 2, inits)
+
+    def test_non_finite_burst(self):
+        Ys = np.ones((3, 8), dtype=complex)
+        Ys[2, 5] = np.nan
+        with pytest.raises(ValueError, match="Ys row 2 has a non-finite entry"):
+            alternating_ls_batch(Ys, 2, 2, np.ones((3, 4)))
+
+
 def _experiment_burst(ch, M, snr_db, seed, trial):
     """Burst and init of trial ``trial`` of an MSE experiment at ``snr_db``."""
     cfg = _cfg(ch, M=M, seed=seed, sigma_v2=snr_to_sigma_v2(ch, 1.0, snr_db))
@@ -676,7 +734,7 @@ def _plain_als_at_rest(Y, m, N, init, cap):
 
 
 class TestExtrapolatedAls:
-    """The extrapolated start points against plain alternating LS."""
+    """The mixed and extrapolated start points against plain alternating LS."""
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_reaches_the_plain_fixed_point(self, chan_random, complex_field):
@@ -694,7 +752,7 @@ class TestExtrapolatedAls:
 
     def test_converges_where_plain_als_runs_out(self):
         # a hard complex burst: plain ALS (the dense oracle without
-        # extrapolation) uses up 400 sweeps, the extrapolated run converges
+        # extrapolation) uses up 400 sweeps, the accelerated run converges
         # within them to a residual no larger
         ch = random_channel(np.random.default_rng(1), 2, 4, COMPLEX)
         Y, init = _experiment_burst(ch, 50, 10.0, 1, 0)
@@ -722,6 +780,47 @@ class TestExtrapolatedAls:
         short = _als(Y, 2, 4, init, sweeps - rejected)
         assert not short[3] and short[4] == sweeps - rejected
         np.testing.assert_array_equal(short[2], hist[:sweeps - rejected])
+
+
+    def test_two_rejections_leave_the_extrapolated_start(self, monkeypatch):
+        # a hard burst (complex 2x4, M = 20, 5 dB) with rejected sweeps: its
+        # starts mix past sweeps at first; after its second rejected sweep
+        # each start is h_k after a rejected sweep and 2 h_k - h_{k-1},
+        # renormalized, after an accepted one
+        ch = random_channel(np.random.default_rng(1), 2, 4, COMPLEX)
+        Y, init = _experiment_burst(ch, 20, 5.0, 1, 7)
+        starts, outs = [], []
+        symbol_step, channel_step = simulate._symbol_step, simulate._channel_step
+
+        def hooked_symbol_step(taps, Yr, rhs):
+            starts.append(taps.swapaxes(1, 2).reshape(-1).copy())     # stacked h order
+            return symbol_step(taps, Yr, rhs)
+
+        def hooked_channel_step(Ap, Yr):
+            X = channel_step(Ap, Yr)
+            outs.append((X.ravel() / np.linalg.norm(X),
+                         np.linalg.norm(Yr - Ap @ X, axis=(1, 2))[0]))
+            return X
+
+        monkeypatch.setattr(simulate, "_symbol_step", hooked_symbol_step)
+        monkeypatch.setattr(simulate, "_channel_step", hooked_channel_step)
+        assert _als(Y, 2, 4, init, 400)[3]
+        h_acc, best = starts[0], np.inf
+        rejections, mixed, guarded = 0, 0, 0
+        for k, (h, resid) in enumerate(outs[:-1]):
+            accepted = k == 0 or resid - best <= 1e-12 * max(best, 1.0)
+            today = 2.0 * h - h_acc if accepted else h_acc
+            today = today / np.linalg.norm(today)
+            if accepted:
+                h_acc, best = h, resid
+            else:
+                rejections += 1
+            if rejections >= 2:
+                assert np.linalg.norm(starts[k + 1] - today) <= 1e-14
+                guarded += 1
+            else:
+                mixed += np.linalg.norm(starts[k + 1] - today) > 1e-6
+        assert mixed > 0 and guarded > 20
 
 
 class TestMseExperiment:
@@ -832,7 +931,8 @@ class TestMseExperiment:
         for row in mse_vs_crb_experiment(cfg, list(want)):
             got = [row.mse[r] for r in (ADJUST_NO, ADJUST_LS, ADJUST_LIN)]
             np.testing.assert_allclose(got, want[row.snr_db], rtol=1e-4, atol=0)
-            assert row.nonconverged == 0
+            # 46/41/41 sweeps before the starts mixed past sweeps
+            assert row.nonconverged == 0 and row.sweeps_mean <= 20
 
     def test_blocks_match_one_lockstep_run(self, monkeypatch):
         # blocks of 7 bursts hold two trials at each of the 3 SNR points: the
